@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 
 class UnsupportedInput(Exception):
@@ -137,6 +137,100 @@ def relation(lhs: Iterable[Monomial], rhs: Iterable[Monomial]) -> Relation:
 
 
 # ---------------------------------------------------------------------------
+# Compiled relations
+# ---------------------------------------------------------------------------
+#
+# The syntactic scans over relations (the prime criterion, unit detection,
+# lattice rows) read terms as support bitmasks.  A relation list is compiled
+# once into this form, and every scan reads the compiled form.
+
+
+def _bare_generator(t: Monomial) -> Optional[int]:
+    """The index g when t is +-T_g, else None."""
+    support = [g for g, e in enumerate(t.exps) if e]
+    if len(support) == 1 and t.exps[support[0]] == 1:
+        return support[0]
+    return None
+
+
+def _mask(gens: Iterable[int]) -> int:
+    mask = 0
+    for g in gens:
+        mask |= 1 << g
+    return mask
+
+
+class _Term(NamedTuple):
+    mask: int               # support bitmask; 0 for constants
+    exps: tuple[int, ...]
+    sign: int
+    gen: Optional[int]      # _bare_generator of the term
+
+
+class _RelationForm(NamedTuple):
+    lhs: tuple[_Term, ...]
+    rhs: tuple[_Term, ...]
+    masks: tuple[int, ...]  # support masks of lhs + rhs
+
+
+def _term(t: Monomial) -> _Term:
+    return _Term(_mask(t.support()), t.exps, t.sign, _bare_generator(t))
+
+
+def _relation_forms(relations: Iterable[Relation]) -> tuple[_RelationForm, ...]:
+    out = []
+    for rel in relations:
+        lhs = tuple(map(_term, rel.lhs.terms))
+        rhs = tuple(map(_term, rel.rhs.terms))
+        out.append(_RelationForm(lhs, rhs, tuple(t.mask for t in lhs + rhs)))
+    return tuple(out)
+
+
+def _pair_shape(a: Sequence[_Term], b: Sequence[_Term]):
+    """(t1, t2, 0) for a relation t1 == t2, (t1, t2, 1) for t1 + t2 == 0, else None."""
+    if len(a) == 1 and len(b) == 1:
+        return a[0], b[0], 0
+    if len(a) + len(b) == 2 and not (a and b):
+        t1, t2 = a or b
+        return t1, t2, 1
+    return None
+
+
+def _unit_closure(pairs, units: int, dead: int) -> int:
+    """Close a unit mask under pairs from :func:`_pair_shape`.
+
+    When one term of a pair is a unit monomial, the support of the other
+    becomes units too, unless it meets ``dead``.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for t1, t2, _ in pairs:
+            m1, m2 = t1.mask, t2.mask
+            if m1 & ~units and not m2 & ~units and not m1 & dead:
+                units |= m1
+                changed = True
+            elif m2 & ~units and not m1 & ~units and not m2 & dead:
+                units |= m2
+                changed = True
+    return units
+
+
+def _defined_generator(single: Sequence[_Term], rest: Sequence[_Term]) -> Optional[int]:
+    """g when ``single`` is the term T_g and ``rest`` is a sum of constants."""
+    if len(single) == 1 and not single[0].sign and not any(t.mask for t in rest):
+        return single[0].gen
+    return None
+
+
+def _lattice_rows(pairs, cols: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """One row prod T_g^(e1_g - e2_g) == (-1)^sign over ``cols`` per unit pair."""
+    rows = [tuple(t1.exps[g] - t2.exps[g] for g in cols) for t1, t2, _ in pairs]
+    signs = [(t1.sign - t2.sign + to_zero) % 2 for t1, t2, to_zero in pairs]
+    return rows, signs
+
+
+# ---------------------------------------------------------------------------
 # Presentations
 # ---------------------------------------------------------------------------
 
@@ -188,9 +282,9 @@ class BlueprintPresentation:
         for rel in self.relations:
             for one_side, other in (rel.sides(), rel.sides()[::-1]):
                 if len(other) == 0 and len(one_side) == 1:
-                    t = one_side.terms[0]
-                    if sum(t.exps) == 1 and max(t.exps) == 1:
-                        dead.add(t.exps.index(1))
+                    g = _bare_generator(one_side.terms[0])
+                    if g is not None:
+                        dead.add(g)
         return frozenset(dead)
 
     def with_relations(self, extra: Iterable[Relation]) -> "BlueprintPresentation":
@@ -425,11 +519,8 @@ def _candidate_multipliers(s: FormalSum, target: FormalSum, pattern: FormalSum,
     return cands
 
 
-DEFAULT_ENTAILMENT_BUDGET = 10_000
-
-
 def relation_entailed(B: BlueprintPresentation, rel: Relation,
-                      budget: Optional[int] = None,
+                      budget: int = 10_000,
                       max_terms: Optional[int] = None,
                       constant_states_only: bool = False) -> Literal["yes", "unknown"]:
     """Decide, within a step budget, whether a relation is derivable.
@@ -443,8 +534,6 @@ def relation_entailed(B: BlueprintPresentation, rel: Relation,
     for torsion probes (at the cost of missing derivations that pass
     through non-constant sums).
     """
-    if budget is None:
-        budget = DEFAULT_ENTAILMENT_BUDGET
     if budget <= 0:
         raise ValueError("budget must be positive")
     dead, rules = _rewrite_rules(B)
@@ -501,10 +590,6 @@ def is_zero_blueprint(B: BlueprintPresentation, budget: int = 400) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _is_unit_monomial(m: Monomial, units: set[int]) -> bool:
-    return not m.zero and m.support() <= units
-
-
 def detect_units(B: BlueprintPresentation) -> frozenset[int]:
     """Generators that are forced invertible.
 
@@ -514,30 +599,11 @@ def detect_units(B: BlueprintPresentation) -> frozenset[int]:
     a unit.  Sound but conservative; transitivity consequences are exposed
     through :func:`saturate_relations` first.
     """
-    dead = B.killed()
-    rels = saturate_relations(B)
-    units: set[int] = set(B.inverted)
-    changed = True
-    while changed:
-        changed = False
-        for rel in rels:
-            sides = rel.sides()
-            for a, b in (sides, sides[::-1]):
-                if len(a) == 1 and len(b) == 1 and _is_unit_monomial(b.terms[0], units):
-                    sup = a.terms[0].support()
-                    if sup & dead:
-                        continue
-                    if not sup <= units:
-                        units |= sup
-                        changed = True
-                if len(a) == 2 and len(b) == 0:
-                    t1, t2 = a.terms
-                    for m, other in ((t1, t2), (t2, t1)):
-                        if _is_unit_monomial(other, units) and not (m.support() & dead):
-                            if not m.support() <= units:
-                                units |= m.support()
-                                changed = True
-    return frozenset(units - dead)
+    pairs = [pair for rel in _relation_forms(saturate_relations(B))
+             if (pair := _pair_shape(rel.lhs, rel.rhs))]
+    dead = _mask(B.killed())
+    units = _unit_closure(pairs, _mask(B.inverted), dead) & ~dead
+    return frozenset(g for g in range(B.width) if units >> g & 1)
 
 
 def unit_field(B: BlueprintPresentation) -> BlueprintPresentation:
@@ -560,10 +626,10 @@ def unit_field(B: BlueprintPresentation) -> BlueprintPresentation:
                 exps[index[g]] = e
         return Monomial(m.sign, tuple(exps))
 
+    non_units = ~_mask(units)
     kept = []
-    for rel in rels:
-        terms = rel.all_terms()
-        if all(_is_unit_monomial(t, set(units)) for t in terms):
+    for rel, form in zip(rels, _relation_forms(rels)):
+        if not any(m & non_units for m in form.masks):
             kept.append(relation([restrict(t) for t in rel.lhs.terms],
                                  [restrict(t) for t in rel.rhs.terms]))
     return make_presentation(names, range(len(index)), B.coeff_order, kept)
@@ -585,13 +651,10 @@ class ClosureResult:
 
 def _exhibits_additive_inverse(B: BlueprintPresentation, units: frozenset[int]) -> bool:
     _, rels = _canonical_relations(B)
-    u = set(units)
-    for rel in rels:
-        for a, b in (rel.sides(), rel.sides()[::-1]):
-            if len(b) == 0 and len(a) >= 1:
-                if all(_is_unit_monomial(t, u) for t in a.terms):
-                    return True
-    return False
+    non_units = ~_mask(units)
+    # canonical relations are non-trivial, so one empty side means a sum == 0
+    return any(not (form.lhs and form.rhs) and not any(m & non_units for m in form.masks)
+               for form in _relation_forms(rels))
 
 
 def inverse_closure(B: BlueprintPresentation) -> ClosureResult:
@@ -605,7 +668,10 @@ def inverse_closure(B: BlueprintPresentation) -> ClosureResult:
     unsupported result carrying the original presentation, never a wrong
     answer.
     """
-    units = detect_units(B)
+    return _inverse_closure(B, detect_units(B))
+
+
+def _inverse_closure(B: BlueprintPresentation, units: frozenset[int]) -> ClosureResult:
     dead = B.killed()
     stray = [B.name_of(g) for g in range(B.width) if g not in units and g not in dead]
     if stray:
@@ -767,16 +833,6 @@ class NormalFormAnalysis:
     diagnostics: tuple[str, ...] = ()
 
 
-def _constant_balance(s: FormalSum) -> Optional[int]:
-    """Value of a sum of +-1 constants, None when non-constant."""
-    total = 0
-    for t in s.terms:
-        if t.zero or any(t.exps):
-            return None
-        total += -1 if t.sign else 1
-    return total
-
-
 @lru_cache(maxsize=4096)
 def analyze_normal_form(B: BlueprintPresentation) -> NormalFormAnalysis:
     """Try to read a presentation as F1^eps[Lambda] plus sum-of-unit definitions.
@@ -786,80 +842,51 @@ def analyze_normal_form(B: BlueprintPresentation) -> NormalFormAnalysis:
     kill, a lattice relation between unit monomials (including m1 + m2 == 0),
     or one of the defining sums.  Anything else is flagged raw.
     """
-    closure = inverse_closure(B)
-    work = closure.presentation if closure.ok else B
-    units = detect_units(work)
-    dead = work.killed()
-    _, rels = _canonical_relations(work)
+    units = detect_units(B)
+    dead, rels = _canonical_relations(B)
     if units & dead:
         return NormalFormAnalysis(False, None, units, dead, {},
                                   ("a generator is both unit and annihilated",))
 
     sum_defined: dict[int, int] = {}
-    lattice_rels: list[Relation] = []
+    pairs = []
     problems: list[str] = []
-    uset = set(units)
-    for rel in rels:
-        a, b = rel.sides()
-        if len(b) == 2 and len(a) == 0:
-            a, b = b, a
-        if len(a) == 1 and len(b) == 1 and all(_is_unit_monomial(t, uset) for t in rel.all_terms()):
-            lattice_rels.append(rel)
+    unit_mask = _mask(units)
+    for rel, form in zip(rels, _relation_forms(rels)):
+        pair = _pair_shape(form.lhs, form.rhs)
+        if pair and not (pair[0].mask | pair[1].mask) & ~unit_mask:
+            pairs.append(pair)
             continue
-        if len(a) == 2 and len(b) == 0 and all(_is_unit_monomial(t, uset) for t in a.terms):
-            lattice_rels.append(rel)
-            continue
-        handled = False
-        for single, rest in ((a, b), (b, a)):
-            if len(single) != 1:
-                continue
-            t = single.terms[0]
-            sup = t.support()
-            if len(sup) == 1 and sum(t.exps) == 1 and t.sign == 0:
-                balance = _constant_balance(rest)
-                g = next(iter(sup))
-                if balance is not None and g not in sum_defined:
-                    sum_defined[g] = balance
-                    handled = True
-                    break
-        if not handled:
+        for single, rest in ((form.lhs, form.rhs), (form.rhs, form.lhs)):
+            g = _defined_generator(single, rest)
+            if g is not None and g not in sum_defined:
+                sum_defined[g] = sum(-1 if t.sign else 1 for t in rest)
+                break
+        else:
             problems.append(f"relation outside the normal-form shapes: "
-                            f"{render_relation(work, rel)}")
+                            f"{render_relation(B, rel)}")
 
-    for g in range(work.width):
+    for g in range(B.width):
         if g in units or g in dead or g in sum_defined:
             continue
-        problems.append(f"generator {work.name_of(g)} is neither unit, killed, "
+        problems.append(f"generator {B.name_of(g)} is neither unit, killed, "
                         f"nor a sum of units")
 
     if problems:
         return NormalFormAnalysis(False, None, units, dead, sum_defined, tuple(problems))
 
+    if any((t1.mask | t2.mask) & _mask(sum_defined) for t1, t2, _ in pairs):
+        return NormalFormAnalysis(False, None, units, dead, sum_defined,
+                                  ("lattice relation touches a sum-defined generator",))
     cols = sorted(units - frozenset(sum_defined))
-    index = {g: k for k, g in enumerate(cols)}
-    rows, signs = [], []
-    for rel in lattice_rels:
-        a, b = rel.sides()
-        if len(a) == 0 or len(b) == 0:
-            pair = a if len(a) == 2 else b
-            t1, t2 = pair.terms
-            diff = tuple(t1.exps[g] - t2.exps[g] for g in cols)
-            sign = (t1.sign - t2.sign + 1) % 2
-        else:
-            t1, t2 = a.terms[0], b.terms[0]
-            diff = tuple(t1.exps[g] - t2.exps[g] for g in cols)
-            sign = (t1.sign - t2.sign) % 2
-        if any(t.exps[g] for t in rel.all_terms() for g in sum_defined):
-            return NormalFormAnalysis(False, None, units, dead, sum_defined,
-                                      ("lattice relation touches a sum-defined generator",))
-        rows.append(diff)
-        signs.append(sign)
-    epsilon = work.coeff_order
+    rows, signs = _lattice_rows(pairs, cols)
+    # F1^2 when the inverse closure adjoins -1
+    epsilon = _inverse_closure(B, units).presentation.coeff_order
     if epsilon == 1 and any(signs):
         epsilon = 2
     if epsilon == 1:
         signs = [0] * len(signs)
-    nf = NormalFormBlueField(epsilon, tuple(work.name_of(g) for g in cols),
+    nf = NormalFormBlueField(epsilon, tuple(B.name_of(g) for g in cols),
                              tuple(rows), tuple(signs))
     return NormalFormAnalysis(True, nf, units, dead, sum_defined)
 
@@ -1049,9 +1076,9 @@ def simplify_presentation(B: BlueprintPresentation) -> BlueprintPresentation:
         for rel in current.relations:
             for single, other in (rel.sides(), rel.sides()[::-1]):
                 if len(single) == 1 and len(other) == 1 and other.terms[0].is_one():
-                    t = single.terms[0]
-                    if sum(t.exps) == 1 and max(t.exps) == 1 and t.sign == 0:
-                        ones.add(t.exps.index(1))
+                    g = _bare_generator(single.terms[0])
+                    if g is not None and single.terms[0].sign == 0:
+                        ones.add(g)
         ones -= dead
         if not dead and not ones:
             return current

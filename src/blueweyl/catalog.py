@@ -841,7 +841,7 @@ def from_selector(selector: str, files: Optional[dict] = None) -> GroupModel:
     if head == "semidirect" and len(parts) == 2:
         data = _load_table_file(parts[1], files)
         table = _table_from_json(data)
-        return semidirect(int(data["rank"]), table, data["exps"])
+        return semidirect(int(_required(data, "rank")), table, _required(data, "exps"))
     raise CatalogError(f"unknown model selector: {selector}")
 
 
@@ -849,13 +849,26 @@ def _load_table_file(path: str, files: Optional[dict]) -> dict:
     import json
 
     if files is not None and path in files:
-        return files[path]
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        data = files[path]
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as err:
+            raise CatalogError(f"cannot read model file {path}: {err.strerror}") from None
+    if not isinstance(data, dict):
+        raise CatalogError(f"model file {path} does not hold a JSON object")
+    return data
+
+
+def _required(data: dict, key: str):
+    if key not in data:
+        raise CatalogError(f"model file has no {key!r} entry")
+    return data[key]
 
 
 def _table_from_json(data: dict) -> GroupTable:
-    elements = tuple(data["elements"])
-    table = tuple(tuple(int(v) for v in row) for row in data["table"])
+    elements = tuple(_required(data, "elements"))
+    table = tuple(tuple(int(v) for v in row) for row in _required(data, "table"))
     identity = int(data.get("identity", 0))
     return GroupTable(elements, table, identity)

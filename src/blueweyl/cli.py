@@ -7,17 +7,17 @@ import json
 import sys
 from typing import Optional
 
-from . import blueprint
 from . import verify as verify_module
 from .catalog import CatalogError, GroupModel, from_selector
 from .semirings import BUILTIN_SEMIRINGS, MissingAuxiliaryValue, PointMatrix, is_point
 from .spectrum import (
+    DEFAULT_GENERATOR_CAP,
     GeneratorCapExceeded,
     export_dot,
     poset,
     spectrum_to_json,
 )
-from .weyl import LawDoesNotDescend, RankSpaceUndecidable
+from .weyl import LawDoesNotDescend, RankSpaceUndecidable, induced_weyl_law
 
 EXIT_OK = 0
 EXIT_COMPUTATION = 1
@@ -29,10 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="blueweyl",
         description="exact spectra, rank spaces, Weyl monoids and semiring "
                     "points of F1 group models")
-    parser.add_argument("--cap", type=int, default=26,
-                        help="generator cap for prime enumeration (default 26)")
-    parser.add_argument("--budget", type=int, default=10_000,
-                        help="saturation step budget (default 10000)")
+    parser.add_argument("--cap", type=int, default=DEFAULT_GENERATOR_CAP,
+                        help="generator cap for prime enumeration (default %(default)s)")
     parser.add_argument("--seed", type=int, default=20259,
                         help="sampling seed for the pattern oracle")
     parser.add_argument("--samples", type=int, default=2000,
@@ -82,7 +80,6 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return EXIT_USAGE if stop.code else EXIT_OK
-    blueprint.DEFAULT_ENTAILMENT_BUDGET = args.budget
     try:
         return _dispatch(args, out)
     except (CatalogError, GeneratorCapExceeded, RankSpaceUndecidable,
@@ -114,8 +111,9 @@ def _dispatch(args, out) -> int:
             "points": [p.to_json() for p in pts],
         }
         try:
-            payload["weyl_table"] = [list(r)
-                                     for r in model.weyl_monoid(cap=args.cap).table]
+            law = induced_weyl_law(model.presentation, model.comult,
+                                   model.counit_zero, points=pts)
+            payload["weyl_table"] = [list(r) for r in law.table]
         except LawDoesNotDescend:
             payload["weyl_table"] = None
         _emit(payload, args, out)

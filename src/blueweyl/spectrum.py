@@ -3,9 +3,8 @@
 Every prime ideal of a blueprint presented over F1 by monomial generators is
 generated by a subset of the generators, so the spectrum is a finite set of
 generator subsets ordered by inclusion.  Enumeration is a branch-and-bound
-search over subsets with forcing-closure pruning; the criterion for a subset
-to be prime is that no additive relation has exactly one term outside the
-candidate ideal.
+search over subsets; the criterion for a subset to be prime is that no
+additive relation has exactly one term outside the candidate ideal.
 """
 
 from __future__ import annotations
@@ -17,6 +16,9 @@ from typing import Iterable, Optional, Sequence
 from .blueprint import (
     BlueprintPresentation,
     Relation,
+    _mask,
+    _relation_forms,
+    _RelationForm,
     analyze_normal_form,
     is_zero_blueprint,
     quotient_by_vars,
@@ -61,30 +63,28 @@ class PrimePoint:
         return "(" + ",".join(B.name_of(i) for i in sorted(self.vars)) + ")"
 
 
-def _term_masks(B: BlueprintPresentation, relations: Sequence[Relation]
-                ) -> list[list[int]]:
-    """Support bitmasks of every term of every relation (constants give 0)."""
-    out = []
-    for rel in relations:
-        masks = []
-        for t in rel.all_terms():
-            mask = 0
-            for g in t.support():
-                mask |= 1 << g
-            masks.append(mask)
-        out.append(masks)
-    return out
+def _criterion_holds(forms: Sequence[_RelationForm], cand: int) -> bool:
+    """No relation has exactly one term outside the candidate ideal ``cand``."""
+    for rel in forms:
+        outside = 0
+        for m in rel.masks:
+            if not m & cand:
+                outside += 1
+                if outside > 1:
+                    break
+        if outside == 1:
+            return False
+    return True
 
 
 def is_prime(B: BlueprintPresentation, vars: Iterable[int],
              relations: Optional[Sequence[Relation]] = None) -> bool:
-    """Prime criterion with forcing closure on the generating relations.
+    """Prime criterion on the (by default saturated) relations.
 
-    Repeatedly, any relation with exactly one term outside the candidate
-    ideal forces that term's support into the ideal; the candidate is prime
-    iff the closure never grows beyond it and never forces the constant 1,
-    which is equivalent to every relation having 0 or >= 2 terms outside.
-    Inverted generators can never lie in a proper ideal.
+    The candidate is prime iff it holds no inverted generator and every
+    relation has 0 or >= 2 terms outside it.  A relation with exactly one
+    term outside would force that term into the ideal, and a constant term
+    or an inverted generator can never get there.
     """
     cand = frozenset(vars)
     if cand & B.inverted:
@@ -93,32 +93,11 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int],
         raise ValueError("unknown generator index")
     if relations is None:
         relations = saturate_relations(B)
-    masks = _term_masks(B, relations)
-    inv_mask = 0
-    for g in B.inverted:
-        inv_mask |= 1 << g
-    current = 0
-    for g in cand:
-        current |= 1 << g
-    while True:
-        forced = 0
-        for rel_masks in masks:
-            outside = [m for m in rel_masks if not (m & current)]
-            if len(outside) == 1:
-                culprit = outside[0]
-                if culprit == 0 or culprit & inv_mask or not (culprit & ~current):
-                    return False
-                forced |= culprit
-        if not forced:
-            break
-        current |= forced
-    target = 0
-    for g in cand:
-        target |= 1 << g
-    return current == target
+    return _criterion_holds(_relation_forms(relations), _mask(cand))
 
 
-def _enumerate_masks(masks: list[list[int]], width: int, inv_mask: int) -> list[int]:
+def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
+                     inv_mask: int) -> list[int]:
     """All subsets passing the criterion, by depth-first branch and bound.
 
     Generators are decided one at a time; a branch dies as soon as some
@@ -127,6 +106,7 @@ def _enumerate_masks(masks: list[list[int]], width: int, inv_mask: int) -> list[
     rejected or inverted generators.  Deadness is tracked incrementally via
     a counter over relations.
     """
+    masks = [rel.masks for rel in forms]
     order = sorted((g for g in range(width) if not (inv_mask >> g) & 1),
                    key=lambda g: -sum(1 for rel in masks for m in rel if (m >> g) & 1))
     flat_terms: list[int] = []
@@ -218,12 +198,8 @@ def _enumerate_cached(B: BlueprintPresentation, cap: int) -> tuple[PrimePoint, .
         raise GeneratorCapExceeded(B.width, cap)
     if is_zero_blueprint(B):
         return ()
-    relations = saturate_relations(B)
-    inv_mask = 0
-    for g in B.inverted:
-        inv_mask |= 1 << g
-    masks = _term_masks(B, relations)
-    found = _enumerate_masks(masks, B.width, inv_mask)
+    forms = _relation_forms(saturate_relations(B))
+    found = _enumerate_masks(forms, B.width, _mask(B.inverted))
     points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in found]
     points.sort(key=lambda p: p.sort_key)
     return tuple(points)
@@ -244,8 +220,7 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
     """
     if is_zero_blueprint(B):
         return []
-    relations = saturate_relations(B)
-    masks = _term_masks(B, relations)
+    forms = _relation_forms(saturate_relations(B))
     free = [g for g in range(B.width) if g not in B.inverted]
     points = []
     for bits in range(1 << len(free)):
@@ -253,18 +228,7 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
         for i in range(len(free)):
             if (bits >> i) & 1:
                 cand |= 1 << free[i]
-        good = True
-        for rel_masks in masks:
-            outside = 0
-            for m in rel_masks:
-                if not m & cand:
-                    outside += 1
-                    if outside > 1:
-                        break
-            if outside == 1:
-                good = False
-                break
-        if good:
+        if _criterion_holds(forms, cand):
             points.append(PrimePoint(g for g in free if (cand >> g) & 1))
     points.sort(key=lambda p: p.sort_key)
     return points
@@ -429,8 +393,7 @@ def residue_field(B: BlueprintPresentation, p: PrimePoint):
     Returns a :class:`NormalFormBlueField` when the result is a twisted
     lattice blue field, else the raw presentation (flagged by type).
     """
-    complement = [g for g in range(B.width) if g not in p.vars]
-    raw = quotient_by_vars(localize(B, complement), p.vars)
+    raw = residue_presentation(B, p)
     analysis = analyze_normal_form(raw)
     if analysis.ok:
         return analysis.field

@@ -37,6 +37,7 @@ from .semirings import (
     multiply,
 )
 from .spectrum import (
+    DEFAULT_GENERATOR_CAP,
     PrimePoint,
     brute_force_primes,
     enumerate_primes,
@@ -254,7 +255,7 @@ def _named(B, p: PrimePoint) -> tuple:
     return tuple(B.name_of(g) for g in sorted(p.vars))
 
 
-def paper_counts_checks(cap: int = 26) -> list[dict]:
+def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
     checks = []
 
     # the seven points of the determinant-one 2x2 model, with their order
@@ -432,7 +433,7 @@ def _blue_field_catalog() -> list[tuple[str, BlueprintPresentation]]:
 
 
 def properties_checks(seed: int = 20259, samples: int = 200,
-                      cap: int = 26,
+                      cap: int = DEFAULT_GENERATOR_CAP,
                       models: Optional[list[GroupModel]] = None) -> list[dict]:
     if models is not None and not models:
         return []  # an empty catalog subset passes vacuously
@@ -609,7 +610,7 @@ def oracle_checks(seed: int = 20259, samples: int = 2000) -> list[dict]:
 
 
 def run_suite(name: str, seed: int = 20259, samples: int = 2000,
-              cap: int = 26) -> list[dict]:
+              cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
     if name == "paper-counts":
         return paper_counts_checks(cap=cap)
     if name == "properties":

@@ -18,6 +18,13 @@ from .blueprint import (
     CharacteristicClass,
     Monomial,
     NormalFormBlueField,
+    _defined_generator,
+    _lattice_rows,
+    _mask,
+    _pair_shape,
+    _relation_forms,
+    _RelationForm,
+    _unit_closure,
     analyze_normal_form,
     potential_characteristics,
     quotient_by_vars,
@@ -102,25 +109,22 @@ def _classify_point(B: BlueprintPresentation, p: PrimePoint) -> PseudoHopfReport
                     if g not in units and g not in killed
                     and g not in analysis.sum_defined]
     cols = sorted(units - frozenset(analysis.sum_defined))
-    rows = []
-    for rel in subscheme.relations:
-        a, b = rel.sides()
-        terms = rel.all_terms()
-        if not terms or any(t.support() - units for t in terms):
-            continue
-        if len(a) == 1 and len(b) == 1:
-            t1, t2 = a.terms[0], b.terms[0]
-        elif len(a) == 2 and len(b) == 0:
-            t1, t2 = a.terms
-        else:
-            continue
-        rows.append(tuple(t1.exps[g] - t2.exps[g] for g in cols))
-    lattice_rank = smith_normal_form(rows)[1] if rows else 0
-    estimate = (len(cols) - lattice_rank) + len(undetermined)
+    unit_mask = _mask(units)
+    pairs = [pair for rel in _relation_forms(subscheme.relations)
+             if (pair := _pair_shape(rel.lhs, rel.rhs))
+             and not (pair[0].mask | pair[1].mask) & ~unit_mask]
+    estimate = _rank_estimate(pairs, cols, len(undetermined))
     diag = tuple(analysis.diagnostics) + (
         () if chars.almost_indefinite() else ("characteristic class unknown",))
     return PseudoHopfReport(p, estimate, "unknown",
                             characteristics=chars, diagnostics=diag)
+
+
+def _rank_estimate(pairs, cols: Sequence[int], uncovered: int) -> int:
+    """Free rank of the lattice the unit pairs span over ``cols``, plus the
+    generators nothing determines."""
+    rows, _ = _lattice_rows(pairs, cols)
+    return (len(cols) - smith_normal_form(rows)[1]) + uncovered
 
 
 # -- fast mask-level screen ---------------------------------------------------
@@ -131,123 +135,46 @@ def _classify_point(B: BlueprintPresentation, p: PrimePoint) -> PseudoHopfReport
 # points is an upper rank estimate of the same kind as in _classify_point.
 
 
-@dataclass(frozen=True)
-class _CompiledRelation:
-    # parallel arrays per side: support masks, exponent tuples, bare-generator
-    # index (when the term is a single generator of degree one), sign bits
-    lhs_masks: tuple[int, ...]
-    rhs_masks: tuple[int, ...]
-    lhs_exps: tuple[tuple[int, ...], ...]
-    rhs_exps: tuple[tuple[int, ...], ...]
-    lhs_bare: tuple[Optional[int], ...]
-    rhs_bare: tuple[Optional[int], ...]
-
-
-def _compile_side(terms):
-    masks, exps, bare = [], [], []
-    for t in terms:
-        mask = 0
-        for g in t.support():
-            mask |= 1 << g
-        masks.append(mask)
-        exps.append(t.exps)
-        bare.append(t.exps.index(1)
-                    if sum(t.exps) == 1 and max(t.exps) == 1 and t.sign == 0
-                    else None)
-    return tuple(masks), tuple(exps), tuple(bare)
-
-
-def _compile_relations(B: BlueprintPresentation) -> tuple[_CompiledRelation, ...]:
-    out = []
-    for r in B.relations:
-        lm, le, lb = _compile_side(r.lhs.terms)
-        rm, re, rb = _compile_side(r.rhs.terms)
-        out.append(_CompiledRelation(lm, rm, le, re, lb, rb))
-    return tuple(out)
-
-
-def _scan_side(masks, pmask: int):
-    """Survivor count, up to two survivor indices, and a non-constant flag."""
-    cnt = 0
-    i0 = i1 = -1
-    nonconst = False
-    for k, m in enumerate(masks):
-        if not m & pmask:
-            if cnt == 0:
-                i0 = k
-            elif cnt == 1:
-                i1 = k
-            cnt += 1
-            if m:
-                nonconst = True
-    return cnt, i0, i1, nonconst
-
-
-def _fast_scan(B: BlueprintPresentation, compiled: tuple[_CompiledRelation, ...],
-               pmask: int):
-    """Classify a point cheaply: 'slow' (needs full analysis), or an
-    ('unknown', cols, rows, uncovered) tuple for the rank estimate."""
+def _fast_scan(B: BlueprintPresentation, forms: Sequence[_RelationForm],
+               pmask: int) -> Optional[int]:
+    """Rank estimate of the point ``pmask`` from a cheap scan, or None when
+    the point needs the full classification."""
     if B.coeff_order == 2:
-        return "slow"
-    # (rel, la_cnt, la0, la1, lb_cnt, lb0, lb1) for relations alive at p
-    pair_shapes = []   # candidates m1 == m2 or m1 + m2 == 0 for the unit fixpoint
-    definers = []      # candidates g == sum of constants
+        return None
+    pairs = []         # m1 == m2 or m1 + m2 == 0 among the surviving terms
+    definers = 0       # generators g == sum of constants
     shapes_ok = True
-    for rel in compiled:
-        la, a0, a1, anc = _scan_side(rel.lhs_masks, pmask)
-        lb, b0, b1, bnc = _scan_side(rel.rhs_masks, pmask)
-        if la + lb == 0:
+    for lhs, rhs, masks in forms:
+        a = [t for t in lhs if not t.mask & pmask]
+        b = [t for t in rhs if not t.mask & pmask]
+        n = len(a) + len(b)
+        if not n:
             continue
-        if not anc and not bnc:
-            return "slow"  # constants-only relation: may pin characteristics
-        if la == 1 and lb == 1:
-            pair_shapes.append((rel.lhs_masks[a0], rel.lhs_exps[a0],
-                                rel.rhs_masks[b0], rel.rhs_exps[b0]))
-        elif (la, lb) == (2, 0):
-            pair_shapes.append((rel.lhs_masks[a0], rel.lhs_exps[a0],
-                                rel.lhs_masks[a1], rel.lhs_exps[a1]))
-        elif (la, lb) == (0, 2):
-            pair_shapes.append((rel.rhs_masks[b0], rel.rhs_exps[b0],
-                                rel.rhs_masks[b1], rel.rhs_exps[b1]))
-        elif la == 1 and not bnc and rel.lhs_bare[a0] is not None:
-            definers.append(rel.lhs_bare[a0])
-        elif lb == 1 and not anc and rel.rhs_bare[b0] is not None:
-            definers.append(rel.rhs_bare[b0])
-        else:
+        if n == masks.count(0):
+            # constants always survive; a relation left with only them may
+            # pin characteristics
+            return None
+        if n == 2:
+            pairs.append(_pair_shape(a, b))
+            continue
+        g = None
+        if len(a) == 1:
+            g = _defined_generator(a, b)
+        elif len(b) == 1:
+            g = _defined_generator(b, a)
+        if g is None:
             shapes_ok = False
-
-    unit_mask = 0
-    for g in B.inverted:
-        unit_mask |= 1 << g
-    changed = True
-    while changed:
-        changed = False
-        for m0, _, m1, _ in pair_shapes:
-            if not (m1 & ~unit_mask) and (m0 & ~unit_mask):
-                unit_mask |= m0
-                changed = True
-            elif not (m0 & ~unit_mask) and (m1 & ~unit_mask):
-                unit_mask |= m1
-                changed = True
-
-    sum_defined = set(definers)
-    rows_src = []
-    for m0, e0, m1, e1 in pair_shapes:
-        if not ((m0 | m1) & ~unit_mask):
-            rows_src.append((e0, e1))
         else:
-            shapes_ok = False
+            definers |= 1 << g
 
-    alive_mask = ~pmask & ((1 << B.width) - 1)
-    uncovered = [g for g in range(B.width)
-                 if (alive_mask >> g) & 1 and not (unit_mask >> g) & 1
-                 and g not in sum_defined]
-    if shapes_ok and not uncovered:
-        return "slow"
-    cols = [g for g in range(B.width)
-            if (alive_mask >> g) & 1 and (unit_mask >> g) & 1
-            and g not in sum_defined]
-    return ("unknown", cols, rows_src, len(uncovered))
+    units = _unit_closure(pairs, _mask(B.inverted), 0)
+    inside = [pair for pair in pairs if not (pair[0].mask | pair[1].mask) & ~units]
+    alive = ~pmask & ((1 << B.width) - 1)
+    uncovered = alive & ~units & ~definers
+    if shapes_ok and len(inside) == len(pairs) and not uncovered:
+        return None
+    cols = [g for g in range(B.width) if (alive & units & ~definers) >> g & 1]
+    return _rank_estimate(inside, cols, bin(uncovered).count("1"))
 
 
 def pseudo_hopf_points(B: BlueprintPresentation,
@@ -259,22 +186,15 @@ def pseudo_hopf_points(B: BlueprintPresentation,
     Points that a cheap scan leaves undetermined are reported unknown with
     an upper rank estimate, resolved lazily by :func:`rank_space`.
     """
-    compiled = _compile_relations(B)
+    forms = _relation_forms(B.relations)
     reports = []
     for p in enumerate_primes(B, cap=cap):
-        pmask = 0
-        for g in p.vars:
-            pmask |= 1 << g
-        verdict = _fast_scan(B, compiled, pmask)
-        if verdict == "slow":
+        estimate = _fast_scan(B, forms, _mask(p.vars))
+        if estimate is None:
             r = _classify_point(B, p)
             if r.status != "rejected":
                 reports.append(r)
             continue
-        _, cols, rows_src, n_uncovered = verdict
-        rows = [tuple(e1[g] - e2[g] for g in cols) for e1, e2 in rows_src]
-        lattice_rank = smith_normal_form(rows)[1] if rows else 0
-        estimate = (len(cols) - lattice_rank) + n_uncovered
         reports.append(PseudoHopfReport(p, estimate, "unknown",
                                         diagnostics=("mask-level scan only",)))
     return reports

@@ -452,6 +452,13 @@ def test_reduce_kills_nilpotent_generator():
         assert 2 * ((k + 1) // 2) >= 2  # T^k * T^(2 - k mod 2) lands in (T^2)
 
 
+def test_killed_needs_a_bare_generator():
+    # T1*T2*T3^-1 == 0 kills no generator, although its exponents sum to one
+    B = mk_free(3, inverted=[2])
+    B = B.with_relations([relation([B.monomial([1, 1, -1])], [])])
+    assert B.killed() == frozenset()
+
+
 def test_reduce_empty_prime_set_gives_zero():
     from blueweyl.blueprint import is_zero_blueprint
 

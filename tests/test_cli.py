@@ -1,10 +1,12 @@
 """Command-line interface: verbs, JSON output, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
 
+import pytest
 
 from blueweyl.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_USAGE, run
 
@@ -133,7 +135,60 @@ def test_console_entry_point():
     assert json.loads(result.stdout)["count"] == 7
 
 
+def test_budget_flag_is_gone():
+    assert run(["--budget", "5", "spec", "sl:2"], out=io.StringIO()) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("verb,content", [
+    ("const", None),  # no such file
+    ("semidirect", {"elements": ["e"], "table": [[0]], "exps": {"e": [[1]]}}),  # no "rank"
+    ("const", ["e"]),  # not a JSON object
+])
+def test_bad_model_file_is_a_catalog_error(tmp_path, verb, content):
+    path = tmp_path / "model.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    code, data = invoke_json(["spec", f"{verb}:{path}"])
+    assert code == EXIT_COMPUTATION
+    assert data["error"] == "CatalogError"
+
+
 def test_cap_flag_reported():
     code, data = invoke_json(["--cap", "3", "spec", "sl:2"])
     assert code == EXIT_COMPUTATION
     assert data["error"] == "GeneratorCapExceeded"
+
+
+# stdout SHA-256 of sub-second queries, as pinned in perfbench/expected.json
+GOLDEN_OUTPUTS = [
+    (["points", "--model", "sl:2", "--semiring", "boolean", "--check", "[1, 0, 0, 1]"],
+     "4476c2c55cacf57cd29131f65b23cc0216294de80bc45db3f833a193d0df3370"),
+    (["points", "--model", "sl:2", "--semiring", "tropical", "--check", "[0, 5, 7, 0]"],
+     "ccdf5d2630317137295ad7c7615dde34acf164c52cc2844934c687e80ad282da"),
+    (["spec", "sl:3"],
+     "2323244d7d5c0e7d89d209f01c5757d67b0d2563d6615313813ee1de1646dae3"),
+    (["tits-points", "sl:3", "--m", "2"],
+     "22280e7d52714c8d83cfcefe9575857a161bfaf1d28886402afe97f83d223f0e"),
+    (["weyl", "psl2-adj"],
+     "1427fc250e4a9ed093a4aca7a9be8547ceb597b4725ab81d4f0bb47180c14204"),
+    (["rank-space", "sl:3"],
+     "14bc90f0c9e5ed11fa4842d75134d0bfe662082009543ad6e82099538a659ab9"),
+    (["rank-space", "gl:3"],
+     "3389674f0d9bdbda00eba30731097e5f7d28e44370f868330e55b05e9a19e102"),
+    (["rank-space", "so:4"],
+     "f7280015109f8fb64f28488dd9a10e249ef94de476ae7a069362aa0813173576"),
+    (["rank-space", "o:4"],
+     "493f0f2e1565be7f5efb4252e3ef4b3eb7113ceceeb28f871594195270d872b3"),
+    (["rank-space", "nstorus"],
+     "f8e6573d55cdf85ecc76f2f6885d1a84fe06aa0db2a847fc542d703b77b0df1a"),
+    (["rank-space", "levi:3:2,1"],
+     "89196fe6980afa562af32d0359b82c82919b2e7bde11f73b34c4dc2078af2e08"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_OUTPUTS,
+                         ids=[" ".join(a) for a, _ in GOLDEN_OUTPUTS])
+def test_golden_output(argv, digest):
+    code, text = invoke(argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -47,6 +47,16 @@ def test_pseudo_hopf_sum_defined_generator():
     assert r.point.vars == frozenset() and r.status == "certified" and r.rank == 0
 
 
+def test_pseudo_hopf_estimate_counts_vanishing_unit_sums():
+    # U + V == 0 ties the units together, so at the generic point the
+    # estimate is one for the unit lattice plus one for the free X
+    B = mk_free(3, inverted=[0, 1], coeff_order=2, names=["U", "V", "X"])
+    B = B.with_relations([relation([B.gen(0), B.gen(1)], [])])
+    reports = {tuple(sorted(r.point.vars)): r for r in pseudo_hopf_points(B)}
+    assert reports[()].status == "unknown" and reports[()].rank == 2
+    assert reports[(2,)].status == "certified" and reports[(2,)].rank == 1
+
+
 def test_pseudo_hopf_affine_line_closed_point_only():
     B = mk_free(1)
     reports = {tuple(sorted(r.point.vars)): r for r in pseudo_hopf_points(B)}
