@@ -447,6 +447,12 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
     of rounds.  The result still generates the same pre-addition; it just
     exposes a few derived relations to syntactic checks such as the prime
     criterion.
+
+    Guarantee: the kill relations come first, then the canonical relations,
+    then the transitivity consequences, which are only appended.  So
+    ``saturate_relations(B, rounds=0)`` is a prefix of the result for every
+    ``rounds``; the prime search relies on this to split the saturated list
+    into the relations it searches and the derived ones it filters with.
     """
     dead, rels = _canonical_relations(B)
     rels = [relation([B.gen(g)], []) for g in sorted(dead)] + rels
@@ -1148,12 +1154,17 @@ def presentation_from_json(data: dict) -> BlueprintPresentation:
     inverted = [names.index(n) for n in data.get("inverted", [])]
     m = int(data.get("coeff_order", 1))
     width = len(names)
+
+    def term(sign, exps) -> Monomial:
+        sign = int(sign) % 2
+        if sign and m == 1:
+            raise ValueError("a term with sign bit 1 needs coeff_order 2")
+        return Monomial(sign, tuple(map(int, exps)))
+
     rels = []
     for entry in data.get("relations", []):
-        lhs = [Monomial(int(s) % m if m == 2 else 0, tuple(map(int, e)))
-               for s, e in entry["lhs"]]
-        rhs = [Monomial(int(s) % m if m == 2 else 0, tuple(map(int, e)))
-               for s, e in entry["rhs"]]
+        lhs = [term(s, e) for s, e in entry["lhs"]]
+        rhs = [term(s, e) for s, e in entry["rhs"]]
         if any(len(t.exps) != width for t in lhs + rhs):
             raise ValueError("exponent vector width does not match the generators")
         rels.append(relation(lhs, rhs))

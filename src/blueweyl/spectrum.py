@@ -2,9 +2,13 @@
 
 Every prime ideal of a blueprint presented over F1 by monomial generators is
 generated by a subset of the generators, so the spectrum is a finite set of
-generator subsets ordered by inclusion.  Enumeration is a branch-and-bound
-search over subsets; the criterion for a subset to be prime is that no
-additive relation has exactly one term outside the candidate ideal.
+generator subsets ordered by inclusion.  The criterion for a subset to be
+prime is that no saturated relation has exactly one term outside the
+candidate ideal.  Enumeration runs in two stages: a branch-and-bound search
+over subsets against the generating relations (in canonical form, the prefix
+of the saturated list), then a filter of its leaves against the derived
+relations.  The criterion is a conjunction over relations, so the two stages
+together apply it exactly.
 """
 
 from __future__ import annotations
@@ -98,7 +102,12 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int],
 
 def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
                      inv_mask: int) -> list[int]:
-    """All subsets passing the criterion, by depth-first branch and bound.
+    """All subsets passing the criterion on ``forms``, by depth-first branch
+    and bound.
+
+    This is the first stage of :func:`enumerate_primes`, which passes the
+    generating relations only; a subset passing them may still fail a
+    derived relation, and the second stage filters those out.
 
     Generators are decided one at a time; a branch dies as soon as some
     relation has every term decided and exactly one of them out.  A term is
@@ -198,8 +207,11 @@ def _enumerate_cached(B: BlueprintPresentation, cap: int) -> tuple[PrimePoint, .
         raise GeneratorCapExceeded(B.width, cap)
     if is_zero_blueprint(B):
         return ()
-    forms = _relation_forms(saturate_relations(B))
-    found = _enumerate_masks(forms, B.width, _mask(B.inverted))
+    saturated = saturate_relations(B)
+    base = saturate_relations(B, rounds=0)
+    derived = _relation_forms(saturated[len(base):])
+    found = [m for m in _enumerate_masks(_relation_forms(base), B.width, _mask(B.inverted))
+             if _criterion_holds(derived, m)]
     points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in found]
     points.sort(key=lambda p: p.sort_key)
     return tuple(points)
@@ -207,7 +219,19 @@ def _enumerate_cached(B: BlueprintPresentation, cap: int) -> tuple[PrimePoint, .
 
 def enumerate_primes(B: BlueprintPresentation,
                      cap: int = DEFAULT_GENERATOR_CAP) -> list[PrimePoint]:
-    """All prime ideals of the presentation, sorted by size then index."""
+    """All prime ideals of the presentation, sorted by size then index.
+
+    Two stages: :func:`_enumerate_masks` searches against the generating
+    relations in canonical form, ``saturate_relations(B, rounds=0)``, and
+    its leaves are kept when they also pass the criterion on the derived
+    relations, the rest of ``saturate_relations(B)``.  The generating
+    relations are a prefix of the saturated list, so the search finds a
+    superset of the primes and the filter applies exactly the constraints
+    the search left out: the result equals the criterion on the full
+    saturated list.  The derived relations stay out of the search because
+    they add work at every node (on so:5, 85 saturated relations against
+    16 generating ones) while pruning few branches.
+    """
     return list(_enumerate_cached(B, cap))
 
 

@@ -479,6 +479,16 @@ def test_presentation_json_roundtrip():
     assert C == B
 
 
+def test_presentation_json_rejects_sign_without_minus_one():
+    data = {"generators": ["T"], "coeff_order": 1,
+            "relations": [{"lhs": [[1, [1]]], "rhs": [[0, [0]]]}]}
+    with pytest.raises(ValueError):
+        presentation_from_json(data)
+    data["coeff_order"] = 2
+    (rel,) = presentation_from_json(data).relations
+    assert sorted(t.sign for t in rel.all_terms()) == [0, 1]
+
+
 def test_simplify_unit_definitions():
     B = mk_free(2, names=["T", "U"])
     B = B.with_relations([relation([B.gen(0)], [B.one()])])

@@ -1,5 +1,7 @@
 """Prime enumeration, poset topology, residue fields, DOT export."""
 
+import random
+
 import pytest
 
 from blueweyl import (
@@ -20,9 +22,11 @@ from blueweyl.spectrum import (
     GeneratorCapExceeded,
     PrimePoint,
     SpectrumPoset,
+    _enumerate_masks,
     brute_force_primes,
     projective_space_poset,
 )
+from blueweyl.blueprint import _mask, _relation_forms, saturate_relations
 from blueweyl import catalog
 
 
@@ -84,10 +88,66 @@ def test_enumerate_primes_sl_matches_permutation_structure(n):
 
 def test_enumerate_matches_brute_force_on_catalog():
     for model in (catalog.sl(2), catalog.gl(2), catalog.sp(2), catalog.so(3),
-                  catalog.nonstandard_torus()):
+                  catalog.nonstandard_torus(), catalog.so(4), catalog.o(4),
+                  catalog.sp(4)):
         fast = [p.vars for p in enumerate_primes(model.presentation)]
         slow = [p.vars for p in brute_force_primes(model.presentation)]
         assert fast == slow, model.name
+
+
+def _random_presentation(rng):
+    """Width <= 6, coefficient order 1 or 2, constant terms and empty sides."""
+    width = rng.randint(1, 6)
+    order = rng.choice((1, 2))
+    B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 1)),
+                coeff_order=order)
+    pool = [B.one(s) for s in range(order)] + [B.gen(g) for g in range(width)]
+    pool += [B.monomial([rng.randint(0, 1) for _ in range(width)], rng.randint(0, 1))
+             for _ in range(2)]
+
+    def side():
+        return [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+
+    return B.with_relations(relation(side(), side())
+                            for _ in range(rng.randint(1, 4)))
+
+
+def test_enumerate_matches_brute_force_on_random_presentations():
+    """The two-stage search equals the oracle, and its filter does work.
+
+    The search runs on the generating relations and drops the leaves that
+    fail a derived relation; ``removed`` counts those drops over the
+    presentations with a non-empty spectrum, so the test cannot pass with
+    the filter never firing.
+    """
+    rng = random.Random(1)
+    removed = 0
+    for _ in range(40):
+        B = _random_presentation(rng)
+        fast = [p.vars for p in enumerate_primes(B)]
+        assert fast == [p.vars for p in brute_force_primes(B)], B
+        if fast:
+            base = _relation_forms(saturate_relations(B, rounds=0))
+            removed += len(_enumerate_masks(base, B.width, _mask(B.inverted))) - len(fast)
+    assert removed >= 1
+
+
+def _gap_presentation():
+    # S == 1 + 1 and 1 + 1 == 0 force S == 0; only (S) remains a point
+    B = mk_free(1, names=["S"])
+    return B.with_relations([
+        relation([B.gen(0)], [B.one(), B.one()]),
+        relation([B.one(), B.one()], []),
+    ])
+
+
+def test_generating_relations_are_a_prefix_of_the_saturated_list():
+    models = [catalog.from_selector(sel).presentation
+              for sel in ("sl:2", "sl:3", "gl:2", "sp:2", "sp:4", "so:3", "so:4",
+                          "o:4", "so:5", "nstorus", "psl2-adj")]
+    for B in models + [_gap_presentation()]:
+        base = saturate_relations(B, rounds=0)
+        assert saturate_relations(B)[:len(base)] == base
 
 
 def test_brute_force_agrees_with_pointwise_criterion():
