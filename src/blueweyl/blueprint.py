@@ -142,7 +142,10 @@ def relation(lhs: Iterable[Monomial], rhs: Iterable[Monomial]) -> Relation:
 #
 # The syntactic scans over relations (the prime criterion, unit detection,
 # lattice rows) read terms as support bitmasks.  A relation list is compiled
-# once into this form, and every scan reads the compiled form.
+# once into this form, and every scan reads the compiled form.  The scans
+# that run once per spectrum point (the prime criterion and the pseudo-Hopf
+# fast scan) read the term-bit layout built from it, which answers "which
+# terms lie outside this ideal" for every relation in a few big-int steps.
 
 
 def _bare_generator(t: Monomial) -> Optional[int]:
@@ -184,6 +187,75 @@ def _relation_forms(relations: Iterable[Relation]) -> tuple[_RelationForm, ...]:
         rhs = tuple(map(_term, rel.rhs.terms))
         out.append(_RelationForm(lhs, rhs, tuple(t.mask for t in lhs + rhs)))
     return tuple(out)
+
+
+class _Block(NamedTuple):
+    offset: int   # bit position of the relation's first term
+    terms: int    # the relation's term bits, shifted down to bit 0
+    lhs: int      # its lhs term bits, shifted down
+    consts: int   # its constant-term bits, shifted down
+
+
+class _TermBits(NamedTuple):
+    """A compiled relation list with one bit per term.
+
+    Relation i owns a block of bits: one per term, lhs first, then a guard
+    bit.  ``hit[g]`` holds the bits of the terms whose support contains
+    generator g, so the terms outside an ideal generated by the point mask
+    p are ``terms & ~OR(hit[g] for g in p)``.  Constant terms are never hit
+    and are always outside.  ``low`` holds the lowest bit of every block and
+    ``guard`` every guard bit.
+    """
+
+    hit: tuple[int, ...]
+    terms: int
+    low: int
+    guard: int
+    blocks: tuple[_Block, ...]
+
+
+def _term_bits(forms: Sequence[_RelationForm], width: int) -> _TermBits:
+    hit = [0] * width
+    terms = low = guard = 0
+    blocks = []
+    offset = 0
+    for rel in forms:
+        n = len(rel.masks)
+        for i, m in enumerate(rel.masks):
+            for g in range(width):
+                if m >> g & 1:
+                    hit[g] |= 1 << (offset + i)
+        terms |= ((1 << n) - 1) << offset
+        low |= 1 << offset
+        guard |= 1 << (offset + n)
+        blocks.append(_Block(offset, (1 << n) - 1, (1 << len(rel.lhs)) - 1,
+                             _mask(i for i, m in enumerate(rel.masks) if not m)))
+        offset += n + 1
+    return _TermBits(tuple(hit), terms, low, guard, tuple(blocks))
+
+
+def _outside_terms(layout: _TermBits, pmask: int) -> int:
+    """The term bits of the terms outside the ideal generated by ``pmask``."""
+    hit = 0
+    while pmask:
+        g = pmask & -pmask
+        hit |= layout.hit[g.bit_length() - 1]
+        pmask ^= g
+    return layout.terms & ~hit
+
+
+def _outside_counts(layout: _TermBits, x: int) -> tuple[int, int]:
+    """The guard bits of the blocks with at least one, and with at least
+    two, term bits in ``x``.
+
+    Adding a block's all-ones term mask carries into its guard bit exactly
+    when the block is non-zero.  Setting the guard and subtracting the low
+    bit clears the lowest set term bit (the guard absorbs the borrow of an
+    empty block), so ANDing with ``x`` leaves a non-zero block exactly when
+    two or more bits were set.  No carry or borrow leaves a block.
+    """
+    terms, guard = layout.terms, layout.guard
+    return (x + terms) & guard, ((((x | guard) - layout.low) & x) + terms) & guard
 
 
 def _pair_shape(a: Sequence[_Term], b: Sequence[_Term]):

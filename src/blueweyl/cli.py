@@ -147,10 +147,14 @@ def _dispatch(args, out) -> int:
         model = from_selector(args.model)
         S = BUILTIN_SEMIRINGS[args.semiring]
         entries = json.loads(args.check)
+        if not isinstance(entries, list):
+            raise ValueError("--check must be a JSON list of matrix entries")
         if args.semiring == "tropical":
             entries = [float("inf") if e in ("inf", None) else e for e in entries]
         M = PointMatrix(model.dimension, tuple(entries))
         aux = json.loads(args.aux) if args.aux else None
+        if aux is not None and not isinstance(aux, dict):
+            raise ValueError("--aux must be a JSON object")
         ok = is_point(model, M, S, aux)
         _emit({"model": model.name, "semiring": S.name, "is_point": ok},
               args, out)

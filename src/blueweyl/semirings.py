@@ -10,6 +10,7 @@ multiplication.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -25,6 +26,8 @@ class MissingAuxiliaryValue(Exception):
 class Semiring:
     """A commutative semiring with exact equality.
 
+    ``contains`` tells whether a value is an element of the carrier, so
+    input from outside can be rejected before it is evaluated.
     ``elements`` lists the full carrier for finite semirings (used by the
     exhaustive point counter) and a sampling pool otherwise.
     """
@@ -34,6 +37,7 @@ class Semiring:
     one: object
     add: Callable
     mul: Callable
+    contains: Callable[[object], bool]
     elements: Optional[tuple] = None
     sample_pool: tuple = ()
 
@@ -53,17 +57,25 @@ class Semiring:
         return total
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 NATURALS = Semiring("naturals", 0, 1, lambda a, b: a + b, lambda a, b: a * b,
+                    lambda v: _is_int(v) and v >= 0,
                     sample_pool=tuple(range(6)))
 
 BOOLEAN = Semiring("boolean", 0, 1,
                    lambda a, b: a | b, lambda a, b: a & b,
+                   lambda v: _is_int(v) and v in (0, 1),
                    elements=(0, 1), sample_pool=(0, 1))
 
 _INF = float("inf")
 
 TROPICAL = Semiring("tropical", _INF, 0,
                     lambda a, b: min(a, b), lambda a, b: a + b,
+                    lambda v: (_is_int(v) or isinstance(v, float))
+                    and (v == _INF or math.isfinite(v)),
                     sample_pool=(_INF, 0, 1, 2, 3, 5, 7))
 
 
@@ -72,6 +84,7 @@ def integers_mod(n: int) -> Semiring:
         raise ValueError("modulus must be at least 2")
     return Semiring(f"mod{n}", 0, 1,
                     lambda a, b: (a + b) % n, lambda a, b: (a * b) % n,
+                    lambda v: _is_int(v) and 0 <= v < n,
                     elements=tuple(range(n)), sample_pool=tuple(range(n)))
 
 
@@ -146,6 +159,9 @@ def _assignment(model: GroupModel, M: PointMatrix, S: Semiring,
             raise MissingAuxiliaryValue(
                 f"{model.name} needs a value for the auxiliary generator {name}")
         values.append(aux[name])
+    bad = [v for v in values if not S.contains(v)]
+    if bad:
+        raise ValueError(f"not elements of {S.name}: {bad}")
     if len(values) != B.width:
         raise ValueError("assignment width does not match the presentation")
     return values

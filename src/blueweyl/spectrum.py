@@ -9,6 +9,11 @@ over subsets against the generating relations (in canonical form, the prefix
 of the saturated list), then a filter of its leaves against the derived
 relations.  The criterion is a conjunction over relations, so the two stages
 together apply it exactly.
+
+Outside the search, the criterion is tested on the term-bit layout of
+:func:`blueprint._term_bits`: one integer holds, per relation, a bit for
+each term outside the candidate, and a few big-int operations flag every
+relation with at least one and with at least two such terms at once.
 """
 
 from __future__ import annotations
@@ -21,8 +26,12 @@ from .blueprint import (
     BlueprintPresentation,
     Relation,
     _mask,
+    _outside_counts,
+    _outside_terms,
     _relation_forms,
     _RelationForm,
+    _term_bits,
+    _TermBits,
     analyze_normal_form,
     is_zero_blueprint,
     quotient_by_vars,
@@ -67,18 +76,16 @@ class PrimePoint:
         return "(" + ",".join(B.name_of(i) for i in sorted(self.vars)) + ")"
 
 
-def _criterion_holds(forms: Sequence[_RelationForm], cand: int) -> bool:
-    """No relation has exactly one term outside the candidate ideal ``cand``."""
-    for rel in forms:
-        outside = 0
-        for m in rel.masks:
-            if not m & cand:
-                outside += 1
-                if outside > 1:
-                    break
-        if outside == 1:
-            return False
-    return True
+def _criterion_holds(layout: _TermBits, cand: int) -> bool:
+    """No relation has exactly one term outside the candidate ideal ``cand``.
+
+    ``layout`` is the term-bit layout of the relations.  The relations with
+    exactly one outside term are those flagged as having at least one and
+    not as having at least two, so the test is one mask operation over all
+    relations at once.
+    """
+    some, several = _outside_counts(layout, _outside_terms(layout, cand))
+    return not some & ~several
 
 
 def is_prime(B: BlueprintPresentation, vars: Iterable[int],
@@ -97,7 +104,7 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int],
         raise ValueError("unknown generator index")
     if relations is None:
         relations = saturate_relations(B)
-    return _criterion_holds(_relation_forms(relations), _mask(cand))
+    return _criterion_holds(_term_bits(_relation_forms(relations), B.width), _mask(cand))
 
 
 def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
@@ -209,9 +216,10 @@ def _enumerate_cached(B: BlueprintPresentation, cap: int) -> tuple[PrimePoint, .
         return ()
     saturated = saturate_relations(B)
     base = saturate_relations(B, rounds=0)
-    derived = _relation_forms(saturated[len(base):])
-    found = [m for m in _enumerate_masks(_relation_forms(base), B.width, _mask(B.inverted))
-             if _criterion_holds(derived, m)]
+    found = _enumerate_masks(_relation_forms(base), B.width, _mask(B.inverted))
+    if len(saturated) > len(base):
+        derived = _term_bits(_relation_forms(saturated[len(base):]), B.width)
+        found = [m for m in found if _criterion_holds(derived, m)]
     points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in found]
     points.sort(key=lambda p: p.sort_key)
     return tuple(points)
@@ -244,7 +252,7 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
     """
     if is_zero_blueprint(B):
         return []
-    forms = _relation_forms(saturate_relations(B))
+    layout = _term_bits(_relation_forms(saturate_relations(B)), B.width)
     free = [g for g in range(B.width) if g not in B.inverted]
     points = []
     for bits in range(1 << len(free)):
@@ -252,7 +260,7 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
         for i in range(len(free)):
             if (bits >> i) & 1:
                 cand |= 1 << free[i]
-        if _criterion_holds(forms, cand):
+        if _criterion_holds(layout, cand):
             points.append(PrimePoint(g for g in free if (cand >> g) & 1))
     points.sort(key=lambda p: p.sort_key)
     return points

@@ -21,9 +21,12 @@ from .blueprint import (
     _defined_generator,
     _lattice_rows,
     _mask,
+    _outside_terms,
     _pair_shape,
     _relation_forms,
     _RelationForm,
+    _term_bits,
+    _TermBits,
     _unit_closure,
     analyze_normal_form,
     potential_characteristics,
@@ -34,8 +37,8 @@ from .blueprint import (
 from .spectrum import (
     DEFAULT_GENERATOR_CAP,
     PrimePoint,
+    SpectrumPoset,
     enumerate_primes,
-    poset,
     residue_presentation,
 )
 
@@ -113,18 +116,18 @@ def _classify_point(B: BlueprintPresentation, p: PrimePoint) -> PseudoHopfReport
     pairs = [pair for rel in _relation_forms(subscheme.relations)
              if (pair := _pair_shape(rel.lhs, rel.rhs))
              and not (pair[0].mask | pair[1].mask) & ~unit_mask]
-    estimate = _rank_estimate(pairs, cols, len(undetermined))
+    estimate = _rank_estimate(pairs, cols) + len(undetermined)
     diag = tuple(analysis.diagnostics) + (
         () if chars.almost_indefinite() else ("characteristic class unknown",))
     return PseudoHopfReport(p, estimate, "unknown",
                             characteristics=chars, diagnostics=diag)
 
 
-def _rank_estimate(pairs, cols: Sequence[int], uncovered: int) -> int:
-    """Free rank of the lattice the unit pairs span over ``cols``, plus the
-    generators nothing determines."""
+def _rank_estimate(pairs, cols: Sequence[int]) -> int:
+    """Free rank of the lattice the unit pairs span over ``cols``; the
+    estimates add the generators nothing determines."""
     rows, _ = _lattice_rows(pairs, cols)
-    return (len(cols) - smith_normal_form(rows)[1]) + uncovered
+    return len(cols) - smith_normal_form(rows)[1]
 
 
 # -- fast mask-level screen ---------------------------------------------------
@@ -133,48 +136,94 @@ def _rank_estimate(pairs, cols: Sequence[int], uncovered: int) -> int:
 # full symbolic classification is reserved for the few candidates that
 # survive a bitmask scan.  Everything the scan reports about the remaining
 # points is an upper rank estimate of the same kind as in _classify_point.
+#
+# The scan reads the relations in the term-bit layout of
+# blueprint._term_bits: one integer holds the terms outside the point, a
+# block per relation.  What a relation says about a point depends only on
+# its block, so the outcome per (relation index, block) is memoised for one
+# pseudo_hopf_points call: a unit pair, a generator defined as a sum of
+# constants, or a shape the scan does not recognise.  Two outcomes are read
+# off the bits without the memo: a block holding only constants sends the
+# whole point to the slow path, and a block with more than two terms and no
+# side of exactly one term is an unrecognised shape.  The second keeps
+# relations spanning every generator (the determinant) out of the memo,
+# which on so:5 then holds about 200 entries.  The Smith-normal-form rank of
+# the inside pairs is memoised too, keyed by their (relation, block) keys
+# and the column mask.
+
+
+def _relation_outcome(rel: _RelationForm, s: int):
+    """(pair, 0) for a unit pair, (None, 1 << g) for T_g == sum of constants
+    and (None, 0) for any other shape, when the terms ``s`` of ``rel``
+    (block-local bits) are outside the point."""
+    a = [t for i, t in enumerate(rel.lhs) if s >> i & 1]
+    b = [t for i, t in enumerate(rel.rhs, len(rel.lhs)) if s >> i & 1]
+    if len(a) + len(b) == 2:
+        return _pair_shape(a, b), 0
+    g = None
+    if len(a) == 1:
+        g = _defined_generator(a, b)
+    elif len(b) == 1:
+        g = _defined_generator(b, a)
+    return None, 0 if g is None else 1 << g
 
 
 def _fast_scan(B: BlueprintPresentation, forms: Sequence[_RelationForm],
-               pmask: int) -> Optional[int]:
+               layout: _TermBits, pmask: int, outcomes: dict,
+               ranks: dict) -> Optional[int]:
     """Rank estimate of the point ``pmask`` from a cheap scan, or None when
-    the point needs the full classification."""
+    the point needs the full classification.
+
+    ``layout`` is the term-bit layout of ``forms``; ``outcomes`` and
+    ``ranks`` are the memos described above, shared by the points of one
+    presentation.
+    """
     if B.coeff_order == 2:
         return None
+    x = _outside_terms(layout, pmask)
     pairs = []         # m1 == m2 or m1 + m2 == 0 among the surviving terms
+    keys = []          # the (relation, block) key of each pair
     definers = 0       # generators g == sum of constants
     shapes_ok = True
-    for lhs, rhs, masks in forms:
-        a = [t for t in lhs if not t.mask & pmask]
-        b = [t for t in rhs if not t.mask & pmask]
-        n = len(a) + len(b)
-        if not n:
+    for ri, block in enumerate(layout.blocks):
+        s = (x >> block.offset) & block.terms
+        if not s:
             continue
-        if n == masks.count(0):
+        if s == block.consts:
             # constants always survive; a relation left with only them may
             # pin characteristics
             return None
-        if n == 2:
-            pairs.append(_pair_shape(a, b))
-            continue
-        g = None
-        if len(a) == 1:
-            g = _defined_generator(a, b)
-        elif len(b) == 1:
-            g = _defined_generator(b, a)
-        if g is None:
+        n = s.bit_count()
+        left = (s & block.lhs).bit_count()
+        if n > 2 and left != 1 and n - left != 1:
             shapes_ok = False
+            continue
+        key = (ri, s)
+        outcome = outcomes.get(key)
+        if outcome is None:
+            outcome = outcomes[key] = _relation_outcome(forms[ri], s)
+        pair, definer = outcome
+        if pair:
+            pairs.append(pair)
+            keys.append(key)
+        elif definer:
+            definers |= definer
         else:
-            definers |= 1 << g
+            shapes_ok = False
 
     units = _unit_closure(pairs, _mask(B.inverted), 0)
-    inside = [pair for pair in pairs if not (pair[0].mask | pair[1].mask) & ~units]
+    inside = [i for i, (t1, t2, _) in enumerate(pairs) if not (t1.mask | t2.mask) & ~units]
     alive = ~pmask & ((1 << B.width) - 1)
     uncovered = alive & ~units & ~definers
     if shapes_ok and len(inside) == len(pairs) and not uncovered:
         return None
-    cols = [g for g in range(B.width) if (alive & units & ~definers) >> g & 1]
-    return _rank_estimate(inside, cols, bin(uncovered).count("1"))
+    cols = alive & units & ~definers
+    key = (tuple(keys[i] for i in inside), cols)
+    rank = ranks.get(key)
+    if rank is None:
+        rank = ranks[key] = _rank_estimate([pairs[i] for i in inside],
+                                           [g for g in range(B.width) if cols >> g & 1])
+    return rank + uncovered.bit_count()
 
 
 def pseudo_hopf_points(B: BlueprintPresentation,
@@ -187,9 +236,12 @@ def pseudo_hopf_points(B: BlueprintPresentation,
     an upper rank estimate, resolved lazily by :func:`rank_space`.
     """
     forms = _relation_forms(B.relations)
+    layout = _term_bits(forms, B.width)
+    outcomes: dict = {}
+    ranks: dict = {}
     reports = []
     for p in enumerate_primes(B, cap=cap):
-        estimate = _fast_scan(B, forms, _mask(p.vars))
+        estimate = _fast_scan(B, forms, layout, _mask(p.vars), outcomes, ranks)
         if estimate is None:
             r = _classify_point(B, p)
             if r.status != "rejected":
@@ -232,7 +284,8 @@ def rank_space(B: BlueprintPresentation,
     sit at or below the minimal rank of its component.
     """
     reports = pseudo_hopf_points(B, cap=cap)
-    spec = poset(enumerate_primes(B, cap=cap))
+    # the points come sorted; SpectrumPoset still checks they are distinct
+    spec = SpectrumPoset(tuple(enumerate_primes(B, cap=cap)))
     comps = spec.components()
     comp_of = {}
     for ci, comp in enumerate(comps):

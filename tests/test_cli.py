@@ -90,6 +90,21 @@ def test_points_verb_missing_aux_is_an_error():
     assert data["error"] == "MissingAuxiliaryValue"
 
 
+@pytest.mark.parametrize("model,semiring,check,aux", [
+    ("sl:2", "boolean", "5", None),  # not a list
+    ("sl:2", "boolean", '{"a": 1, "b": 0, "c": 0, "d": 1}', None),  # not a list
+    ("sl:2", "boolean", "[1, 0, 0, null]", None),  # null is no boolean
+    ("sl:2", "boolean", "[1, 0, 0, 2]", None),  # 2 is no boolean
+    ("gl:2", "boolean", "[1, 0, 0, 1]", '{"d": "x"}'),  # bad auxiliary value
+    ("gl:2", "boolean", "[1, 0, 0, 1]", "[1]"),  # aux not an object
+])
+def test_points_verb_rejects_malformed_input(model, semiring, check, aux):
+    argv = ["points", "--model", model, "--semiring", semiring, "--check", check]
+    code, data = invoke_json(argv + (["--aux", aux] if aux else []))
+    assert code == EXIT_COMPUTATION
+    assert data["error"] == "ValueError"
+
+
 def test_dot_verb():
     code, text = invoke(["dot", "sl:2"])
     assert code == EXIT_OK

@@ -26,7 +26,7 @@ from blueweyl.spectrum import (
     brute_force_primes,
     projective_space_poset,
 )
-from blueweyl.blueprint import _mask, _relation_forms, saturate_relations
+from blueweyl.blueprint import _mask, _relation_forms, is_zero_blueprint, saturate_relations
 from blueweyl import catalog
 
 
@@ -130,6 +130,54 @@ def test_enumerate_matches_brute_force_on_random_presentations():
             base = _relation_forms(saturate_relations(B, rounds=0))
             removed += len(_enumerate_masks(base, B.width, _mask(B.inverted))) - len(fast)
     assert removed >= 1
+
+
+def _prime_by_term_count(B, cand):
+    """The criterion counted from the saturated relations' own monomials."""
+    if cand & B.inverted:
+        return False
+    for rel in saturate_relations(B):
+        if sum(1 for t in rel.all_terms() if not t.support() & cand) == 1:
+            return False
+    return True
+
+
+def test_criterion_matches_direct_term_count():
+    """is_prime and enumerate_primes agree with terms counted one by one.
+
+    The oracle reads ``Monomial.support()`` and never the compiled term
+    bits.  The presentations cover the edge cases of a bit block: constant
+    terms, one-term relations and empty sides.
+    """
+    import itertools
+
+    rng = random.Random(4)
+    shapes = set()
+    nonempty = 0
+    for _ in range(40):
+        B = _random_presentation(rng)
+        for rel in saturate_relations(B):
+            terms = rel.all_terms()
+            if any(t.is_constant() for t in terms):
+                shapes.add("constant term")
+            if len(terms) == 1:
+                shapes.add("one term")
+            if not (rel.lhs.terms and rel.rhs.terms):
+                shapes.add("empty side")
+        for _ in range(16):
+            cand = frozenset(g for g in range(B.width) if rng.random() < 0.5)
+            assert is_prime(B, cand) == _prime_by_term_count(B, cand), (B, cand)
+        free = [g for g in range(B.width) if g not in B.inverted]
+        expected = [frozenset(c) for size in range(len(free) + 1)
+                    for c in itertools.combinations(free, size)
+                    if _prime_by_term_count(B, frozenset(c))]
+        if is_zero_blueprint(B):
+            # 1 == 0 leaves no proper ideal, which no term count sees
+            expected = []
+        assert [p.vars for p in enumerate_primes(B)] == expected, B
+        nonempty += bool(expected)
+    assert shapes == {"constant term", "one term", "empty side"}
+    assert nonempty >= 20  # 28 with seed 4
 
 
 def _gap_presentation():

@@ -1,11 +1,15 @@
 """Pseudo-Hopf points, rank spaces, induced Weyl laws, Tits points."""
 
+import hashlib
+import random
+
 import pytest
 
 from blueweyl import (
     LawDoesNotDescend,
     RankSpaceUndecidable,
     comultiplication,
+    enumerate_primes,
     field_hom_count,
     induced_weyl_law,
     mk_free,
@@ -14,9 +18,10 @@ from blueweyl import (
     rank_space,
     relation,
 )
-from blueweyl.blueprint import NormalFormBlueField
+from blueweyl.blueprint import NormalFormBlueField, _relation_forms, _term_bits
 from blueweyl import catalog
 from blueweyl.verify import count_homs_to_f1m, extended_weyl_sign_oracle
+from blueweyl.weyl import _fast_scan
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +74,65 @@ def test_pseudo_hopf_rejects_finite_characteristic_point():
     reports = pseudo_hopf_points(ns)
     assert [sorted(r.point.vars) for r in reports] == [[]]
     assert reports[0].status == "certified" and reports[0].rank == 1
+
+
+# SHA-256 of repr(sorted((sorted(vars), rank, status, diagnostics))) over the
+# reports of pseudo_hopf_points, pinned from the term-by-term fast scan
+PSEUDO_HOPF_DIGESTS = {
+    "sl:3": "9c14654015578cd756c2cf169325ba6d412152f4ef670866994e5c53536d86f7",
+    "sl:4": "c9b54d84b81b181d6c88c918af0bb4182bdaeaba7ba18a089b3fe8c40efec36c",
+    "sp:4": "585fa2e3ec0f4981c52d733ec575992dad43f0cfc2a85721e7cd962b4f840d1c",
+    "so:4": "e601a83bdc4a46c9698948c2180661659fbe28d8aa692af5bc33bda325484c7d",
+    "o:4": "e601a83bdc4a46c9698948c2180661659fbe28d8aa692af5bc33bda325484c7d",
+    "gl:3": "d8b9584320ae6cfac58f659e66e0a41510389e174bf79f1ec777d75d1302141d",
+    "nstorus": "6d48ef13b0a33272ab0232b72fcf30283d3857de9590ad9a6a3af6af5cfb8d40",
+    "levi:3:2,1": "c2d62e1944a49bfda9ca9cf35f472431cc7494d0ef91a3ce8f05ccc7c9109270",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(PSEUDO_HOPF_DIGESTS))
+def test_pseudo_hopf_reports_are_pinned(selector):
+    B = catalog.from_selector(selector).presentation
+    rows = sorted((sorted(r.point.vars), r.rank, r.status, r.diagnostics)
+                  for r in pseudo_hopf_points(B))
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == PSEUDO_HOPF_DIGESTS[selector]
+
+
+def test_pseudo_hopf_counts_of_sl4():
+    B = catalog.sl(4).presentation
+    reports = pseudo_hopf_points(B)
+    assert len(enumerate_primes(B)) == len(reports) == 37823
+    slow = [r for r in reports if r.diagnostics != ("mask-level scan only",)]
+    assert len(slow) == 24
+    assert all(r.status == "certified" for r in slow)
+
+
+def test_fast_scan_memo_matches_a_fresh_scan():
+    """The memos shared across points never change a point's estimate.
+
+    Every subset of the generators is scanned twice: with the memos shared
+    by all points of the presentation, and with empty ones.
+    """
+    rng = random.Random(3)
+    estimates = 0
+    for _ in range(60):
+        width = rng.randint(2, 6)
+        B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 2)))
+        pool = [B.one()] + [B.gen(g) for g in range(width)]
+        pool += [B.monomial([rng.randint(0, 1) for _ in range(width)])
+                 for _ in range(3)]
+        B = B.with_relations(
+            relation(rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4)))
+        forms = _relation_forms(B.relations)
+        layout = _term_bits(forms, B.width)
+        outcomes, ranks = {}, {}
+        for pmask in range(1 << width):
+            shared = _fast_scan(B, forms, layout, pmask, outcomes, ranks)
+            assert shared == _fast_scan(B, forms, layout, pmask, {}, {}), (B, pmask)
+            estimates += shared is not None
+    assert estimates >= 500  # 804 with seed 3
 
 
 # ---------------------------------------------------------------------------
