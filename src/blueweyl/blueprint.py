@@ -509,6 +509,8 @@ def _canonical_relations(B: BlueprintPresentation) -> tuple[frozenset[int], list
     return dead, rels
 
 
+# memoised: the slow path saturates one residue presentation again through
+# potential_characteristics -> analyze_normal_form -> detect_units
 @lru_cache(maxsize=4096)
 def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relation, ...]:
     """A cheap, sound closure of the generating relations.
@@ -658,9 +660,12 @@ def relation_entailed(B: BlueprintPresentation, rel: Relation,
     return "unknown"
 
 
-def is_zero_blueprint(B: BlueprintPresentation, budget: int = 400) -> bool:
+ZERO_TEST_BUDGET = 400
+
+
+def is_zero_blueprint(B: BlueprintPresentation) -> bool:
     """Detect (soundly, not completely) that 1 == 0 is derivable."""
-    return relation_entailed(B, relation([B.one()], []), budget=budget) == "yes"
+    return relation_entailed(B, relation([B.one()], []), budget=ZERO_TEST_BUDGET) == "yes"
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +916,6 @@ class NormalFormAnalysis:
     diagnostics: tuple[str, ...] = ()
 
 
-@lru_cache(maxsize=4096)
 def analyze_normal_form(B: BlueprintPresentation) -> NormalFormAnalysis:
     """Try to read a presentation as F1^eps[Lambda] plus sum-of-unit definitions.
 
@@ -1058,9 +1062,12 @@ def _prime_divisors(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=8192)
-def potential_characteristics(F, budget: int = 2_000,
-                              max_torsion: int = 6) -> CharacteristicClass:
+# rewrite steps per torsion probe, and the largest n probed in 1 + ... + 1 == 0
+TORSION_BUDGET = 2_000
+MAX_TORSION = 6
+
+
+def potential_characteristics(F) -> CharacteristicClass:
     """Classify the potential characteristics of a blue field or presentation.
 
     Lattice blue fields are immediate: F1[Lambda] is of indefinite
@@ -1083,13 +1090,13 @@ def potential_characteristics(F, budget: int = 2_000,
         rel.all_terms() and all(t.is_constant() for t in rel.all_terms())
         for rel in saturated)
     if probe_worthwhile:
-        for n in range(1, max_torsion + 1):
-            if relation_entailed(B, relation([B.one()] * n, []), budget=budget,
+        for n in range(1, MAX_TORSION + 1):
+            if relation_entailed(B, relation([B.one()] * n, []), budget=TORSION_BUDGET,
                                  constant_states_only=True) == "yes":
                 if n == 1:
                     return CharacteristicClass("finite", included=frozenset({1}))
                 return CharacteristicClass("finite", included=_prime_divisors(n))
-        if relation_entailed(B, relation([B.one()] * 2, [B.one()]), budget=budget,
+        if relation_entailed(B, relation([B.one()] * 2, [B.one()]), budget=TORSION_BUDGET,
                              constant_states_only=True) == "yes":
             return CharacteristicClass("finite", included=frozenset({1}))
 

@@ -59,6 +59,9 @@ class GroupModel:
     rank_override: Optional[tuple[RankSpacePoint, ...]] = None
     rank_point_filter: Optional[Callable[[PrimePoint], bool]] = field(
         default=None, compare=False, hash=False)
+    # rank points per cap, computed once; dataclasses.replace starts empty
+    _rank_points: dict = field(default_factory=dict, init=False, compare=False,
+                               hash=False, repr=False)
 
     def spectrum(self, cap: int = DEFAULT_GENERATOR_CAP) -> list[PrimePoint]:
         if self.spectrum_override is not None:
@@ -66,22 +69,23 @@ class GroupModel:
         return enumerate_primes(self.presentation, cap=cap)
 
     def rank_points(self, cap: int = DEFAULT_GENERATOR_CAP) -> list[RankSpacePoint]:
-        if self.rank_override is not None:
-            pts = list(self.rank_override)
-        else:
-            pts = rank_space(self.presentation, cap=cap)
-        if self.rank_point_filter is not None:
-            pts = [p for p in pts if self.rank_point_filter(p.point)]
-        return pts
+        if cap not in self._rank_points:
+            if self.rank_override is not None:
+                pts = list(self.rank_override)
+            else:
+                pts = rank_space(self.presentation, cap=cap)
+            if self.rank_point_filter is not None:
+                pts = [p for p in pts if self.rank_point_filter(p.point)]
+            self._rank_points[cap] = tuple(pts)
+        return list(self._rank_points[cap])
 
     def weyl_monoid(self, cap: int = DEFAULT_GENERATOR_CAP) -> WeylMonoid:
         return induced_weyl_law(self.presentation, self.comult, self.counit_zero,
-                                points=self.rank_points(cap=cap), cap=cap)
+                                self.rank_points(cap=cap))
 
     def tits_points(self, m: int, cap: int = DEFAULT_GENERATOR_CAP):
-        return tits_points(self.presentation, m, delta=self.comult,
-                           counit_zero=self.counit_zero,
-                           points=self.rank_points(cap=cap), cap=cap)
+        return tits_points(self.presentation, m, self.rank_points(cap=cap),
+                           delta=self.comult, counit_zero=self.counit_zero)
 
     def validate_counit(self) -> None:
         if self.spectrum_override is not None:

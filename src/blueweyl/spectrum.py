@@ -19,7 +19,6 @@ relation with at least one and with at least two such terms at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .blueprint import (
@@ -208,26 +207,13 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
     return results
 
 
-@lru_cache(maxsize=256)
-def _enumerate_cached(B: BlueprintPresentation, cap: int) -> tuple[PrimePoint, ...]:
-    if B.width > cap:
-        raise GeneratorCapExceeded(B.width, cap)
-    if is_zero_blueprint(B):
-        return ()
-    saturated = saturate_relations(B)
-    base = saturate_relations(B, rounds=0)
-    found = _enumerate_masks(_relation_forms(base), B.width, _mask(B.inverted))
-    if len(saturated) > len(base):
-        derived = _term_bits(_relation_forms(saturated[len(base):]), B.width)
-        found = [m for m in found if _criterion_holds(derived, m)]
-    points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in found]
-    points.sort(key=lambda p: p.sort_key)
-    return tuple(points)
-
-
 def enumerate_primes(B: BlueprintPresentation,
                      cap: int = DEFAULT_GENERATOR_CAP) -> list[PrimePoint]:
     """All prime ideals of the presentation, sorted by size then index.
+
+    Each call runs the search and returns a new list; a caller that needs
+    the spectrum twice keeps the list (:func:`weyl.rank_space` hands one
+    list to the pseudo-Hopf scan and to the poset).
 
     Two stages: :func:`_enumerate_masks` searches against the generating
     relations in canonical form, ``saturate_relations(B, rounds=0)``, and
@@ -240,7 +226,19 @@ def enumerate_primes(B: BlueprintPresentation,
     they add work at every node (on so:5, 85 saturated relations against
     16 generating ones) while pruning few branches.
     """
-    return list(_enumerate_cached(B, cap))
+    if B.width > cap:
+        raise GeneratorCapExceeded(B.width, cap)
+    if is_zero_blueprint(B):
+        return []
+    saturated = saturate_relations(B)
+    base = saturate_relations(B, rounds=0)
+    found = _enumerate_masks(_relation_forms(base), B.width, _mask(B.inverted))
+    if len(saturated) > len(base):
+        derived = _term_bits(_relation_forms(saturated[len(base):]), B.width)
+        found = [m for m in found if _criterion_holds(derived, m)]
+    points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in found]
+    points.sort(key=lambda p: p.sort_key)
+    return points
 
 
 def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
@@ -277,8 +275,8 @@ class SpectrumPoset:
 
     Closed subsets are the up-closed sets.  ``closed_family`` optionally
     fixes an explicit family of closed sets to check (used to exercise the
-    sobriety checker on corrupted inputs); by default the point closures and
-    their pairwise unions are used.
+    sobriety checker on corrupted inputs); without one the topology is the
+    full up-set topology, which :func:`sobriety_check` need not scan.
     """
 
     points: tuple[PrimePoint, ...]
@@ -294,9 +292,6 @@ class SpectrumPoset:
     def leq(self, i: int, j: int) -> bool:
         """points[i] specializes to points[j]: inclusion of ideals."""
         return self.points[i].vars <= self.points[j].vars
-
-    def up_set(self, i: int) -> frozenset[int]:
-        return frozenset(j for j in range(len(self.points)) if self.leq(i, j))
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         n = len(self.points)
@@ -333,34 +328,27 @@ class SpectrumPoset:
             comps.setdefault(find(i), set()).add(i)
         return sorted((frozenset(v) for v in comps.values()), key=sorted)
 
-    def default_closed_family(self) -> list[frozenset[int]]:
-        family = {self.up_set(i) for i in range(len(self.points))}
-        family.add(frozenset())
-        return sorted(family, key=lambda s: (len(s), sorted(s)))
-
 
 def poset(points: Iterable[PrimePoint]) -> SpectrumPoset:
     pts = sorted(set(points), key=lambda p: p.sort_key)
     return SpectrumPoset(tuple(pts))
 
 
-def sobriety_check(P: SpectrumPoset, scan_limit: int = 3000) -> bool:
+def sobriety_check(P: SpectrumPoset) -> bool:
     """Every irreducible closed subset must have a unique minimal point.
 
-    Irreducibility is judged against the poset's closed family: a non-empty
-    closed set is irreducible when it is not the union of two proper closed
-    subsets from the family.  The default family consists of the point
-    closures (their pairwise unions are reducible by construction and add
-    nothing).  Above the scan limit only the structural content remains:
-    inclusion orders are antisymmetric, so point closures have their point
-    as unique minimal element and distinctness is all that can fail.
+    Without an explicit closed family this is a theorem: the up-set
+    topology of a finite poset is T0 (inclusion is antisymmetric), every
+    finite T0 space is sober, and :class:`SpectrumPoset` already rejects
+    duplicate points, so the answer is True without a scan.
+
+    With an explicit ``closed_family``, irreducibility is judged against
+    it: a non-empty closed set is irreducible when it is not the union of
+    two proper closed subsets from the family.
     """
-    if P.closed_family is not None:
-        family = list(P.closed_family)
-    elif len(P.points) <= scan_limit:
-        family = P.default_closed_family()
-    else:
-        return len({p.vars for p in P.points}) == len(P.points)
+    if P.closed_family is None:
+        return True
+    family = list(P.closed_family)
     family_set = set(family)
     for V in family:
         if not V:

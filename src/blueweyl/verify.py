@@ -325,17 +325,15 @@ def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
         checks.append(_check(f"gl:{n} F1^2-points", 2 ** n * fact, t2.count))
 
     # symplectic and orthogonal models
-    for name, builder, order in (("sp:4", lambda: catalog.sp(4), 8),
-                                 ("so:3", lambda: catalog.so(3), 2),
-                                 ("so:5", lambda: catalog.so(5), 8),
-                                 ("so:4", lambda: catalog.so(4), 4),
-                                 ("o:4", lambda: catalog.o(4), 8)):
-        model = builder()
-        W = model.weyl_monoid(cap=cap)
+    models = {"sp:4": catalog.sp(4), "so:3": catalog.so(3), "so:5": catalog.so(5),
+              "so:4": catalog.so(4), "o:4": catalog.o(4)}
+    for name, order in (("sp:4", 8), ("so:3", 2), ("so:5", 8), ("so:4", 4), ("o:4", 8)):
+        W = models[name].weyl_monoid(cap=cap)
         checks.append(_check(f"{name} Weyl order", order, len(W)))
         checks.append(_check(f"{name} Weyl monoid is a group", True, W.is_group()))
-    checks.append(_check("sp:4 rank", 2, catalog.sp(4).rank_points(cap=cap)[0].rank))
-    checks.append(_check("so:5 rank", 2, catalog.so(5).rank_points(cap=cap)[0].rank))
+    for name in ("sp:4", "so:5"):
+        checks.append(_check(f"{name} rank", 2,
+                             models[name].rank_points(cap=cap)[0].rank))
 
     # projective rank-one models
     conj = catalog.psl2_conj()

@@ -227,20 +227,22 @@ def _fast_scan(B: BlueprintPresentation, forms: Sequence[_RelationForm],
 
 
 def pseudo_hopf_points(B: BlueprintPresentation,
-                       cap: int = DEFAULT_GENERATOR_CAP) -> list[PseudoHopfReport]:
-    """Certified and unknown pseudo-Hopf candidates of the spectrum.
+                       points: Iterable[PrimePoint]) -> list[PseudoHopfReport]:
+    """Certified and unknown pseudo-Hopf candidates among ``points``, the
+    spectrum of ``B``.
 
     Points whose residue field has only finitely many potential
     characteristics are definitively not pseudo-Hopf and are dropped.
     Points that a cheap scan leaves undetermined are reported unknown with
-    an upper rank estimate, resolved lazily by :func:`rank_space`.
+    an upper rank estimate; :func:`rank_space` raises when one of them
+    could reach the minimal rank of its component.
     """
     forms = _relation_forms(B.relations)
     layout = _term_bits(forms, B.width)
     outcomes: dict = {}
     ranks: dict = {}
     reports = []
-    for p in enumerate_primes(B, cap=cap):
+    for p in points:
         estimate = _fast_scan(B, forms, layout, _mask(p.vars), outcomes, ranks)
         if estimate is None:
             r = _classify_point(B, p)
@@ -280,12 +282,13 @@ def rank_space(B: BlueprintPresentation,
                cap: int = DEFAULT_GENERATOR_CAP) -> list[RankSpacePoint]:
     """Minimal-rank certified pseudo-Hopf points per connected component.
 
+    One spectrum serves the pseudo-Hopf scan and the component split.
     Raises :class:`RankSpaceUndecidable` when an unknown-status point could
     sit at or below the minimal rank of its component.
     """
-    reports = pseudo_hopf_points(B, cap=cap)
     # the points come sorted; SpectrumPoset still checks they are distinct
     spec = SpectrumPoset(tuple(enumerate_primes(B, cap=cap)))
+    reports = pseudo_hopf_points(B, spec.points)
     comps = spec.components()
     comp_of = {}
     for ci, comp in enumerate(comps):
@@ -407,8 +410,7 @@ class WeylMonoid:
 
 def induced_weyl_law(B: BlueprintPresentation, delta: Comultiplication,
                      counit_zero: frozenset[int],
-                     points: Optional[Sequence[RankSpacePoint]] = None,
-                     cap: int = DEFAULT_GENERATOR_CAP) -> WeylMonoid:
+                     points: Sequence[RankSpacePoint]) -> WeylMonoid:
     """Descend a comultiplication to a monoid law on the rank points.
 
     For each pair of rank points the vanishing patterns are substituted into
@@ -419,7 +421,7 @@ def induced_weyl_law(B: BlueprintPresentation, delta: Comultiplication,
     """
     if delta.width != B.width:
         raise ValueError("comultiplication width does not match the presentation")
-    pts = list(points) if points is not None else rank_space(B, cap=cap)
+    pts = list(points)
     by_pattern = {p.point.vars: i for i, p in enumerate(pts)}
     if len(by_pattern) != len(pts):
         raise ValueError("duplicate vanishing patterns among rank points")
@@ -482,11 +484,10 @@ class TitsPoints:
 
 
 def tits_points(B: BlueprintPresentation, m: int,
+                points: Sequence[RankSpacePoint],
                 delta: Optional[Comultiplication] = None,
-                counit_zero: Optional[frozenset[int]] = None,
-                points: Optional[Sequence[RankSpacePoint]] = None,
-                cap: int = DEFAULT_GENERATOR_CAP) -> TitsPoints:
-    """Count the F1^m-rational points of the rank space, m in {1, 2}.
+                counit_zero: Optional[frozenset[int]] = None) -> TitsPoints:
+    """Count the F1^m-rational points of the rank space ``points``, m in {1, 2}.
 
     Each rank point contributes the lattice homomorphisms from its unit
     field to the group of m-th roots of unity that respect the sign
@@ -495,11 +496,11 @@ def tits_points(B: BlueprintPresentation, m: int,
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
-    pts = list(points) if points is not None else rank_space(B, cap=cap)
+    pts = list(points)
     per_point = tuple(field_hom_count(p.field, m) for p in pts)
     monoid = None
     if delta is not None and counit_zero is not None:
-        law = induced_weyl_law(B, delta, counit_zero, points=pts, cap=cap)
+        law = induced_weyl_law(B, delta, counit_zero, pts)
         support = [i for i, c in enumerate(per_point) if c]
         if support:
             if not law.submonoid_closed(support):

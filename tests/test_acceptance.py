@@ -2,7 +2,8 @@
 
 Every expected value here is pinned: exact combinatorial counts, explicit
 point lists, and the independently computed oracles from the verify module.
-Timing bounds are enforced with caches cleared beforehand.
+Timing bounds are enforced with the saturation memo, the only module-level
+cache, cleared beforehand.
 """
 
 import itertools
@@ -12,7 +13,6 @@ import time
 
 from blueweyl import catalog, verify
 from blueweyl.blueprint import (
-    analyze_normal_form,
     mk_free,
     one_monomial,
     potential_characteristics,
@@ -23,7 +23,6 @@ from blueweyl.blueprint import (
     tensor,
 )
 from blueweyl.spectrum import (
-    _enumerate_cached,
     brute_force_primes,
     enumerate_primes,
     poset,
@@ -53,10 +52,7 @@ def _factorial(n):
 
 
 def _clear_caches():
-    _enumerate_cached.cache_clear()
     saturate_relations.cache_clear()
-    analyze_normal_form.cache_clear()
-    potential_characteristics.cache_clear()
 
 
 def test_criterion_1_sl2_spectrum_and_order():

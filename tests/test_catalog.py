@@ -1,5 +1,6 @@
 """Catalog constructors: presentations, expected combinatorics, selectors."""
 
+import dataclasses
 import json
 
 import pytest
@@ -32,6 +33,32 @@ def test_sl_expected_metadata():
 def test_sl_cap():
     with pytest.raises(CatalogError):
         catalog.sl(99)
+
+
+def test_model_computes_its_rank_space_once(monkeypatch):
+    calls = []
+    original = catalog.rank_space
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "rank_space", counting)
+    model = catalog.sl(3)
+    pts = model.rank_points()
+    assert len(model.weyl_monoid()) == 6
+    assert model.tits_points(1).count == 3
+    assert model.tits_points(2).count == 24
+    assert len(calls) == 1
+    # the kept points are not handed out: a caller's list is its own
+    pts.clear()
+    assert len(model.rank_points()) == 6
+    # a replaced model starts without rank points of its own
+    odd = dataclasses.replace(model, rank_point_filter=lambda p: len(p.vars) == 6)
+    assert len(odd.rank_points()) == 6
+    even = dataclasses.replace(model, rank_point_filter=lambda p: 0 in p.vars)
+    assert len(even.rank_points()) == 4
+    assert len(calls) == 3
 
 
 def test_gl1_is_torus_like():

@@ -278,6 +278,23 @@ def test_sobriety_of_catalog_spectra():
     assert sobriety_check(projective_space_poset(2))
 
 
+def _point_closures(P, unions):
+    n = len(P.points)
+    family = {frozenset(j for j in range(n) if P.leq(i, j)) for i in range(n)}
+    if unions:
+        family |= {a | b for a in family for b in family}
+    return tuple(sorted(family | {frozenset()}, key=lambda s: (len(s), sorted(s))))
+
+
+@pytest.mark.parametrize("unions", [False, True])
+def test_sobriety_scan_of_an_explicit_topology(unions):
+    # the scan run on the point closures (and, with unions, on the
+    # reducible sets without a global minimum) of sober spaces
+    for P in (poset(enumerate_primes(sl2())), projective_space_poset(2)):
+        family = _point_closures(P, unions)
+        assert sobriety_check(SpectrumPoset(P.points, closed_family=family))
+
+
 def test_sobriety_detects_broken_closed_family():
     # a diamond whose family omits the two point closures: the top set
     # becomes irreducible with two minimal points

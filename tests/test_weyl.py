@@ -31,7 +31,8 @@ from blueweyl.weyl import _fast_scan
 
 def test_pseudo_hopf_points_of_sl2():
     B = catalog.sl(2).presentation
-    reports = {tuple(sorted(r.point.vars)): r for r in pseudo_hopf_points(B)}
+    reports = {tuple(sorted(r.point.vars)): r
+               for r in pseudo_hopf_points(B, enumerate_primes(B))}
     assert reports[(1, 2)].status == "certified"
     assert reports[(0, 3)].status == "certified"
     assert reports[(1, 2)].rank == 1 and reports[(0, 3)].rank == 1
@@ -46,7 +47,7 @@ def test_pseudo_hopf_sum_defined_generator():
     # T == 1 + 1: only the generic point is pseudo-Hopf, of rank 0
     B = mk_free(1, names=["T"])
     B = B.with_relations([relation([B.gen(0)], [B.one(), B.one()])])
-    reports = pseudo_hopf_points(B)
+    reports = pseudo_hopf_points(B, enumerate_primes(B))
     assert len(reports) == 1
     (r,) = reports
     assert r.point.vars == frozenset() and r.status == "certified" and r.rank == 0
@@ -57,21 +58,23 @@ def test_pseudo_hopf_estimate_counts_vanishing_unit_sums():
     # estimate is one for the unit lattice plus one for the free X
     B = mk_free(3, inverted=[0, 1], coeff_order=2, names=["U", "V", "X"])
     B = B.with_relations([relation([B.gen(0), B.gen(1)], [])])
-    reports = {tuple(sorted(r.point.vars)): r for r in pseudo_hopf_points(B)}
+    reports = {tuple(sorted(r.point.vars)): r
+               for r in pseudo_hopf_points(B, enumerate_primes(B))}
     assert reports[()].status == "unknown" and reports[()].rank == 2
     assert reports[(2,)].status == "certified" and reports[(2,)].rank == 1
 
 
 def test_pseudo_hopf_affine_line_closed_point_only():
     B = mk_free(1)
-    reports = {tuple(sorted(r.point.vars)): r for r in pseudo_hopf_points(B)}
+    reports = {tuple(sorted(r.point.vars)): r
+               for r in pseudo_hopf_points(B, enumerate_primes(B))}
     assert reports[(0,)].status == "certified" and reports[(0,)].rank == 0
     assert reports[()].status == "unknown" and reports[()].rank >= 1
 
 
 def test_pseudo_hopf_rejects_finite_characteristic_point():
     ns = catalog.nonstandard_torus().presentation
-    reports = pseudo_hopf_points(ns)
+    reports = pseudo_hopf_points(ns, enumerate_primes(ns))
     assert [sorted(r.point.vars) for r in reports] == [[]]
     assert reports[0].status == "certified" and reports[0].rank == 1
 
@@ -94,15 +97,16 @@ PSEUDO_HOPF_DIGESTS = {
 def test_pseudo_hopf_reports_are_pinned(selector):
     B = catalog.from_selector(selector).presentation
     rows = sorted((sorted(r.point.vars), r.rank, r.status, r.diagnostics)
-                  for r in pseudo_hopf_points(B))
+                  for r in pseudo_hopf_points(B, enumerate_primes(B)))
     digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
     assert digest == PSEUDO_HOPF_DIGESTS[selector]
 
 
 def test_pseudo_hopf_counts_of_sl4():
     B = catalog.sl(4).presentation
-    reports = pseudo_hopf_points(B)
-    assert len(enumerate_primes(B)) == len(reports) == 37823
+    points = enumerate_primes(B)
+    reports = pseudo_hopf_points(B, points)
+    assert len(points) == len(reports) == 37823
     slow = [r for r in reports if r.diagnostics != ("mask-level scan only",)]
     assert len(slow) == 24
     assert all(r.status == "certified" for r in slow)
@@ -161,6 +165,21 @@ def test_rank_space_of_invertible_models(n, expected_rank):
     for k in range(2, n + 1):
         fact *= k
     assert len(pts) == fact and pts[0].rank == expected_rank
+
+
+def test_rank_space_enumerates_the_spectrum_once(monkeypatch):
+    from blueweyl import weyl
+
+    calls = []
+    original = weyl.enumerate_primes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "enumerate_primes", counting)
+    assert len(rank_space(catalog.sl(3).presentation)) == 6
+    assert len(calls) == 1
 
 
 def test_rank_space_of_torus():
@@ -222,13 +241,14 @@ def test_law_does_not_descend_for_broken_comultiplication():
         [(B.gen(g), B.gen(g))] for g in range(4)
     ])
     with pytest.raises(LawDoesNotDescend):
-        induced_weyl_law(B, broken, model.counit_zero)
+        induced_weyl_law(B, broken, model.counit_zero, model.rank_points())
 
 
 def test_counit_must_be_a_rank_point():
     model = catalog.sl(2)
     with pytest.raises(ValueError):
-        induced_weyl_law(model.presentation, model.comult, frozenset({0}))
+        induced_weyl_law(model.presentation, model.comult, frozenset({0}),
+                         model.rank_points())
 
 
 # ---------------------------------------------------------------------------
