@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 
 class UnsupportedInput(Exception):
@@ -313,12 +313,22 @@ class BlueprintPresentation:
 
     ``coeff_order`` is 1 for F1-coefficients and 2 when -1 is adjoined;
     with coeff_order 2 the relation ``1 + (-1) == 0`` is implicit.
+
+    ``symmetries`` optionally lists generator permutations: ``sigma[g]`` is
+    the image of generator g.  Each one is checked here to map ``inverted``
+    and the relation set onto themselves, so it is an automorphism of the
+    blueprint and the prime spectrum is a union of orbits of the group they
+    generate.  They are a hint for the prime search and the pseudo-Hopf
+    scan, not part of the blueprint: they take no part in equality or
+    hashing, and every derived presentation (quotients, localizations,
+    tensors, :func:`make_presentation`) starts without them.
     """
 
     generator_names: tuple[str, ...]
     inverted: frozenset[int]
     coeff_order: int
     relations: tuple[Relation, ...]
+    symmetries: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.coeff_order not in (1, 2):
@@ -328,6 +338,13 @@ class BlueprintPresentation:
         bad = [i for i in self.inverted if not 0 <= i < self.width]
         if bad:
             raise ValueError(f"inverted indices out of range: {bad}")
+        object.__setattr__(self, "symmetries", tuple(map(tuple, self.symmetries)))
+        if self.symmetries:
+            keys = set(_relation_images(self, range(self.width)))
+            for sigma in self.symmetries:
+                problem = _symmetry_violation(self, sigma, keys)
+                if problem is not None:
+                    raise ValueError(f"symmetry {list(sigma)} {problem}")
 
     @property
     def width(self) -> int:
@@ -367,6 +384,35 @@ class BlueprintPresentation:
         """Structural identity ignoring generator names."""
         rels = sorted({(r.lhs.key(), r.rhs.key()) for r in self.relations})
         return (self.width, tuple(sorted(self.inverted)), self.coeff_order, tuple(rels))
+
+
+def _relation_images(B: BlueprintPresentation, sigma: Sequence[int]) -> Iterator[tuple]:
+    """The images of B's relations under the generator permutation
+    ``sigma``, each as an unordered pair of term multisets with sparse
+    exponents, computed as they are read."""
+    for rel in B.relations:
+        yield tuple(sorted(tuple(sorted((t.sign, tuple(sorted((sigma[g], e)
+                                                              for g, e in enumerate(t.exps) if e)))
+                                        for t in side.terms))
+                           for side in rel.sides()))
+
+
+def _symmetry_violation(B: BlueprintPresentation, sigma: Sequence[int],
+                        keys: set) -> Optional[str]:
+    """Why the generator permutation ``sigma`` is no symmetry of B, or None.
+
+    ``keys`` is ``set(_relation_images(B, range(B.width)))``.  A
+    permutation maps the finite relation set injectively, so mapping it
+    into itself is mapping it onto itself.
+    """
+    if sorted(sigma) != list(range(B.width)):
+        return "is not a permutation of the generators"
+    if frozenset(sigma[g] for g in B.inverted) != B.inverted:
+        return "does not map the inverted generators onto themselves"
+    for rel, image in zip(B.relations, _relation_images(B, sigma)):
+        if image not in keys:
+            return f"maps the relation {render_relation(B, rel)} outside the relation set"
+    return None
 
 
 def make_presentation(names: Sequence[str], inverted: Iterable[int],

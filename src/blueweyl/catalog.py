@@ -23,6 +23,8 @@ from .blueprint import (
     BlueprintPresentation,
     Monomial,
     NormalFormBlueField,
+    _relation_images,
+    _symmetry_violation,
     make_presentation,
     mk_free,
     one_monomial,
@@ -191,6 +193,85 @@ def perm_of_pattern(model: GroupModel, p: PrimePoint) -> Optional[tuple[int, ...
 
 
 # ---------------------------------------------------------------------------
+# Coordinate symmetries
+# ---------------------------------------------------------------------------
+#
+# A row permutation pi and a column permutation tau act on the matrix
+# coordinates by T_ij -> T_pi(i)tau(j); where they respect the relations
+# they are blueprint automorphisms (Weyl group elements acting from the left
+# and from the right), and the presentation carries a few of them as
+# generators for the prime search and the pseudo-Hopf scan.
+
+
+def _transpositions(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The product of disjoint transpositions of range(n)."""
+    perm = list(range(n))
+    for a, b in pairs:
+        perm[a], perm[b] = b, a
+    return tuple(perm)
+
+
+def _adjacent_swaps(n: int) -> list[tuple[int, ...]]:
+    """Generators of all permutations of range(n)."""
+    return [_transpositions(n, [(i, i + 1)]) for i in range(n - 1)]
+
+
+def _pair_swaps(n: int) -> list[tuple[int, ...]]:
+    """Swaps of neighbouring pairs of the pairing i <-> n-1-i (0-based)."""
+    return [_transpositions(n, [(k, k + 1), (n - 1 - k, n - 2 - k)])
+            for k in range(n // 2 - 1)]
+
+
+def _inner_flip(n: int) -> tuple[int, ...]:
+    """The swap inside the innermost pair; with the pair swaps it generates
+    every permutation keeping the pairing."""
+    return _transpositions(n, [(n // 2 - 1, n - n // 2)])
+
+
+def _row_column_moves(row_moves: Sequence[tuple[int, ...]],
+                      signed: bool) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(r, 1) and (1, r) for every move r.
+
+    With ``signed`` (a determinant relation is present) an odd r is paired
+    with the first odd move instead of the identity, so that every move
+    has sgn pi = sgn tau.
+    """
+    odd = [r for r in row_moves if _perm_sign(r) < 0]
+    moves = []
+    for r in row_moves:
+        other = odd[0] if signed and _perm_sign(r) < 0 else tuple(range(len(r)))
+        moves += [(r, other), (other, r)]
+    return moves
+
+
+def _with_coordinate_symmetries(B: BlueprintPresentation, n: int,
+                                moves) -> BlueprintPresentation:
+    """B carrying the row/column moves as symmetries, plus the transpose
+    where it is one; generators past the n^2 entries (``d``) stay fixed.
+
+    The presentation checks every move, so a move that is no symmetry
+    raises ``ValueError``.
+    """
+    width = B.width
+    identity = tuple(range(width))
+    gens = []
+    for pi, tau in moves:
+        sigma = list(identity)
+        for i in range(n):
+            for j in range(n):
+                sigma[i * n + j] = pi[i] * n + tau[j]
+        gens.append(tuple(sigma))
+    transpose = list(identity)
+    for i in range(n):
+        for j in range(n):
+            transpose[i * n + j] = j * n + i
+    if _symmetry_violation(B, transpose, set(_relation_images(B, identity))) is None:
+        gens.append(tuple(transpose))
+    gens = tuple(dict.fromkeys(g for g in gens if g != identity))
+    return dataclasses.replace(B, symmetries=gens)
+
+
+# ---------------------------------------------------------------------------
 # Special and general linear groups
 # ---------------------------------------------------------------------------
 
@@ -204,6 +285,7 @@ def sl(n: int) -> GroupModel:
         raise CatalogError(f"sl({n}): supported range is 2..{MODEL_CAP}")
     width = n * n
     B = make_presentation(_entry_names(n), (), 1, [determinant_relation(n, width)])
+    B = _with_coordinate_symmetries(B, n, _row_column_moves(_adjacent_swaps(n), True))
     model = GroupModel(
         name=f"sl:{n}",
         presentation=B,
@@ -235,6 +317,7 @@ def gl(n: int) -> GroupModel:
         (even if _perm_sign(sigma) == 1 else odd).append(term)
     rel = relation(even, odd + [one_monomial(width)])
     B = make_presentation(names, (), 1, [rel])
+    B = _with_coordinate_symmetries(B, n, _row_column_moves(_adjacent_swaps(n), True))
     return GroupModel(
         name=f"gl:{n}",
         presentation=B,
@@ -282,6 +365,11 @@ def sp(dim: int) -> GroupModel:
                 rhs.append(one_monomial(width))
             rels.append(relation(lhs, rhs))
     B = make_presentation(ambient.presentation.generator_names, (), 1, rels)
+    # pair permutations keep the form; the reversal negates it, so it must
+    # act on both sides at once
+    reversal = tuple(reversed(range(dim)))
+    B = _with_coordinate_symmetries(
+        B, dim, _row_column_moves(_pair_swaps(dim), True) + [(reversal, reversal)])
     weyl_order = 2 ** n * _factorial(n)
     return GroupModel(
         name=f"sp:{dim}",
@@ -338,6 +426,8 @@ def o(n: int) -> GroupModel:
     width = n * n
     rels = _orthogonal_relations(n, width)
     B = make_presentation(_entry_names(n), (), 1, rels)
+    B = _with_coordinate_symmetries(
+        B, n, _row_column_moves(_pair_swaps(n) + [_inner_flip(n)], False))
     return GroupModel(
         name=f"o:{n}",
         presentation=B,
@@ -372,6 +462,8 @@ def so(n: int) -> GroupModel:
         weyl_type = f"D{m}"
         sign_filter = True
     B = make_presentation(_entry_names(n), (), 1, rels)
+    B = _with_coordinate_symmetries(
+        B, n, _row_column_moves(_pair_swaps(n) + [_inner_flip(n)], n % 2 == 1))
     model = GroupModel(
         name=f"so:{n}",
         presentation=B,

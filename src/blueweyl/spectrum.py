@@ -14,6 +14,18 @@ Outside the search, the criterion is tested on the term-bit layout of
 :func:`blueprint._term_bits`: one integer holds, per relation, a bit for
 each term outside the candidate, and a few big-int operations flag every
 relation with at least one and with at least two such terms at once.
+
+A presentation's verified ``symmetries`` map the relation set onto itself,
+so they are blueprint automorphisms and the spectrum is a union of orbits
+of the group they generate.  The search then keeps only the lex-least
+member of each orbit (the lex-leader predicate of Crawford, Ginsberg, Luks
+and Roy), the second stage filters those leaves, and the surviving leaves
+are expanded into their orbits.  This is sound: pruning with any subset of
+the group keeps a representative of every orbit, and the second stage is
+constant on orbits because saturation is syntactic, so a permutation that
+maps the generating relations onto themselves maps the derived ones onto
+themselves too.  Without symmetries the group is trivial and the search is
+the plain one.
 """
 
 from __future__ import annotations
@@ -94,7 +106,10 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int],
     The candidate is prime iff it holds no inverted generator and every
     relation has 0 or >= 2 terms outside it.  A relation with exactly one
     term outside would force that term into the ideal, and a constant term
-    or an inverted generator can never get there.
+    or an inverted generator can never get there.  A zero blueprint (1 == 0
+    derivable) has no prime ideal, as :func:`enumerate_primes` and
+    :func:`brute_force_primes` report; the zero test runs only for a
+    candidate that passes the criterion.
     """
     cand = frozenset(vars)
     if cand & B.inverted:
@@ -103,13 +118,68 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int],
         raise ValueError("unknown generator index")
     if relations is None:
         relations = saturate_relations(B)
-    return _criterion_holds(_term_bits(_relation_forms(relations), B.width), _mask(cand))
+    if not _criterion_holds(_term_bits(_relation_forms(relations), B.width), _mask(cand)):
+        return False
+    return not is_zero_blueprint(B)
 
 
-def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
-                     inv_mask: int) -> list[int]:
-    """All subsets passing the criterion on ``forms``, by depth-first branch
-    and bound.
+# ---------------------------------------------------------------------------
+# Symmetries
+# ---------------------------------------------------------------------------
+
+
+def _symmetry_group(generators: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Every element of the permutation group the generators produce,
+    identity first."""
+    identity = tuple(range(width))
+    group = [identity]
+    seen = {identity}
+    for h in group:
+        for sigma in generators:
+            g = tuple(sigma[i] for i in h)
+            if g not in seen:
+                seen.add(g)
+                group.append(g)
+    return group
+
+
+def _byte_tables(sigma: Sequence[int]) -> list[list[int]]:
+    """Per-byte lookup tables: the image of a mask under ``sigma`` is the OR
+    over bytes j of ``tables[j][byte j of the mask]``."""
+    tables = []
+    for lo in range(0, len(sigma), 8):
+        table = [0] * 256
+        for b in range(1, 256):
+            low = (b & -b).bit_length() - 1
+            image = 1 << sigma[lo + low] if lo + low < len(sigma) else 0
+            table[b] = table[b & (b - 1)] | image
+        tables.append(table)
+    return tables
+
+
+def _orbit(mask: int, tables: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """The orbit of ``mask``, itself first, by breadth-first search over the
+    generators given as :func:`_byte_tables`."""
+    orbit = [mask]
+    seen = {mask}
+    for x in orbit:
+        for per_byte in tables:
+            image = 0
+            rest = x
+            for table in per_byte:
+                image |= table[rest & 255]
+                rest >>= 8
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
+
+
+def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
+                     symmetries: Sequence[Sequence[int]] = ()) -> list[int]:
+    """The subsets passing the criterion on ``forms`` that are lex-leaders
+    under the group ``symmetries`` generate, by depth-first branch and
+    bound.
 
     This is the first stage of :func:`enumerate_primes`, which passes the
     generating relations only; a subset passing them may still fail a
@@ -120,10 +190,39 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
     IN once it meets the chosen set, OUT once its support is fully among
     rejected or inverted generators.  Deadness is tracked incrementally via
     a counter over relations.
+
+    Symmetry breaking (the lex-leader predicate of Crawford, Ginsberg, Luks
+    and Roy).  Read a subset x as the bit word of the generators in search
+    order, and write x.sigma for the subset holding g exactly when x holds
+    sigma(g).  A branch also dies once x > x.sigma is settled for some
+    element sigma of the group, so every orbit keeps exactly its lex-least
+    member, and with no symmetries the search is the plain one.  The check
+    is incremental: each sigma waits at the first position k whose
+    comparison is not yet settled, until both generators it compares are
+    decided; it drops out once x < x.sigma is settled.  The lex-least
+    member of an orbit passes every comparison, so pruning with any subset
+    of the group would keep a representative of every orbit as well; the
+    whole group keeps exactly one.  The caller expands the leaves into
+    orbits, which needs the primes to form a union of orbits: each sigma
+    must map the relations onto themselves, as the presentation checks.
     """
     masks = [rel.masks for rel in forms]
     order = sorted((g for g in range(width) if not (inv_mask >> g) & 1),
                    key=lambda g: -sum(1 for rel in masks for m in rel if (m >> g) & 1))
+    position = {g: k for k, g in enumerate(order)}
+    # per group element, the comparisons that are not trivially equal:
+    # (level at which both bits are decided, bit of x, bit of x.sigma)
+    chains = []
+    for sigma in _symmetry_group(symmetries, width)[1:]:
+        chain = [(max(k, position[sigma[g]]), 1 << g, 1 << sigma[g])
+                 for k, g in enumerate(order) if sigma[g] != g]
+        if chain:
+            chains.append(chain)
+    # waiting[level]: the (chain, index) pairs whose next comparison is
+    # decided at that level
+    waiting: list[list[tuple[int, int]]] = [[] for _ in order]
+    for ci, chain in enumerate(chains):
+        waiting[chain[0][0]].append((ci, 0))
     flat_terms: list[int] = []
     rel_of_term: list[int] = []
     for ri, rel in enumerate(masks):
@@ -157,12 +256,38 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
     norder = len(order)
     rot = rel_of_term
 
+    def lex_leader_so_far(level: int, x: int):
+        """Advance the comparisons waiting at ``level`` on the decided bits
+        of ``x``; None when x > x.sigma is settled for some sigma, else the
+        levels the survivors now wait at, for the caller to undo."""
+        moved = []
+        for ci, k in waiting[level]:
+            chain = chains[ci]
+            while True:
+                need, own, image = chain[k]
+                if need > level:
+                    waiting[need].append((ci, k))
+                    moved.append(need)
+                    break
+                if x & own:
+                    if not x & image:
+                        for lvl in moved:
+                            waiting[lvl].pop()
+                        return None
+                elif x & image:
+                    break
+                k += 1
+                if k == len(chain):
+                    break
+        return moved
+
     def decide(pos: int, in_mask: int):
         if pos == norder:
             results.append(in_mask)
             return
         g = order[pos]
         touched = touched_by[g]
+        symmetric = bool(waiting[pos])
 
         # branch: g joins the ideal
         delta = []
@@ -178,7 +303,12 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
                 ok = False
                 break
         if ok:
-            decide(pos + 1, in_mask | (1 << g))
+            x = in_mask | (1 << g)
+            moved = lex_leader_so_far(pos, x) if symmetric else ()
+            if moved is not None:
+                decide(pos + 1, x)
+                for lvl in moved:
+                    waiting[lvl].pop()
         for ti in delta:
             term_in[ti] = False
             rel_in[rot[ti]] -= 1
@@ -197,7 +327,11 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int,
                 ok = False
                 break
         if ok:
-            decide(pos + 1, in_mask)
+            moved = lex_leader_so_far(pos, in_mask) if symmetric else ()
+            if moved is not None:
+                decide(pos + 1, in_mask)
+                for lvl in moved:
+                    waiting[lvl].pop()
         for ti in newly_out:
             rel_out[rot[ti]] -= 1
         for ti in touched:
@@ -214,6 +348,14 @@ def enumerate_primes(B: BlueprintPresentation,
     Each call runs the search and returns a new list; a caller that needs
     the spectrum twice keeps the list (:func:`weyl.rank_space` hands one
     list to the pseudo-Hopf scan and to the poset).
+
+    With ``B.symmetries`` the search keeps one lex-leader per orbit, and
+    each leaf that passes the second stage is expanded into its orbit by
+    breadth-first search over the generators.  The leaves are distinct
+    orbit representatives, since the search prunes with the whole group,
+    so the orbits are disjoint and the list needs no deduplication.  Every
+    member of a leaf's orbit is prime because the criterion on the
+    saturated relations is constant on orbits.
 
     Two stages: :func:`_enumerate_masks` searches against the generating
     relations in canonical form, ``saturate_relations(B, rounds=0)``, and
@@ -232,11 +374,16 @@ def enumerate_primes(B: BlueprintPresentation,
         return []
     saturated = saturate_relations(B)
     base = saturate_relations(B, rounds=0)
-    found = _enumerate_masks(_relation_forms(base), B.width, _mask(B.inverted))
+    found = _enumerate_masks(_relation_forms(base), B.width, _mask(B.inverted),
+                             B.symmetries)
     if len(saturated) > len(base):
         derived = _term_bits(_relation_forms(saturated[len(base):]), B.width)
         found = [m for m in found if _criterion_holds(derived, m)]
+    if B.symmetries:
+        tables = [_byte_tables(sigma) for sigma in B.symmetries]
+        found = [m for leader in found for m in _orbit(leader, tables)]
     points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in found]
+    del found
     points.sort(key=lambda p: p.sort_key)
     return points
 

@@ -38,6 +38,8 @@ from .spectrum import (
     DEFAULT_GENERATOR_CAP,
     PrimePoint,
     SpectrumPoset,
+    _byte_tables,
+    _orbit,
     enumerate_primes,
     residue_presentation,
 )
@@ -226,6 +228,9 @@ def _fast_scan(B: BlueprintPresentation, forms: Sequence[_RelationForm],
     return rank + uncovered.bit_count()
 
 
+_UNSCANNED = object()
+
+
 def pseudo_hopf_points(B: BlueprintPresentation,
                        points: Iterable[PrimePoint]) -> list[PseudoHopfReport]:
     """Certified and unknown pseudo-Hopf candidates among ``points``, the
@@ -236,14 +241,30 @@ def pseudo_hopf_points(B: BlueprintPresentation,
     Points that a cheap scan leaves undetermined are reported unknown with
     an upper rank estimate; :func:`rank_space` raises when one of them
     could reach the minimal rank of its component.
+
+    The fast scan runs once per orbit of ``B.symmetries``: its answer for
+    a point is kept for the rest of the point's orbit and used when those
+    points come up.  This is sound because each symmetry maps the relation
+    set onto itself, so it permutes the relations the scan reads along with
+    the generators, and the scan's answer (a rank estimate, or the slow
+    path) is constant on orbits.  The slow path still runs on every point
+    sent there, so a certified point prints its own lattice.
     """
     forms = _relation_forms(B.relations)
     layout = _term_bits(forms, B.width)
     outcomes: dict = {}
     ranks: dict = {}
+    tables = [_byte_tables(sigma) for sigma in B.symmetries]
+    # scan answers for the orbit members not yet reached, dropped when used
+    pending: dict = {}
     reports = []
     for p in points:
-        estimate = _fast_scan(B, forms, layout, _mask(p.vars), outcomes, ranks)
+        pmask = _mask(p.vars)
+        estimate = pending.pop(pmask, _UNSCANNED)
+        if estimate is _UNSCANNED:
+            estimate = _fast_scan(B, forms, layout, pmask, outcomes, ranks)
+            if tables:
+                pending.update(dict.fromkeys(_orbit(pmask, tables)[1:], estimate))
         if estimate is None:
             r = _classify_point(B, p)
             if r.status != "rejected":

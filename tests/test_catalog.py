@@ -1,12 +1,20 @@
 """Catalog constructors: presentations, expected combinatorics, selectors."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
 
 from blueweyl import catalog
-from blueweyl.blueprint import mk_free, simplify_presentation
+from blueweyl.blueprint import (
+    _mask,
+    _relation_forms,
+    mk_free,
+    saturate_relations,
+    simplify_presentation,
+)
+from blueweyl.spectrum import _enumerate_masks, _symmetry_group
 from blueweyl.catalog import CatalogError, GroupTable, from_selector, perm_of_pattern
 
 
@@ -59,6 +67,67 @@ def test_model_computes_its_rank_space_once(monkeypatch):
     even = dataclasses.replace(model, rank_point_filter=lambda p: 0 in p.vars)
     assert len(even.rank_points()) == 4
     assert len(calls) == 3
+
+
+def _coordinate_automorphisms(model):
+    """Brute force: every row permutation, column permutation and optional
+    transpose of the matrix entries (other generators fixed) that maps the
+    relation set onto itself, as a generator permutation."""
+    B, n = model.presentation, model.dimension
+
+    def side(terms, sigma):
+        out = []
+        for t in terms:
+            exps = [0] * B.width
+            for g, e in enumerate(t.exps):
+                exps[sigma[g]] = e
+            out.append((t.sign, tuple(exps)))
+        return tuple(sorted(out))
+
+    def key(rel, sigma):
+        return frozenset((side(rel.lhs.terms, sigma), side(rel.rhs.terms, sigma)))
+
+    identity = tuple(range(B.width))
+    relations = {key(rel, identity) for rel in B.relations}
+    found = set()
+    for pi in itertools.permutations(range(n)):
+        for tau in itertools.permutations(range(n)):
+            for flip in (False, True):
+                sigma = list(identity)
+                for i in range(n):
+                    for j in range(n):
+                        a, b = (tau[j], pi[i]) if flip else (pi[i], tau[j])
+                        sigma[i * n + j] = a * n + b
+                if all(key(rel, sigma) in relations for rel in B.relations):
+                    found.add(tuple(sigma))
+    return found
+
+
+@pytest.mark.parametrize("selector,order", [
+    ("sl:2", 4), ("sl:3", 36), ("sl:4", 576), ("gl:2", 4), ("gl:3", 36), ("sp:4", 8),
+    ("so:3", 2), ("so:4", 64), ("so:5", 32), ("o:4", 64)])
+def test_coordinate_symmetries_generate_every_coordinate_automorphism(selector, order):
+    model = from_selector(selector)
+    B = model.presentation
+    group = _symmetry_group(B.symmetries, B.width)
+    assert len(group) == order
+    assert set(group) == _coordinate_automorphisms(model)
+    if B.width > model.dimension ** 2:
+        assert all(sigma[-1] == B.width - 1 for sigma in B.symmetries)  # d is fixed
+
+
+@pytest.mark.parametrize("selector,leaves", [("sl:4", 142), ("sp:4", 465), ("so:5", 4094)])
+def test_symmetric_search_keeps_one_leaf_per_orbit(selector, leaves):
+    B = from_selector(selector).presentation
+    base = _relation_forms(saturate_relations(B, rounds=0))
+    assert len(_enumerate_masks(base, B.width, _mask(B.inverted), B.symmetries)) == leaves
+
+
+def test_derived_models_carry_no_symmetries():
+    for selector in ("levi:3:2,1", "parabolic:3:2,1", "unipotent:3:1,2", "torus:2", "nstorus"):
+        assert from_selector(selector).presentation.symmetries == ()
+    product = catalog.model_product(catalog.sl(2), catalog.sl(2))
+    assert product.presentation.symmetries == ()
 
 
 def test_gl1_is_torus_like():

@@ -1,5 +1,6 @@
 """Prime enumeration, poset topology, residue fields, DOT export."""
 
+import dataclasses
 import random
 
 import pytest
@@ -13,16 +14,19 @@ from blueweyl import (
     localize,
     mk_free,
     poset,
+    quotient_by_vars,
     relation,
     residue_field,
     sobriety_check,
     spectrum_to_json,
+    tensor,
 )
 from blueweyl.spectrum import (
     GeneratorCapExceeded,
     PrimePoint,
     SpectrumPoset,
     _enumerate_masks,
+    _symmetry_group,
     brute_force_primes,
     projective_space_poset,
 )
@@ -164,20 +168,157 @@ def test_criterion_matches_direct_term_count():
                 shapes.add("one term")
             if not (rel.lhs.terms and rel.rhs.terms):
                 shapes.add("empty side")
+        # 1 == 0 leaves no proper ideal, which no term count sees
+        zero = is_zero_blueprint(B)
         for _ in range(16):
             cand = frozenset(g for g in range(B.width) if rng.random() < 0.5)
-            assert is_prime(B, cand) == _prime_by_term_count(B, cand), (B, cand)
+            assert is_prime(B, cand) == (_prime_by_term_count(B, cand) and not zero), (B, cand)
         free = [g for g in range(B.width) if g not in B.inverted]
         expected = [frozenset(c) for size in range(len(free) + 1)
                     for c in itertools.combinations(free, size)
                     if _prime_by_term_count(B, frozenset(c))]
-        if is_zero_blueprint(B):
-            # 1 == 0 leaves no proper ideal, which no term count sees
+        if zero:
             expected = []
         assert [p.vars for p in enumerate_primes(B)] == expected, B
         nonempty += bool(expected)
     assert shapes == {"constant term", "one term", "empty side"}
     assert nonempty >= 20  # 28 with seed 4
+
+
+def test_is_prime_is_false_on_a_zero_blueprint():
+    # T1 inverted, -1 adjoined, 0 == 1 + 1 and 1 == T1 + T1: 1 == 0 is
+    # derivable, yet no relation has exactly one term outside (0)
+    B = mk_free(1, inverted=[0], coeff_order=2)
+    B = B.with_relations([relation([], [B.one(), B.one()]),
+                          relation([B.one()], [B.gen(0), B.gen(0)])])
+    assert is_zero_blueprint(B)
+    assert _prime_by_term_count(B, frozenset())
+    assert not is_prime(B, ())
+    assert enumerate_primes(B) == [] and brute_force_primes(B) == []
+
+
+def test_is_prime_is_false_on_random_zero_blueprints():
+    """On the seeded random zero blueprints no candidate is prime and both
+    enumerations are empty; candidates that pass every relation count the
+    cases the zero test decides, so the test cannot pass vacuously."""
+    import itertools
+
+    rng = random.Random(4)
+    passing = 0
+    for _ in range(40):
+        B = _random_presentation(rng)
+        if not is_zero_blueprint(B):
+            continue
+        assert enumerate_primes(B) == [] and brute_force_primes(B) == [], B
+        free = [g for g in range(B.width) if g not in B.inverted]
+        for size in range(len(free) + 1):
+            for cand in map(frozenset, itertools.combinations(free, size)):
+                assert not is_prime(B, cand), (B, cand)
+                passing += _prime_by_term_count(B, cand)
+    assert passing >= 1
+
+
+# ---------------------------------------------------------------------------
+# symmetry orbits
+# ---------------------------------------------------------------------------
+
+
+def _swap_halves(width):
+    return tuple(range(width, 2 * width)) + tuple(range(width))
+
+
+def _permuted(B, sigma):
+    """The images of B's relations under the generator permutation sigma."""
+    def image(t):
+        exps = [0] * B.width
+        for g, e in enumerate(t.exps):
+            exps[sigma[g]] = e
+        return B.monomial(exps, t.sign)
+    return [relation(map(image, r.lhs.terms), map(image, r.rhs.terms)) for r in B.relations]
+
+
+def _with_planted_cycle(B, rng):
+    """B with its relations closed under a random permutation that keeps
+    the inverted generators, and that permutation as its symmetry."""
+    inv = sorted(B.inverted)
+    free = [g for g in range(B.width) if g not in B.inverted]
+    sigma = [0] * B.width
+    for part in (inv, free):
+        for g, h in zip(part, rng.sample(part, len(part))):
+            sigma[g] = h
+    rels, frontier = list(B.relations), B
+    for _ in range(B.width):
+        frontier = B.with_relations(_permuted(frontier, sigma))
+        rels += frontier.relations
+    closed = B.with_relations(rels)
+    return dataclasses.replace(closed, symmetries=(tuple(sigma),))
+
+
+def _leaves(B, symmetries):
+    base = _relation_forms(saturate_relations(B, rounds=0))
+    return _enumerate_masks(base, B.width, _mask(B.inverted), symmetries)
+
+
+def test_orbit_search_matches_brute_force_on_planted_symmetries():
+    """The symmetric search and orbit expansion equal the symmetry-free
+    oracle, and the lex-leader pruning drops leaves, so the test does not
+    pass with the pruning never firing."""
+    rng = random.Random(6)
+    dropped = 0
+    cases = []
+    for _ in range(25):
+        B = _random_presentation(rng)
+        if B.width <= 4:
+            T = tensor(B, B)
+            cases.append(dataclasses.replace(T, symmetries=(_swap_halves(B.width),)))
+        cases.append(_with_planted_cycle(B, rng))
+    for B in cases:
+        fast = [p.vars for p in enumerate_primes(B)]
+        assert fast == [p.vars for p in brute_force_primes(B)], B
+        if fast:
+            dropped += len(_leaves(B, ())) - len(_leaves(B, B.symmetries))
+    assert dropped >= 1
+
+
+def test_pruning_keeps_exactly_the_lex_least_member_of_each_orbit():
+    # the tensor square of a two-generator plane: the swap pairs T1' with T1''
+    T = tensor(mk_free(2), mk_free(2))
+    swap = _swap_halves(2)
+    T = dataclasses.replace(T, symmetries=(swap,))
+    group = _symmetry_group(T.symmetries, T.width)
+    assert len(group) == 2
+    leaves = _leaves(T, T.symmetries)
+    orbits = {frozenset(sum(1 << s[g] for g in range(T.width) if m >> g & 1) for s in group)
+              for m in range(1 << T.width)}
+    assert len(leaves) == len(orbits) == 10
+    # without relations the search decides the generators in index order
+    def word(m):
+        return [m >> g & 1 for g in range(T.width)]
+    assert all(m == min(orbit, key=word) for orbit in orbits for m in leaves if m in orbit)
+
+
+def test_a_proposed_symmetry_must_be_an_automorphism():
+    B = sl2()
+    transpose = (0, 2, 1, 3)
+    assert dataclasses.replace(B, symmetries=(transpose,)).symmetries == (transpose,)
+    with pytest.raises(ValueError, match="not a permutation"):
+        dataclasses.replace(B, symmetries=((0, 0, 1, 3),))
+    with pytest.raises(ValueError, match="not a permutation"):
+        dataclasses.replace(B, symmetries=((0, 1, 2),))
+    with pytest.raises(ValueError, match="inverted"):
+        dataclasses.replace(localize(B, {0}), symmetries=(transpose[::-1],))
+    with pytest.raises(ValueError, match="relation"):
+        dataclasses.replace(B, symmetries=((1, 0, 2, 3),))
+
+
+def test_symmetries_are_a_hint_outside_identity():
+    B = sl2()
+    C = dataclasses.replace(B, symmetries=((0, 2, 1, 3),))
+    assert C == B and hash(C) == hash(B)
+    assert C.canonical_key() == B.canonical_key()
+    derived = [quotient_by_vars(C, {1}), localize(C, {0}), C.with_relations([]),
+               tensor(C, C)]
+    assert all(not D.symmetries for D in derived)
 
 
 def _gap_presentation():

@@ -1,5 +1,6 @@
 """Pseudo-Hopf points, rank spaces, induced Weyl laws, Tits points."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -17,6 +18,7 @@ from blueweyl import (
     pseudo_hopf_points,
     rank_space,
     relation,
+    tensor,
 )
 from blueweyl.blueprint import NormalFormBlueField, _relation_forms, _term_bits
 from blueweyl import catalog
@@ -137,6 +139,48 @@ def test_fast_scan_memo_matches_a_fresh_scan():
             assert shared == _fast_scan(B, forms, layout, pmask, {}, {}), (B, pmask)
             estimates += shared is not None
     assert estimates >= 500  # 804 with seed 3
+
+
+def test_fast_scan_runs_once_per_orbit(monkeypatch):
+    """sp:4 has 3,259 points in 465 orbits of its 8 coordinate symmetries;
+    the reports equal those of the same presentation without symmetries."""
+    from blueweyl import weyl
+
+    B = catalog.sp(4).presentation
+    points = enumerate_primes(B)
+    plain = pseudo_hopf_points(dataclasses.replace(B, symmetries=()), points)
+    calls = []
+    original = weyl._fast_scan
+
+    def counting(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(weyl, "_fast_scan", counting)
+    assert pseudo_hopf_points(B, points) == plain
+    assert len(points) == 3259 and len(calls) == len(set(calls)) == 465
+
+
+def test_fast_scan_is_constant_on_planted_orbits():
+    """Tensor squares with the swap of their two copies classify every
+    point as without the swap, on random monoid presentations."""
+    rng = random.Random(5)
+    scanned = 0
+    for _ in range(12):
+        width = rng.randint(1, 3)
+        B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 1)))
+        pool = [B.one()] + [B.gen(g) for g in range(width)]
+        B = B.with_relations(
+            relation(rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 2)))
+        T = tensor(B, B)
+        swap = tuple(range(width, 2 * width)) + tuple(range(width))
+        S = dataclasses.replace(T, symmetries=(swap,))
+        points = enumerate_primes(T)
+        reports = pseudo_hopf_points(S, points)
+        assert reports == pseudo_hopf_points(T, points), T
+        scanned += sum(r.diagnostics == ("mask-level scan only",) for r in reports)
+    assert scanned >= 10
 
 
 # ---------------------------------------------------------------------------
