@@ -13,7 +13,6 @@ scalar a monomial may carry is a power of -1 (``coeff_order`` 1 or 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 
@@ -555,9 +554,6 @@ def _canonical_relations(B: BlueprintPresentation) -> tuple[frozenset[int], list
     return dead, rels
 
 
-# memoised: the slow path saturates one residue presentation again through
-# potential_characteristics -> analyze_normal_form -> detect_units
-@lru_cache(maxsize=4096)
 def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relation, ...]:
     """A cheap, sound closure of the generating relations.
 
@@ -573,6 +569,19 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
     ``saturate_relations(B, rounds=0)`` is a prefix of the result for every
     ``rounds``; the prime search relies on this to split the saturated list
     into the relations it searches and the derived ones it filters with.
+
+    A pair is skipped when every term of both outer sides meets a killed
+    generator, as ``T_i == T_j`` for killed i, j does (from two kill
+    relations, or from ``T_i == S`` and ``T_j == S``).  No answer read from
+    the list changes.  Every prime contains every killed generator, so such
+    a relation never has exactly one term outside a candidate, and the
+    prime criterion ignores it; :func:`_unit_closure` never adds a support
+    that meets ``dead``; the torsion probe of
+    :func:`potential_characteristics` reads only relations whose terms are
+    all constants; and a round-2 consequence of a skipped relation is,
+    under the criterion, the same as the kept relation it shares a side
+    with.  Only derived relations are skipped, so the prefix guarantee
+    holds.
     """
     dead, rels = _canonical_relations(B)
     rels = [relation([B.gen(g)], []) for g in sorted(dead)] + rels
@@ -586,6 +595,8 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
         for r in rels:
             for side, other in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
                 for side2, other2 in by_side.get(side.key(), ()):
+                    if all(t.support() & dead for t in other.terms + other2.terms):
+                        continue
                     cand = relation(other.terms, other2.terms)
                     if cand.is_trivial():
                         continue

@@ -124,12 +124,6 @@ def _mono(width: int, entries: Sequence[int]) -> Monomial:
     return Monomial(0, tuple(exps))
 
 
-def _perm_product(n: int, width: int, sigma: Sequence[int],
-                  extra: Sequence[int] = ()) -> Monomial:
-    gens = [_eidx(n, i + 1, sigma[i] + 1) for i in range(n)]
-    return _mono(width, list(gens) + list(extra))
-
-
 def _perm_sign(sigma: Sequence[int]) -> int:
     sign = 1
     seen = [False] * len(sigma)
@@ -151,7 +145,7 @@ def determinant_relation(n: int, width: int, extra: Sequence[int] = ()):
     """Even permutation products == odd permutation products + 1."""
     even, odd = [], []
     for sigma in itertools.permutations(range(n)):
-        term = _perm_product(n, width, sigma, extra)
+        term = _mono(width, [_eidx(n, i + 1, sigma[i] + 1) for i in range(n)] + list(extra))
         (even if _perm_sign(sigma) == 1 else odd).append(term)
     return relation(even, odd + [one_monomial(width)])
 
@@ -310,13 +304,8 @@ def gl(n: int) -> GroupModel:
         raise CatalogError(f"gl({n}): supported range is 1..{MODEL_CAP}")
     width = n * n + 1
     d = width - 1
-    names = _entry_names(n) + ["d"]
-    even, odd = [], []
-    for sigma in itertools.permutations(range(n)):
-        term = _perm_product(n, width, sigma, extra=[d])
-        (even if _perm_sign(sigma) == 1 else odd).append(term)
-    rel = relation(even, odd + [one_monomial(width)])
-    B = make_presentation(names, (), 1, [rel])
+    B = make_presentation(_entry_names(n) + ["d"], (), 1,
+                          [determinant_relation(n, width, extra=[d])])
     B = _with_coordinate_symmetries(B, n, _row_column_moves(_adjacent_swaps(n), True))
     return GroupModel(
         name=f"gl:{n}",
@@ -352,9 +341,9 @@ def sp(dim: int) -> GroupModel:
     if dim % 2 or not 2 <= dim <= MODEL_CAP:
         raise CatalogError(f"sp({dim}): even dimension in 2..{MODEL_CAP} required")
     n = dim // 2
-    ambient = gl(dim)
-    width = ambient.presentation.width
-    rels = list(ambient.presentation.relations)
+    width = dim * dim + 1
+    d = width - 1
+    rels = [determinant_relation(dim, width, extra=[d])]
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
             lhs = [_mono(width, [_eidx(dim, i, l), _eidx(dim, j, dim + 1 - l)])
@@ -364,7 +353,7 @@ def sp(dim: int) -> GroupModel:
             if j == dim + 1 - i:
                 rhs.append(one_monomial(width))
             rels.append(relation(lhs, rhs))
-    B = make_presentation(ambient.presentation.generator_names, (), 1, rels)
+    B = make_presentation(_entry_names(dim) + ["d"], (), 1, rels)
     # pair permutations keep the form; the reversal negates it, so it must
     # act on both sides at once
     reversal = tuple(reversed(range(dim)))
@@ -374,8 +363,8 @@ def sp(dim: int) -> GroupModel:
     return GroupModel(
         name=f"sp:{dim}",
         presentation=B,
-        comult=ambient.comult,
-        counit_zero=ambient.counit_zero,
+        comult=_matrix_comult(dim, width, extra_diag=[d]),
+        counit_zero=_diagonal_counit(dim, width, keep=[d]),
         dimension=dim,
         aux_names=("d",),
         expected={"rank": n, "weyl_order": weyl_order, "weyl_type": f"C{n}"},
@@ -754,13 +743,6 @@ def levi(n: int, flag: Sequence[int]) -> GroupModel:
 
 def _pp(n: int, zero_positions: Sequence[tuple[int, int]]) -> PrimePoint:
     return PrimePoint(_eidx(n, i, j) for i, j in zero_positions)
-
-
-def _perm_pattern(n: int, sigma: Sequence[int]) -> PrimePoint:
-    alive = {(i + 1, sigma[i] + 1) for i in range(n)}
-    return PrimePoint(_eidx(n, i, j)
-                      for i in range(1, n + 1) for j in range(1, n + 1)
-                      if (i, j) not in alive)
 
 
 def _lattice_field(epsilon: int, names: Sequence[str]) -> NormalFormBlueField:

@@ -24,9 +24,15 @@ from blueweyl import (
 from blueweyl.blueprint import (
     Monomial,
     one_monomial,
+    saturate_relations,
     smith_normal_form_with_transforms,
 )
-from blueweyl.spectrum import brute_force_primes, enumerate_primes
+from blueweyl.spectrum import (
+    brute_force_primes,
+    enumerate_primes,
+    is_prime,
+    residue_presentation,
+)
 from blueweyl import catalog
 
 
@@ -90,6 +96,79 @@ def test_quotient_keeps_sums_equal_to_zero():
 def test_quotient_empty_is_identity():
     B = sl2_presentation()
     assert quotient_by_vars(B, ()) == B
+
+
+# ---------------------------------------------------------------------------
+# saturation between killed generators
+# ---------------------------------------------------------------------------
+
+
+def test_saturation_skips_relations_between_killed_generators():
+    """At every sl:4 rank point 12 of the 16 generators are killed; the
+    quotient and the residue keep no derived relation all of whose terms
+    meet a killed generator, such as T_i == T_j, so their saturated lists
+    hold only 13 or 25 relations."""
+    model = catalog.sl(4)
+    B = model.presentation
+    sizes = set()
+    for rp in model.rank_points():
+        for P in (quotient_by_vars(B, rp.point.vars), residue_presentation(B, rp.point)):
+            dead = P.killed()
+            assert len(dead) == 12
+            saturated = saturate_relations(P)
+            derived = saturated[len(saturate_relations(P, rounds=0)):]
+            assert not any(all(t.support() & dead for t in rel.all_terms())
+                           for rel in derived)
+            sizes.add(len(saturated))
+    assert sizes == {13, 25}
+
+
+def _random_presentation_with_kills(rng):
+    """Width 2..4, coefficient order 1 or 2, and at least one kill relation."""
+    width = rng.randint(2, 4)
+    order = rng.choice((1, 2))
+    B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 1)),
+                coeff_order=order)
+    pool = [B.one(s) for s in range(order)] + [B.gen(g) for g in range(width)]
+    pool += [B.monomial([rng.randint(0, 1) for _ in range(width)], rng.randint(0, 1))
+             for _ in range(2)]
+
+    def side():
+        return [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+
+    free = [g for g in range(width) if g not in B.inverted]
+    rels = [relation(side(), side()) for _ in range(rng.randint(1, 4))]
+    rels += [relation([B.gen(g)], []) for g in rng.sample(free, rng.randint(1, len(free)))]
+    return B.with_relations(rels)
+
+
+def test_skipped_killed_relations_change_no_prime_verdict():
+    """Re-adding what saturation skips leaves every is_prime verdict alone.
+
+    The skipped relations are T_i == T_j for killed i, j, and their
+    round-2 consequences T_i == S for every side S with S == 0 in the list
+    (T_i == S for a side S not known to vanish is no consequence at all).
+    ``skipped`` counts the re-added relations the list lacked, so the test
+    cannot pass with the skip never firing.
+    """
+    rng = random.Random(5)
+    skipped = primes = 0
+    for _ in range(40):
+        B = _random_presentation_with_kills(rng)
+        relations = saturate_relations(B)
+        dead = sorted(B.killed())
+        vanishing = {other for rel in relations
+                     for side, other in (rel.sides(), rel.sides()[::-1]) if not side.terms}
+        extra = [relation([B.gen(i)], [B.gen(j)]) for i in dead for j in dead if i < j]
+        extra += [relation([B.gen(i)], s.terms) for i in dead for s in vanishing]
+        extra = [rel for rel in extra if not rel.is_trivial()]
+        skipped += sum(rel not in relations for rel in extra)
+        for bits in range(1 << B.width):
+            cand = [g for g in range(B.width) if bits >> g & 1]
+            verdict = is_prime(B, cand, relations=relations)
+            assert verdict == is_prime(B, cand, relations=relations + tuple(extra)), (B, cand)
+            primes += verdict
+    assert skipped >= 100 and primes >= 20
 
 
 def test_localize_marks_inverted():

@@ -1,6 +1,7 @@
 """Catalog constructors: presentations, expected combinatorics, selectors."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -162,6 +163,24 @@ def test_sp4_hyperoctahedral_order():
     m = catalog.sp(4)
     assert len(m.rank_points()) == 8  # 2^2 * 2!
     assert m.rank_points()[0].rank == 2
+
+
+# SHA-256 of sp(dim)'s presentation (relations in order, symmetries), comult
+# and counit, which sp builds from the same matrix helpers as gl(dim)
+SP_MODEL_DIGESTS = {
+    2: "e0e6ae260210928839b42345bfc521f9ae763f39a34b8d47e73e0285f226fcca",
+    4: "73aa8994a0817ac6d122fd6b9040c9d775a060df15dad84c7cd54153e451cfa8",
+    6: "1e91ff7d0726a8108e3e92022ae09937407c8960670090524244639da23de59c",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(SP_MODEL_DIGESTS))
+def test_sp_model_is_pinned(dim):
+    m = catalog.sp(dim)
+    B = m.presentation
+    text = repr((B.generator_names, sorted(B.inverted), B.coeff_order, B.relations,
+                 B.symmetries, m.comult.images, sorted(m.counit_zero), m.aux_names))
+    assert hashlib.sha256(text.encode()).hexdigest() == SP_MODEL_DIGESTS[dim]
 
 
 def test_so3_counts():

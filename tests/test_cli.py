@@ -174,7 +174,8 @@ def test_cap_flag_reported():
     assert data["error"] == "GeneratorCapExceeded"
 
 
-# stdout SHA-256 of sub-second queries, as pinned in perfbench/expected.json
+# stdout SHA-256 of queries that take at most about 1.5 s, as pinned in
+# perfbench/expected.json
 GOLDEN_OUTPUTS = [
     (["points", "--model", "sl:2", "--semiring", "boolean", "--check", "[1, 0, 0, 1]"],
      "4476c2c55cacf57cd29131f65b23cc0216294de80bc45db3f833a193d0df3370"),
@@ -188,8 +189,12 @@ GOLDEN_OUTPUTS = [
      "1427fc250e4a9ed093a4aca7a9be8547ceb597b4725ab81d4f0bb47180c14204"),
     (["rank-space", "sl:3"],
      "14bc90f0c9e5ed11fa4842d75134d0bfe662082009543ad6e82099538a659ab9"),
+    (["rank-space", "sl:4"],
+     "7b08e60fbb05e286b7ab12a08b9942a1bddc8ba5f5e01d37ffd00d98a0733485"),
     (["rank-space", "gl:3"],
      "3389674f0d9bdbda00eba30731097e5f7d28e44370f868330e55b05e9a19e102"),
+    (["rank-space", "sp:4"],
+     "473aca6a18f2f3e7a9256439f913b08fc544215389cc6009f356edad20427a7e"),
     (["rank-space", "so:4"],
      "f7280015109f8fb64f28488dd9a10e249ef94de476ae7a069362aa0813173576"),
     (["rank-space", "o:4"],
