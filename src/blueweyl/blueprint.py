@@ -566,9 +566,8 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
 
     Guarantee: the kill relations come first, then the canonical relations,
     then the transitivity consequences, which are only appended.  So
-    ``saturate_relations(B, rounds=0)`` is a prefix of the result for every
-    ``rounds``; the prime search relies on this to split the saturated list
-    into the relations it searches and the derived ones it filters with.
+    ``saturate_relations(B, rounds=0)``, the generating relations in
+    canonical form, is a prefix of the result for every ``rounds``.
 
     A pair is skipped when every term of both outer sides meets a killed
     generator, as ``T_i == T_j`` for killed i, j does (from two kill
@@ -658,7 +657,6 @@ def _candidate_multipliers(s: FormalSum, target: FormalSum, pattern: FormalSum,
 
 def relation_entailed(B: BlueprintPresentation, rel: Relation,
                       budget: int = 10_000,
-                      max_terms: Optional[int] = None,
                       constant_states_only: bool = False) -> Literal["yes", "unknown"]:
     """Decide, within a step budget, whether a relation is derivable.
 
@@ -678,9 +676,8 @@ def relation_entailed(B: BlueprintPresentation, rel: Relation,
     target = _kill_terms(rel.rhs, dead)
     if start.key() == target.key():
         return "yes"
-    if max_terms is None:
-        widest = max((max(len(a), len(b)) for a, b in rules), default=0)
-        max_terms = max(len(start), len(target)) + widest + 4
+    widest = max((max(len(a), len(b)) for a, b in rules), default=0)
+    max_terms = max(len(start), len(target)) + widest + 4
     frontier = [start]
     visited = {start.key()}
     steps = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -286,10 +287,10 @@ def sl(n: int) -> GroupModel:
         comult=_matrix_comult(n, width),
         counit_zero=_diagonal_counit(n, width),
         dimension=n,
-        expected={"rank": n - 1, "weyl_order": _factorial(n),
+        expected={"rank": n - 1, "weyl_order": math.factorial(n),
                   "weyl_type": f"A{n - 1}",
-                  "tits_f1": _factorial(n) // 2,
-                  "tits_f12": 2 ** (n - 1) * _factorial(n)},
+                  "tits_f1": math.factorial(n) // 2,
+                  "tits_f12": 2 ** (n - 1) * math.factorial(n)},
     )
     return model
 
@@ -314,17 +315,10 @@ def gl(n: int) -> GroupModel:
         counit_zero=_diagonal_counit(n, width, keep=[d]),
         dimension=n,
         aux_names=("d",),
-        expected={"rank": n, "weyl_order": _factorial(n),
+        expected={"rank": n, "weyl_order": math.factorial(n),
                   "weyl_type": f"A{n - 1}" if n > 1 else "trivial",
-                  "tits_f12": 2 ** n * _factorial(n)},
+                  "tits_f12": 2 ** n * math.factorial(n)},
     )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +353,7 @@ def sp(dim: int) -> GroupModel:
     reversal = tuple(reversed(range(dim)))
     B = _with_coordinate_symmetries(
         B, dim, _row_column_moves(_pair_swaps(dim), True) + [(reversal, reversal)])
-    weyl_order = 2 ** n * _factorial(n)
+    weyl_order = 2 ** n * math.factorial(n)
     return GroupModel(
         name=f"sp:{dim}",
         presentation=B,
@@ -423,7 +417,7 @@ def o(n: int) -> GroupModel:
         comult=_matrix_comult(n, width),
         counit_zero=_diagonal_counit(n, width),
         dimension=n,
-        expected={"rank": m, "weyl_order": 2 ** m * _factorial(m),
+        expected={"rank": m, "weyl_order": 2 ** m * math.factorial(m),
                   "weyl_type": f"B{m}"},
     )
 
@@ -443,11 +437,11 @@ def so(n: int) -> GroupModel:
     rels = _orthogonal_relations(n, width)
     if n % 2 == 1:
         rels.append(determinant_relation(n, width))
-        weyl_order = 2 ** m * _factorial(m)
+        weyl_order = 2 ** m * math.factorial(m)
         weyl_type = f"B{m}"
         sign_filter = None
     else:
-        weyl_order = 2 ** (m - 1) * _factorial(m)
+        weyl_order = 2 ** (m - 1) * math.factorial(m)
         weyl_type = f"D{m}"
         sign_filter = True
     B = make_presentation(_entry_names(n), (), 1, rels)
@@ -663,7 +657,7 @@ def standard_parabolic(n: int, flag: Sequence[int]) -> GroupModel:
     B = make_presentation(ambient.presentation.generator_names, (), 1, rels)
     weyl_order = 1
     for s in flag:
-        weyl_order *= _factorial(s)
+        weyl_order *= math.factorial(s)
     return GroupModel(
         name=f"parabolic:{n}:{','.join(map(str, flag))}",
         presentation=B,
@@ -724,7 +718,7 @@ def levi(n: int, flag: Sequence[int]) -> GroupModel:
     B = make_presentation(P.generator_names, (), 1, rels)
     weyl_order = 1
     for s in flag:
-        weyl_order *= _factorial(s)
+        weyl_order *= math.factorial(s)
     return GroupModel(
         name=f"levi:{n}:{','.join(map(str, flag))}",
         presentation=B,

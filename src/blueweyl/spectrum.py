@@ -4,14 +4,11 @@ Every prime ideal of a blueprint presented over F1 by monomial generators is
 generated by a subset of the generators, so the spectrum is a finite set of
 generator subsets ordered by inclusion.  The criterion for a subset to be
 prime is that no saturated relation has exactly one term outside the
-candidate ideal.  Enumeration runs in two stages: a branch-and-bound search
-over subsets against the generating relations (in canonical form, the prefix
-of the saturated list), then a filter of its leaves against the derived
-relations.  The criterion is a conjunction over relations, so the two stages
-together apply it exactly.
+candidate ideal.  Enumeration is a branch-and-bound search over subsets
+against the whole saturated list.
 
-Outside the search, the criterion is tested on the term-bit layout of
-:func:`blueprint._term_bits`: one integer holds, per relation, a bit for
+The search and every other test of the criterion read the term-bit layout
+of :func:`blueprint._term_bits`: one integer holds, per relation, a bit for
 each term outside the candidate, and a few big-int operations flag every
 relation with at least one and with at least two such terms at once.
 
@@ -19,13 +16,12 @@ A presentation's verified ``symmetries`` map the relation set onto itself,
 so they are blueprint automorphisms and the spectrum is a union of orbits
 of the group they generate.  The search then keeps only the lex-least
 member of each orbit (the lex-leader predicate of Crawford, Ginsberg, Luks
-and Roy), the second stage filters those leaves, and the surviving leaves
-are expanded into their orbits.  This is sound: pruning with any subset of
-the group keeps a representative of every orbit, and the second stage is
-constant on orbits because saturation is syntactic, so a permutation that
-maps the generating relations onto themselves maps the derived ones onto
-themselves too.  Without symmetries the group is trivial and the search is
-the plain one.
+and Roy), and the leaves are expanded into their orbits.  This is sound.
+Saturation is syntactic, so a permutation that maps the generating
+relations onto themselves maps the saturated list onto itself too, and the
+criterion the search applies is constant on orbits; pruning with any
+subset of the group then keeps a representative of every orbit.  Without
+symmetries the group is trivial and the search is the plain one.
 """
 
 from __future__ import annotations
@@ -181,15 +177,18 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
     under the group ``symmetries`` generate, by depth-first branch and
     bound.
 
-    This is the first stage of :func:`enumerate_primes`, which passes the
-    generating relations only; a subset passing them may still fail a
-    derived relation, and the second stage filters those out.
-
-    Generators are decided one at a time; a branch dies as soon as some
-    relation has every term decided and exactly one of them out.  A term is
-    IN once it meets the chosen set, OUT once its support is fully among
-    rejected or inverted generators.  Deadness is tracked incrementally via
-    a counter over relations.
+    Generators are decided one at a time, those in the most terms first; a
+    branch dies as soon as some relation has every term decided and exactly
+    one of them out.  A term is IN once it meets the chosen set, OUT once
+    its support is fully among rejected or inverted generators.  Both are
+    read off the term-bit layout of :func:`blueprint._term_bits`: the terms
+    not IN are those outside ``inside``, the OR of ``hit[g]`` over the
+    chosen generators, and such a term is OUT once it lies in
+    ``settled[k]``, the terms whose support is among the inverted
+    generators and the first k generators of the order.  So a relation is
+    dead exactly when it has one term outside ``inside`` and no term
+    outside both ``inside`` and ``settled[k]``, and each node tests every
+    relation at once with a few big-int operations.
 
     Symmetry breaking (the lex-leader predicate of Crawford, Ginsberg, Luks
     and Roy).  Read a subset x as the bit word of the generators in search
@@ -206,9 +205,10 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
     orbits, which needs the primes to form a union of orbits: each sigma
     must map the relations onto themselves, as the presentation checks.
     """
-    masks = [rel.masks for rel in forms]
+    layout = _term_bits(forms, width)
+    hit, terms, guard = layout.hit, layout.terms, layout.guard
     order = sorted((g for g in range(width) if not (inv_mask >> g) & 1),
-                   key=lambda g: -sum(1 for rel in masks for m in rel if (m >> g) & 1))
+                   key=lambda g: -hit[g].bit_count())
     position = {g: k for k, g in enumerate(order)}
     # per group element, the comparisons that are not trivially equal:
     # (level at which both bits are decided, bit of x, bit of x.sigma)
@@ -223,38 +223,19 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
     waiting: list[list[tuple[int, int]]] = [[] for _ in order]
     for ci, chain in enumerate(chains):
         waiting[chain[0][0]].append((ci, 0))
-    flat_terms: list[int] = []
-    rel_of_term: list[int] = []
-    for ri, rel in enumerate(masks):
-        for m in rel:
-            flat_terms.append(m)
-            rel_of_term.append(ri)
-    nterms = len(flat_terms)
-    nrels = len(masks)
-    terms_per_rel = [0] * nrels
-    for ri in rel_of_term:
-        terms_per_rel[ri] += 1
-    touched_by: list[list[int]] = [[] for _ in range(width)]
-    for ti, m in enumerate(flat_terms):
-        for g in range(width):
-            if (m >> g) & 1:
-                touched_by[g].append(ti)
-
-    results: list[int] = []
-    term_in = [False] * nterms
-    undecided = [bin(m & ~inv_mask).count("1") for m in flat_terms]
-    rel_in = [0] * nrels
-    rel_out = [0] * nrels
-    for ti, m in enumerate(flat_terms):
-        if undecided[ti] == 0 and not term_in[ti]:
-            rel_out[rel_of_term[ti]] += 1
-    # invariant: decide() is entered only while no relation is dead, so after
-    # a decision only the touched relations need a deadness check
-    for ri in range(nrels):
-        if rel_out[ri] == 1 and rel_in[ri] + rel_out[ri] == terms_per_rel[ri]:
-            return []
     norder = len(order)
-    rot = rel_of_term
+    # settled[k]: the terms whose support lies among the inverted generators
+    # and order[:k]
+    settled = [terms] * (norder + 1)
+    for k in range(norder - 1, -1, -1):
+        settled[k] = settled[k + 1] & ~hit[order[k]]
+
+    def alive(inside: int, k: int) -> bool:
+        """No relation is dead once the first k generators of the order are
+        decided and the chosen ones hit the terms in ``inside``."""
+        rest = terms & ~inside
+        some, several = _outside_counts(layout, rest)
+        return not some & ~several & ~(((rest & ~settled[k]) + terms) & guard)
 
     def lex_leader_so_far(level: int, x: int):
         """Advance the comparisons waiting at ``level`` on the decided bits
@@ -281,63 +262,25 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
                     break
         return moved
 
-    def decide(pos: int, in_mask: int):
+    results: list[int] = []
+
+    def decide(pos: int, x: int, inside: int):
         if pos == norder:
-            results.append(in_mask)
+            results.append(x)
             return
         g = order[pos]
-        touched = touched_by[g]
         symmetric = bool(waiting[pos])
+        # g joins the ideal, then g stays out
+        for child, child_inside in ((x | 1 << g, inside | hit[g]), (x, inside)):
+            if alive(child_inside, pos + 1):
+                moved = lex_leader_so_far(pos, child) if symmetric else ()
+                if moved is not None:
+                    decide(pos + 1, child, child_inside)
+                    for lvl in moved:
+                        waiting[lvl].pop()
 
-        # branch: g joins the ideal
-        delta = []
-        for ti in touched:
-            if not term_in[ti]:
-                term_in[ti] = True
-                rel_in[rot[ti]] += 1
-                delta.append(ti)
-        ok = True
-        for ti in delta:
-            ri = rot[ti]
-            if rel_out[ri] == 1 and rel_in[ri] + rel_out[ri] == terms_per_rel[ri]:
-                ok = False
-                break
-        if ok:
-            x = in_mask | (1 << g)
-            moved = lex_leader_so_far(pos, x) if symmetric else ()
-            if moved is not None:
-                decide(pos + 1, x)
-                for lvl in moved:
-                    waiting[lvl].pop()
-        for ti in delta:
-            term_in[ti] = False
-            rel_in[rot[ti]] -= 1
-
-        # branch: g stays out
-        newly_out = []
-        for ti in touched:
-            undecided[ti] -= 1
-            if undecided[ti] == 0 and not term_in[ti]:
-                rel_out[rot[ti]] += 1
-                newly_out.append(ti)
-        ok = True
-        for ti in newly_out:
-            ri = rot[ti]
-            if rel_out[ri] == 1 and rel_in[ri] + rel_out[ri] == terms_per_rel[ri]:
-                ok = False
-                break
-        if ok:
-            moved = lex_leader_so_far(pos, in_mask) if symmetric else ()
-            if moved is not None:
-                decide(pos + 1, in_mask)
-                for lvl in moved:
-                    waiting[lvl].pop()
-        for ti in newly_out:
-            rel_out[rot[ti]] -= 1
-        for ti in touched:
-            undecided[ti] += 1
-
-    decide(0, 0)
+    if alive(0, 0):
+        decide(0, 0, 0)
     return results
 
 
@@ -349,36 +292,21 @@ def enumerate_primes(B: BlueprintPresentation,
     the spectrum twice keeps the list (:func:`weyl.rank_space` hands one
     list to the pseudo-Hopf scan and to the poset).
 
-    With ``B.symmetries`` the search keeps one lex-leader per orbit, and
-    each leaf that passes the second stage is expanded into its orbit by
-    breadth-first search over the generators.  The leaves are distinct
-    orbit representatives, since the search prunes with the whole group,
-    so the orbits are disjoint and the list needs no deduplication.  Every
-    member of a leaf's orbit is prime because the criterion on the
-    saturated relations is constant on orbits.
-
-    Two stages: :func:`_enumerate_masks` searches against the generating
-    relations in canonical form, ``saturate_relations(B, rounds=0)``, and
-    its leaves are kept when they also pass the criterion on the derived
-    relations, the rest of ``saturate_relations(B)``.  The generating
-    relations are a prefix of the saturated list, so the search finds a
-    superset of the primes and the filter applies exactly the constraints
-    the search left out: the result equals the criterion on the full
-    saturated list.  The derived relations stay out of the search because
-    they add work at every node (on so:5, 85 saturated relations against
-    16 generating ones) while pruning few branches.
+    :func:`_enumerate_masks` searches the whole saturated list, so its
+    leaves are exactly the subsets that pass the criterion.  With
+    ``B.symmetries`` the search keeps one lex-leader per orbit, and each
+    leaf is expanded into its orbit by breadth-first search over the
+    generators.  The leaves are distinct orbit representatives, since the
+    search prunes with the whole group, so the orbits are disjoint and the
+    list needs no deduplication.  Every member of a leaf's orbit is prime
+    because the criterion on the saturated relations is constant on orbits.
     """
     if B.width > cap:
         raise GeneratorCapExceeded(B.width, cap)
     if is_zero_blueprint(B):
         return []
-    saturated = saturate_relations(B)
-    base = saturate_relations(B, rounds=0)
-    found = _enumerate_masks(_relation_forms(base), B.width, _mask(B.inverted),
-                             B.symmetries)
-    if len(saturated) > len(base):
-        derived = _term_bits(_relation_forms(saturated[len(base):]), B.width)
-        found = [m for m in found if _criterion_holds(derived, m)]
+    found = _enumerate_masks(_relation_forms(saturate_relations(B)), B.width,
+                             _mask(B.inverted), B.symmetries)
     if B.symmetries:
         tables = [_byte_tables(sigma) for sigma in B.symmetries]
         found = [m for leader in found for m in _orbit(leader, tables)]

@@ -9,6 +9,7 @@ morphism enumeration) live here next to the checks that consume them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Optional, Sequence
 
@@ -274,9 +275,7 @@ def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
     for n in (2, 3, 4):
         model = catalog.sl(n)
         rank_points = model.rank_points(cap=cap)
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
+        fact = math.factorial(n)
         checks.append(_check(f"sl:{n} rank point count", fact, len(rank_points)))
         checks.append(_check(f"sl:{n} rank", n - 1,
                              sorted({r.rank for r in rank_points})[0]
@@ -310,9 +309,7 @@ def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
     # general linear models
     for n in (1, 2, 3):
         model = catalog.gl(n)
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
+        fact = math.factorial(n)
         rank_points = model.rank_points(cap=cap)
         checks.append(_check(f"gl:{n} rank", n, rank_points[0].rank))
         checks.append(_check(f"gl:{n} Weyl order", fact, len(rank_points)))
@@ -542,20 +539,20 @@ def _is_product_table(Wp: WeylMonoid, Wa: WeylMonoid, Wb: WeylMonoid,
 # ---------------------------------------------------------------------------
 
 
-def oracle_comparison(model_name: str, seed: int = 20259,
-                      samples: int = 2000) -> dict:
+def _sampled_model(model_name: str, seed: int, samples: int):
+    """The model and its oracle families, each with its sampled pattern report."""
     if model_name == "psl2-conj":
-        model = catalog.psl2_conj()
-        report = patterns.realizable_patterns(patterns.conjugation_family(),
-                                              samples=samples, seed=seed)
+        model, families = catalog.psl2_conj(), [patterns.conjugation_family()]
     elif model_name == "psl2-adj":
-        model = catalog.psl2_adjoint()
-        cell_b, cell_bwb = patterns.adjoint_families()
-        report = patterns.merge_reports(
-            patterns.realizable_patterns(cell_b, samples=samples, seed=seed),
-            patterns.realizable_patterns(cell_bwb, samples=samples, seed=seed))
+        model, families = catalog.psl2_adjoint(), list(patterns.adjoint_families())
     else:
         raise ValueError(f"no oracle family for {model_name}")
+    return model, [(fam, patterns.realizable_patterns(fam, samples=samples, seed=seed))
+                   for fam in families]
+
+
+def _comparison(model_name: str, model: GroupModel, sampled) -> dict:
+    report = patterns.merge_reports(*(rep for _, rep in sampled))
     comparison = patterns.compare_with_spectrum(model, report)
     return {
         "model": model_name,
@@ -569,21 +566,25 @@ def oracle_comparison(model_name: str, seed: int = 20259,
     }
 
 
+def oracle_comparison(model_name: str, seed: int = 20259,
+                      samples: int = 2000) -> dict:
+    return _comparison(model_name, *_sampled_model(model_name, seed, samples))
+
+
 def oracle_checks(seed: int = 20259, samples: int = 2000) -> list[dict]:
+    # each family is sampled once and feeds every check below
+    runs = {name: _sampled_model(name, seed, samples) for name in ("psl2-conj", "psl2-adj")}
     checks = []
     for name, expected_points in (("psl2-conj", 7), ("psl2-adj", 13)):
-        result = oracle_comparison(name, seed=seed, samples=samples)
+        result = _comparison(name, *runs[name])
         checks.append(_check(f"oracle {name} pattern/spectrum agreement",
                              True, result["ok"]))
         checks.append(_check(f"oracle {name} pattern count",
                              expected_points, result["patterns"]))
 
     # characteristic-2 witnesses pick out exactly the primed adjoint points
-    adj = catalog.psl2_adjoint()
-    cell_b, cell_bwb = patterns.adjoint_families()
-    report = patterns.merge_reports(
-        patterns.realizable_patterns(cell_b, samples=samples, seed=seed),
-        patterns.realizable_patterns(cell_bwb, samples=samples, seed=seed))
+    adj, sampled = runs["psl2-adj"]
+    report = patterns.merge_reports(*(rep for _, rep in sampled))
     n = adj.dimension
     primed = {frozenset((g // n + 1, g % n + 1) for g in
                         catalog._pp(3, pos).vars)
@@ -593,16 +594,9 @@ def oracle_checks(seed: int = 20259, samples: int = 2000) -> list[dict]:
                          sorted(map(sorted, report.char2_only_patterns()))))
 
     # every reported witness re-evaluates to its pattern
-    families = {"psl2-conj": [patterns.conjugation_family()],
-                "psl2-adj": list(patterns.adjoint_families())}
-    all_ok = True
-    for fams in families.values():
-        for fam in fams:
-            rep = patterns.realizable_patterns(fam, samples=samples, seed=seed)
-            for pattern, info in rep.patterns.items():
-                for w in info["witnesses"]:
-                    if not patterns.reevaluate_witness(fam, pattern, w):
-                        all_ok = False
+    all_ok = all(patterns.reevaluate_witness(fam, pattern, w)
+                 for _, sampled in runs.values() for fam, rep in sampled
+                 for pattern, info in rep.patterns.items() for w in info["witnesses"])
     checks.append(_check("oracle witnesses re-evaluate exactly", True, all_ok))
     return checks
 

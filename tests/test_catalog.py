@@ -119,9 +119,11 @@ def test_coordinate_symmetries_generate_every_coordinate_automorphism(selector, 
 
 @pytest.mark.parametrize("selector,leaves", [("sl:4", 142), ("sp:4", 465), ("so:5", 4094)])
 def test_symmetric_search_keeps_one_leaf_per_orbit(selector, leaves):
+    # here the generating relations and the full saturated list have the same primes
     B = from_selector(selector).presentation
-    base = _relation_forms(saturate_relations(B, rounds=0))
-    assert len(_enumerate_masks(base, B.width, _mask(B.inverted), B.symmetries)) == leaves
+    for rounds in (0, 2):
+        forms = _relation_forms(saturate_relations(B, rounds=rounds))
+        assert len(_enumerate_masks(forms, B.width, _mask(B.inverted), B.symmetries)) == leaves
 
 
 def test_derived_models_carry_no_symmetries():

@@ -117,12 +117,13 @@ def _random_presentation(rng):
 
 
 def test_enumerate_matches_brute_force_on_random_presentations():
-    """The two-stage search equals the oracle, and its filter does work.
+    """The search over the saturated list equals the oracle, and the
+    derived relations matter.
 
-    The search runs on the generating relations and drops the leaves that
-    fail a derived relation; ``removed`` counts those drops over the
-    presentations with a non-empty spectrum, so the test cannot pass with
-    the filter never firing.
+    ``removed`` counts, over the presentations with a non-empty spectrum,
+    the leaves a search over the generating relations alone would keep
+    beyond the primes; it is positive, so searching without the derived
+    relations would return non-primes on these inputs.
     """
     rng = random.Random(1)
     removed = 0
