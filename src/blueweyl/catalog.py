@@ -47,6 +47,10 @@ class CatalogError(Exception):
     pass
 
 
+# what a JSON value of the wrong shape raises where a number or a list is read
+_SHAPE_ERRORS = (TypeError, ValueError, OverflowError)
+
+
 @dataclass(frozen=True)
 class GroupModel:
     """A presented model of a group together with its comonoid data."""
@@ -172,7 +176,7 @@ def _diagonal_counit(n: int, width: int, keep: Sequence[int] = ()) -> frozenset[
 def perm_of_pattern(model: GroupModel, p: PrimePoint) -> Optional[tuple[int, ...]]:
     """The permutation whose support is the non-vanishing entries, if any."""
     n = model.dimension
-    alive = [(i, j) for g, (i, j) in _entry_pairs(n).items() if g not in p.vars]
+    alive = [(i, j) for g, (i, j) in _entry_pairs(n).items() if g not in p.gens]
     if len(alive) != n:
         return None
     sigma = [0] * n
@@ -494,9 +498,15 @@ class GroupTable:
 
     def __post_init__(self):
         n = len(self.elements)
+        if not all(isinstance(name, str) for name in self.elements):
+            raise CatalogError("element names must be strings")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise CatalogError("malformed multiplication table")
+        if any(v not in range(n) for r in self.table for v in r):
+            raise CatalogError("table entry is not an element index")
         e = self.identity
+        if e not in range(n):
+            raise CatalogError("identity is not an element index")
         if any(self.table[e][i] != i or self.table[i][e] != i for i in range(n)):
             raise CatalogError("identity row or column broken")
         for i in range(n):
@@ -561,15 +571,18 @@ def semidirect(r: int, table: GroupTable,
     A(g) differs from the identity for every g != identity.
     """
     k = len(table.elements)
-    ident = [[int(i == j) for j in range(r)] for i in range(r)]
     mats = {}
     for name in table.elements:
-        if name not in exps:
-            raise CatalogError(f"missing exponent matrix for {name}")
-        mat = [list(map(int, row)) for row in exps[name]]
+        try:
+            mat = [list(map(int, row)) for row in exps[name]]
+        except KeyError:
+            raise CatalogError(f"missing exponent matrix for {name}") from None
+        except _SHAPE_ERRORS as err:
+            raise CatalogError(f"malformed exponent matrix for {name}: {err}") from None
         if len(mat) != r or any(len(row) != r for row in mat):
             raise CatalogError(f"exponent matrix for {name} is not {r}x{r}")
         mats[name] = mat
+    ident = [[int(i == j) for j in range(r)] for i in range(r)]
     names = tuple(f"T{i + 1}" for i in range(r)) + \
         tuple(f"e_{name}" for name in table.elements)
     width = r + k
@@ -771,13 +784,10 @@ def psl2_conj() -> GroupModel:
         "a=d=0": _conjugation_pattern(0, 3, 5, 0),
         "b=c=0": _conjugation_pattern(2, 0, 0, 7),
     }
-    points = tuple(sorted(set(patterns.values()), key=lambda p: p.sort_key))
+    points = tuple(sorted(set(patterns.values())))
     diag = patterns["b=c=0"]
     antidiag = patterns["a=d=0"]
-    rank_points = (
-        RankSpacePoint(diag, _lattice_field(1, ("L",)), 1),
-        RankSpacePoint(antidiag, _lattice_field(2, ("L",)), 1),
-    )
+    rank_points = sorted([(diag, 1), (antidiag, 2)])
     B = make_presentation(_entry_names(4), (), 1, [])
     return GroupModel(
         name="psl2-conj",
@@ -787,7 +797,8 @@ def psl2_conj() -> GroupModel:
         dimension=4,
         expected={"rank": 1, "weyl_order": 2, "points": 7},
         spectrum_override=points,
-        rank_override=tuple(sorted(rank_points, key=lambda r: r.point.sort_key)),
+        rank_override=tuple(RankSpacePoint(p, _lattice_field(epsilon, ("L",)), 1)
+                            for p, epsilon in rank_points),
     )
 
 
@@ -816,11 +827,8 @@ def psl2_adjoint() -> GroupModel:
     cells of the image matrices; primed points require characteristic 2.
     """
     points = {name: _pp(3, pos) for name, (pos, _) in ADJOINT_POINT_TABLE.items()}
-    ordered = tuple(sorted(points.values(), key=lambda p: p.sort_key))
-    rank_points = (
-        RankSpacePoint(points["p^e"], _lattice_field(1, ("L",)), 1),
-        RankSpacePoint(points["p^s"], _lattice_field(2, ("L",)), 1),
-    )
+    ordered = tuple(sorted(points.values()))
+    rank_points = sorted([(points["p^e"], 1), (points["p^s"], 2)])
     B = make_presentation(_entry_names(3), (), 1, [])
     return GroupModel(
         name="psl2-adj",
@@ -830,7 +838,8 @@ def psl2_adjoint() -> GroupModel:
         dimension=3,
         expected={"rank": 1, "weyl_order": 2, "points": 13},
         spectrum_override=ordered,
-        rank_override=tuple(sorted(rank_points, key=lambda r: r.point.sort_key)),
+        rank_override=tuple(RankSpacePoint(p, _lattice_field(epsilon, ("L",)), 1)
+                            for p, epsilon in rank_points),
     )
 
 
@@ -913,7 +922,11 @@ def from_selector(selector: str, files: Optional[dict] = None) -> GroupModel:
     if head == "semidirect" and len(parts) == 2:
         data = _load_table_file(parts[1], files)
         table = _table_from_json(data)
-        return semidirect(int(_required(data, "rank")), table, _required(data, "exps"))
+        try:
+            rank = int(_required(data, "rank"))
+        except _SHAPE_ERRORS as err:
+            raise CatalogError(f"malformed rank: {err}") from None
+        return semidirect(rank, table, _required(data, "exps"))
     raise CatalogError(f"unknown model selector: {selector}")
 
 
@@ -940,7 +953,10 @@ def _required(data: dict, key: str):
 
 
 def _table_from_json(data: dict) -> GroupTable:
-    elements = tuple(_required(data, "elements"))
-    table = tuple(tuple(int(v) for v in row) for row in _required(data, "table"))
-    identity = int(data.get("identity", 0))
+    try:
+        elements = tuple(_required(data, "elements"))
+        table = tuple(tuple(int(v) for v in row) for row in _required(data, "table"))
+        identity = int(data.get("identity", 0))
+    except _SHAPE_ERRORS as err:
+        raise CatalogError(f"malformed group table: {err}") from None
     return GroupTable(elements, table, identity)

@@ -95,7 +95,7 @@ def _dispatch(args, out) -> int:
         if len(P.points) <= 2000:
             payload = spectrum_to_json(P)
         else:  # the Hasse scan is quadratic; emit the raw point list instead
-            payload = {"points": [sorted(p.vars) for p in P.points]}
+            payload = {"points": [list(p.gens) for p in P.points]}
         payload["model"] = model.name
         payload["count"] = len(P.points)
         payload["labels"] = [p.label(model.presentation) for p in P.points]

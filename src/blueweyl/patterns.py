@@ -631,7 +631,7 @@ class SpectrumComparison:
 def compare_with_spectrum(model: GroupModel, report: PatternReport) -> SpectrumComparison:
     """Set comparison of certified patterns against the model's point set."""
     n = model.dimension
-    spectrum = {frozenset((g // n + 1, g % n + 1) for g in p.vars)
+    spectrum = {frozenset((g // n + 1, g % n + 1) for g in p.gens)
                 for p in model.spectrum()}
     found = report.pattern_set()
     missing = tuple(sorted(map(sorted, spectrum - found)))

@@ -7,6 +7,11 @@ prime is that no saturated relation has exactly one term outside the
 candidate ideal.  Enumeration is a branch-and-bound search over subsets
 against the whole saturated list.
 
+A point is a :class:`PrimePoint`, the tuple ``(size, gens)`` of its number
+of generators and their increasing tuple.  Its own order, by size and then
+lexicographically by index, is the spectrum order: every list of points
+this module returns is sorted by it, and nothing sorts points by a key.
+
 The search and every other test of the criterion read the term-bit layout
 of :func:`blueprint._term_bits`: one integer holds, per relation, a bit for
 each term outside the candidate, and a few big-int operations flag every
@@ -26,7 +31,8 @@ symmetries the group is trivial and the search is the plain one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .blueprint import (
@@ -59,28 +65,28 @@ class GeneratorCapExceeded(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True, order=True)
-class PrimePoint:
-    """A prime ideal p_I, identified by its generating subset of generators."""
+class PrimePoint(namedtuple("PrimePoint", "size gens")):
+    """A prime ideal p_I as the increasing tuple ``gens`` of its generators.
+    Points compare, hash and sort as ``(size, gens)``: by size, then
+    lexicographically by index, which is the spectrum order."""
 
-    vars: frozenset[int] = field(compare=False)
-    sort_key: tuple = field(default=(), compare=True)
+    __slots__ = ()
 
-    def __init__(self, vars: Iterable[int]):
-        vs = frozenset(vars)
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "sort_key", (len(vs), tuple(sorted(vs))))
+    def __new__(cls, vars: Iterable[int] = ()):
+        gens = tuple(sorted(set(vars)))
+        return super().__new__(cls, len(gens), gens)
 
-    def __hash__(self):
-        return hash(self.vars)
+    def __getnewargs__(self):
+        return (self.gens,)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimePoint) and self.vars == other.vars
+    @property
+    def vars(self) -> frozenset[int]:
+        return frozenset(self.gens)
 
     def label(self, B: BlueprintPresentation) -> str:
-        if not self.vars:
+        if not self.gens:
             return "(0)"
-        return "(" + ",".join(B.name_of(i) for i in sorted(self.vars)) + ")"
+        return "(" + ",".join(B.name_of(i) for i in self.gens) + ")"
 
 
 def _criterion_holds(layout: _TermBits, cand: int) -> bool:
@@ -312,7 +318,7 @@ def enumerate_primes(B: BlueprintPresentation,
         found = [m for leader in found for m in _orbit(leader, tables)]
     points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in found]
     del found
-    points.sort(key=lambda p: p.sort_key)
+    points.sort()
     return points
 
 
@@ -335,7 +341,7 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
                 cand |= 1 << free[i]
         if _criterion_holds(layout, cand):
             points.append(PrimePoint(g for g in free if (cand >> g) & 1))
-    points.sort(key=lambda p: p.sort_key)
+    points.sort()
     return points
 
 
@@ -369,14 +375,23 @@ class SpectrumPoset:
         return self.points[i].vars <= self.points[j].vars
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        n = len(self.points)
+        """The covers (i, j), points[i] < points[j] with nothing between.
+
+        One pass per point: the larger points containing it, by size, are
+        kept unless they contain a cover already kept.  A larger point with
+        something between lies above a minimal such point, which is a cover
+        and comes first.
+        """
+        masks = [_mask(p.gens) for p in self.points]
+        by_size = sorted(range(len(masks)), key=lambda i: self.points[i].size)
         edges = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq(i, j):
-                    if not any(k != i and k != j and self.leq(i, k) and self.leq(k, j)
-                               for k in range(n)):
-                        edges.append((i, j))
+        for a, i in enumerate(by_size):
+            m = masks[i]
+            covers: list[int] = []
+            for j in by_size[a + 1:]:
+                if masks[j] & m == m and not any(c & ~masks[j] == 0 for c in covers):
+                    covers.append(masks[j])
+                    edges.append((i, j))
         return sorted(edges)
 
     def components(self) -> list[frozenset[int]]:
@@ -390,11 +405,12 @@ class SpectrumPoset:
             return x
 
         # a global minimum makes the space connected without a pairwise scan
-        if any(not p.vars for p in self.points) and n:
+        if any(not p.size for p in self.points):
             return [frozenset(range(n))]
+        masks = [_mask(p.gens) for p in self.points]
         for i in range(n):
             for j in range(i + 1, n):
-                if self.leq(i, j) or self.leq(j, i):
+                if masks[i] & masks[j] in (masks[i], masks[j]):
                     ri, rj = find(i), find(j)
                     if ri != rj:
                         parent[ri] = rj
@@ -405,8 +421,7 @@ class SpectrumPoset:
 
 
 def poset(points: Iterable[PrimePoint]) -> SpectrumPoset:
-    pts = sorted(set(points), key=lambda p: p.sort_key)
-    return SpectrumPoset(tuple(pts))
+    return SpectrumPoset(tuple(sorted(set(points))))
 
 
 def sobriety_check(P: SpectrumPoset) -> bool:
@@ -454,7 +469,7 @@ def export_dot(P: SpectrumPoset, B: Optional[BlueprintPresentation] = None,
     lines = [f"digraph \"{name}\" {{", "  rankdir=BT;"]
     for i, p in enumerate(P.points):
         label = p.label(B) if B is not None else \
-            ("(0)" if not p.vars else "(" + ",".join(map(str, sorted(p.vars))) + ")")
+            ("(0)" if not p.gens else "(" + ",".join(map(str, p.gens)) + ")")
         lines.append(f"  p{i} [label=\"{label}\"];")
     for i, j in P.hasse_edges():
         lines.append(f"  p{i} -> p{j};")
@@ -464,7 +479,7 @@ def export_dot(P: SpectrumPoset, B: Optional[BlueprintPresentation] = None,
 
 def spectrum_to_json(P: SpectrumPoset) -> dict:
     return {
-        "points": [sorted(p.vars) for p in P.points],
+        "points": [list(p.gens) for p in P.points],
         "hasse": [list(e) for e in P.hasse_edges()],
     }
 
@@ -477,7 +492,7 @@ def spectrum_to_json(P: SpectrumPoset) -> dict:
 def closed_subscheme(B: BlueprintPresentation, p: PrimePoint,
                      cap: int = DEFAULT_GENERATOR_CAP) -> BlueprintPresentation:
     """The reduced closed subscheme supported on the closure of p."""
-    quotient = quotient_by_vars(B, p.vars)
+    quotient = quotient_by_vars(B, p.gens)
     primes = [q.vars for q in enumerate_primes(quotient, cap=cap)]
     return reduce_presentation(quotient, primes)
 
@@ -497,8 +512,8 @@ def residue_field(B: BlueprintPresentation, p: PrimePoint):
 
 def residue_presentation(B: BlueprintPresentation, p: PrimePoint) -> BlueprintPresentation:
     """The residue field as a raw presentation (all survivors inverted)."""
-    complement = [g for g in range(B.width) if g not in p.vars]
-    return quotient_by_vars(localize(B, complement), p.vars)
+    complement = [g for g in range(B.width) if g not in p.gens]
+    return quotient_by_vars(localize(B, complement), p.gens)
 
 
 # ---------------------------------------------------------------------------

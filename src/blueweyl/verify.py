@@ -253,7 +253,7 @@ SL2_EXPECTED_HASSE = {((), ("T1",)), ((), ("T2",)), ((), ("T3",)), ((), ("T4",))
 
 
 def _named(B, p: PrimePoint) -> tuple:
-    return tuple(B.name_of(g) for g in sorted(p.vars))
+    return tuple(B.name_of(g) for g in p.gens)
 
 
 def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
@@ -384,7 +384,7 @@ def _same_poset_shape(P, Q) -> bool:
         for i in range(n):
             ups = sum(1 for j in range(n) if i != j and R.leq(i, j))
             downs = sum(1 for j in range(n) if i != j and R.leq(j, i))
-            sig.append((len(R.points[i].vars) and 1, ups, downs))
+            sig.append((R.points[i].size and 1, ups, downs))
         return sorted((u, d) for _, u, d in sig)
 
     return signature(P) == signature(Q)
@@ -420,7 +420,7 @@ def _blue_field_catalog() -> list[tuple[str, BlueprintPresentation]]:
     f3 = f1.with_relations([relation([f1.one()] * 3, [])])
     b1 = f1.with_relations([relation([f1.one()] * 2, [f1.one()])])
     sl2 = catalog.sl(2)
-    pts = {tuple(sorted(p.vars)): p for p in sl2.spectrum()}
+    pts = {p.gens: p for p in sl2.spectrum()}
     k_even = residue_presentation(sl2.presentation, pts[(1, 2)])
     k_odd = residue_presentation(sl2.presentation, pts[(0, 3)])
     return [("F1", f1), ("F1^2", f12), ("F1[T^+-1]", gm), ("F2", f2),
@@ -446,8 +446,8 @@ def properties_checks(seed: int = 20259, samples: int = 200,
         fast = enumerate_primes(model.presentation, cap=cap)
         slow = brute_force_primes(model.presentation)
         checks.append(_check(f"enumeration oracle {model.name}",
-                             [tuple(sorted(p.vars)) for p in slow],
-                             [tuple(sorted(p.vars)) for p in fast]))
+                             [p.gens for p in slow],
+                             [p.gens for p in fast]))
 
     # sobriety of every catalog spectrum
     for model in base_models + big_models:

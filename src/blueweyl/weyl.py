@@ -94,7 +94,7 @@ class PseudoHopfReport:
 
 
 def _classify_point(B: BlueprintPresentation, p: PrimePoint) -> PseudoHopfReport:
-    subscheme = quotient_by_vars(B, p.vars)
+    subscheme = quotient_by_vars(B, p.gens)
     analysis = analyze_normal_form(subscheme)
     kappa = residue_presentation(B, p)
     chars = potential_characteristics(kappa)
@@ -259,7 +259,7 @@ def pseudo_hopf_points(B: BlueprintPresentation,
     pending: dict = {}
     reports = []
     for p in points:
-        pmask = _mask(p.vars)
+        pmask = _mask(p.gens)
         estimate = pending.pop(pmask, _UNSCANNED)
         if estimate is _UNSCANNED:
             estimate = _fast_scan(B, forms, layout, pmask, outcomes, ranks)
@@ -293,7 +293,7 @@ class RankSpacePoint:
         return self.field.epsilon
 
     def to_json(self) -> dict:
-        return {"pattern": sorted(self.point.vars),
+        return {"pattern": list(self.point.gens),
                 "epsilon": self.epsilon,
                 "lattice": [list(r) for r in self.field.lattice],
                 "row_signs": list(self.field.row_signs)}
@@ -320,22 +320,20 @@ def rank_space(B: BlueprintPresentation,
     for r in reports:
         by_comp.setdefault(comp_of[r.point], []).append(r)
 
-    out: list[RankSpacePoint] = []
+    minimal: dict[int, int] = {}
     for ci in sorted(by_comp):
         rs = by_comp[ci]
         certified = [r for r in rs if r.status == "certified"]
         if not certified:
             offenders = [r for r in rs if r.status == "unknown"]
             raise RankSpaceUndecidable(B, offenders or rs)
-        minimal = min(r.rank for r in certified)
-        offenders = [r for r in rs if r.status == "unknown" and r.rank <= minimal]
+        minimal[ci] = min(r.rank for r in certified)
+        offenders = [r for r in rs if r.status == "unknown" and r.rank <= minimal[ci]]
         if offenders:
             raise RankSpaceUndecidable(B, offenders)
-        for r in certified:
-            if r.rank == minimal:
-                out.append(RankSpacePoint(r.point, r.field, r.rank))
-    out.sort(key=lambda r: r.point.sort_key)
-    return out
+    # the reports follow the sorted points, so the rank points come sorted
+    return [RankSpacePoint(r.point, r.field, r.rank) for r in reports
+            if r.status == "certified" and r.rank == minimal[comp_of[r.point]]]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -158,6 +159,13 @@ def test_budget_flag_is_gone():
     ("const", None),  # no such file
     ("semidirect", {"elements": ["e"], "table": [[0]], "exps": {"e": [[1]]}}),  # no "rank"
     ("const", ["e"]),  # not a JSON object
+    ("const", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "identity": 7}),
+    ("const", {"elements": ["e", "a"], "table": [[0, 1], [1, 5]]}),  # entry out of range
+    ("const", {"elements": 5, "table": [[0]]}),
+    ("const", {"elements": ["e"], "table": 3}),
+    ("const", {"elements": ["e", 5], "table": [[0, 1], [1, 0]]}),  # non-string name
+    ("semidirect", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "rank": 1,
+                    "exps": {"e": [1], "a": [[-1]]}}),  # matrix row not a list
 ])
 def test_bad_model_file_is_a_catalog_error(tmp_path, verb, content):
     path = tmp_path / "model.json"
@@ -166,6 +174,33 @@ def test_bad_model_file_is_a_catalog_error(tmp_path, verb, content):
     code, data = invoke_json(["spec", f"{verb}:{path}"])
     assert code == EXIT_COMPUTATION
     assert data["error"] == "CatalogError"
+
+
+# per key of a model file, values that make any file holding them malformed
+BAD_MODEL_VALUES = {
+    "elements": [5, None, 1.5, ["e", 5], [["e"]], [None]],
+    "table": [3, None, "x", [0, 1], [[0, 1], [1, -1]], [[0, "x"], [1, 0]], [[None]]],
+    "identity": [-1, None, [0], "x", {"e": 0}],
+    "rank": [None, [1], "x", -1, {"r": 1}],
+    "exps": [1, None, "x", [[1]], {"e": [1], "a": [1]}, {"e": [["x"]], "a": [["x"]]}],
+}
+
+
+def test_fuzzed_model_files_end_in_a_catalog_error(tmp_path):
+    rng = random.Random(20240)
+    path = tmp_path / "model.json"
+    for _ in range(200):
+        verb = rng.choice(["const", "semidirect"])
+        data = {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "identity": 0,
+                "rank": 1, "exps": {"e": [[1]], "a": [[-1]]}}
+        keys = ["elements", "table", "identity"] + (["rank", "exps"] if verb == "semidirect" else [])
+        spoiled = rng.sample(keys, rng.randint(1, len(keys)))
+        for key in spoiled:
+            data[key] = rng.choice(BAD_MODEL_VALUES[key])
+        path.write_text(json.dumps(data))
+        code, out = invoke(["spec", f"{verb}:{path}"])
+        assert code == EXIT_COMPUTATION, (verb, data)
+        assert json.loads(out)["error"] == "CatalogError", (verb, data)
 
 
 def test_cap_flag_reported():

@@ -395,6 +395,55 @@ def test_single_point_poset():
     assert P.components() == [frozenset({0})]
 
 
+def test_point_order_is_size_then_indices():
+    rng = random.Random(91)
+    subsets = [rng.sample(range(12), rng.randint(0, 12)) for _ in range(400)]
+    points = [PrimePoint(s) for s in subsets]
+    expected = sorted({(len(s), tuple(sorted(s))) for s in subsets})
+    assert [(p.size, p.gens) for p in sorted(set(points))] == expected
+
+
+def test_point_identity_follows_the_generator_set():
+    rng = random.Random(92)
+    for _ in range(200):
+        gens = rng.sample(range(20), rng.randint(0, 8))
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        given = [PrimePoint(gens), PrimePoint(set(gens)), PrimePoint(iter(shuffled)),
+                 PrimePoint(shuffled + gens)]
+        assert len(set(given)) == 1
+        assert all(p == given[0] and hash(p) == hash(given[0]) for p in given)
+        assert given[0].gens == tuple(sorted(gens)) and given[0].vars == frozenset(gens)
+        if gens:
+            assert PrimePoint(gens[1:]) != given[0]
+
+
+@pytest.mark.parametrize("selector", ["sl:2", "sl:3", "sl:4", "sp:4", "so:3", "so:4",
+                                      "so:5", "o:4", "gl:3"])
+def test_enumerate_primes_is_strictly_increasing(selector):
+    points = enumerate_primes(catalog.from_selector(selector).presentation)
+    assert points and all(a < b for a, b in zip(points, points[1:]))
+
+
+def _hasse_by_triple_loop(points):
+    n = len(points)
+    below = [[points[i].vars < points[j].vars for j in range(n)] for i in range(n)]
+    return sorted((i, j) for i in range(n) for j in range(n)
+                  if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n)))
+
+
+def test_hasse_edges_match_the_triple_loop_on_shuffled_families():
+    rng = random.Random(93)
+    for _ in range(60):
+        width = rng.randint(1, 7)
+        family = {frozenset(g for g in range(width) if rng.random() < rng.random())
+                  for _ in range(rng.randint(1, 40))}
+        points = [PrimePoint(s) for s in family]
+        rng.shuffle(points)
+        P = SpectrumPoset(tuple(points))
+        assert P.hasse_edges() == _hasse_by_triple_loop(points)
+
+
 def test_projective_line_chain_shape():
     P = projective_space_poset(1)
     assert len(P.points) == 3
