@@ -474,8 +474,8 @@ def so(n: int) -> GroupModel:
 
 def torus(r: int) -> GroupModel:
     """The split torus of rank r: r inverted generators, diagonal comult."""
-    if r < 0:
-        raise CatalogError("torus rank must be non-negative")
+    if not 0 <= r <= DEFAULT_GENERATOR_CAP:
+        raise CatalogError(f"torus({r}): supported range is 0..{DEFAULT_GENERATOR_CAP}")
     B = mk_free(r, inverted=range(r))
     images = [[(B.gen(i), B.gen(i))] for i in range(r)]
     return GroupModel(
@@ -498,6 +498,11 @@ class GroupTable:
 
     def __post_init__(self):
         n = len(self.elements)
+        # a model of a larger group has too many generators to enumerate by
+        # default; checked first, since the associativity check is cubic in n
+        if not 1 <= n <= DEFAULT_GENERATOR_CAP:
+            raise CatalogError(f"group table of {n} elements: supported range "
+                               f"is 1..{DEFAULT_GENERATOR_CAP}")
         if not all(isinstance(name, str) for name in self.elements):
             raise CatalogError("element names must be strings")
         if len(self.table) != n or any(len(r) != n for r in self.table):
@@ -571,6 +576,9 @@ def semidirect(r: int, table: GroupTable,
     A(g) differs from the identity for every g != identity.
     """
     k = len(table.elements)
+    if not 0 <= r <= DEFAULT_GENERATOR_CAP - k:
+        raise CatalogError(f"semidirect rank {r} with {k} elements: supported "
+                           f"range is 0..{DEFAULT_GENERATOR_CAP - k}")
     mats = {}
     for name in table.elements:
         try:
@@ -892,18 +900,29 @@ def from_selector(selector: str, files: Optional[dict] = None) -> GroupModel:
     """Resolve a model selector such as sl:3, torus:2, or psl2-adj."""
     parts = selector.split(":")
     head = parts[0]
+
+    def number(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise CatalogError(f"model selector {selector!r}: {text!r} is not an integer") \
+                from None
+
+    def flag() -> list[int]:
+        return [number(s) for s in parts[2].split(",")]
+
     if head == "sl" and len(parts) == 2:
-        return sl(int(parts[1]))
+        return sl(number(parts[1]))
     if head == "gl" and len(parts) == 2:
-        return gl(int(parts[1]))
+        return gl(number(parts[1]))
     if head == "sp" and len(parts) == 2:
-        return sp(int(parts[1]))
+        return sp(number(parts[1]))
     if head == "so" and len(parts) == 2:
-        return so(int(parts[1]))
+        return so(number(parts[1]))
     if head == "o" and len(parts) == 2:
-        return o(int(parts[1]))
+        return o(number(parts[1]))
     if head == "torus" and len(parts) == 2:
-        return torus(int(parts[1]))
+        return torus(number(parts[1]))
     if head == "nstorus" and len(parts) == 1:
         return nonstandard_torus()
     if head == "psl2-conj" and len(parts) == 1:
@@ -911,11 +930,11 @@ def from_selector(selector: str, files: Optional[dict] = None) -> GroupModel:
     if head == "psl2-adj" and len(parts) == 1:
         return psl2_adjoint()
     if head == "parabolic" and len(parts) == 3:
-        return standard_parabolic(int(parts[1]), [int(s) for s in parts[2].split(",")])
+        return standard_parabolic(number(parts[1]), flag())
     if head == "unipotent" and len(parts) == 3:
-        return unipotent_radical(int(parts[1]), [int(s) for s in parts[2].split(",")])
+        return unipotent_radical(number(parts[1]), flag())
     if head == "levi" and len(parts) == 3:
-        return levi(int(parts[1]), [int(s) for s in parts[2].split(",")])
+        return levi(number(parts[1]), flag())
     if head == "const" and len(parts) == 2:
         data = _load_table_file(parts[1], files)
         return constant_group(_table_from_json(data))
@@ -941,6 +960,8 @@ def _load_table_file(path: str, files: Optional[dict]) -> dict:
                 data = json.load(handle)
         except OSError as err:
             raise CatalogError(f"cannot read model file {path}: {err.strerror}") from None
+        except (ValueError, RecursionError) as err:  # not UTF-8, or not JSON
+            raise CatalogError(f"model file {path} is not UTF-8 JSON: {err}") from None
     if not isinstance(data, dict):
         raise CatalogError(f"model file {path} does not hold a JSON object")
     return data

@@ -32,9 +32,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int, default=DEFAULT_GENERATOR_CAP,
                         help="generator cap for prime enumeration (default %(default)s)")
     parser.add_argument("--seed", type=int, default=20259,
-                        help="sampling seed for the pattern oracle")
+                        help="sampling seed of oracle, verify oracle and the semiring "
+                             "closure checks of verify properties (default %(default)s)")
     parser.add_argument("--samples", type=int, default=2000,
-                        help="samples per field and locus for the oracle")
+                        help="samples per field and locus for oracle and verify oracle; "
+                             "verify properties draws min(SAMPLES, 200) point pairs per "
+                             "closure check (default %(default)s)")
     parser.add_argument("--json-pretty", action="store_true",
                         help="indent JSON output")
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -13,7 +13,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .catalog import GroupModel
 
@@ -28,7 +28,7 @@ class FamilySyntaxError(Exception):
 # Expressions
 # ---------------------------------------------------------------------------
 
-# expression nodes: ("num", Fraction) | ("var", name) | ("add"|"sub"|"mul"|"div", l, r)
+# expression nodes: ("num", int) | ("var", name) | ("add"|"sub"|"mul"|"div", l, r)
 # | ("neg", x) | ("pow", base, int)
 
 
@@ -115,7 +115,7 @@ def _parse_atom(tok: _Tokenizer):
         tok.take()
         return node
     if c.isdigit():
-        return ("num", Fraction(tok.take_int()))
+        return ("num", tok.take_int())
     if c.isalpha() or c == "_":
         return ("var", tok.take_name())
     raise FamilySyntaxError(f"unexpected character {c!r}", tok.pos)
@@ -157,15 +157,20 @@ class EvaluationError(Exception):
     pass
 
 
-# multiplication of the nonzero elements of the four-element field is cyclic;
-# elements are 0, 1, w, w+1 encoded as 0..3 with xor addition
-_GF4_LOG = {1: 0, 2: 1, 3: 2}
-_GF4_EXP = {0: 1, 1: 2, 2: 3}
+# product and inverse tables of F4 = F2[w]/(w^2 + w + 1), encoded as below
+_F4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+_F4_INV = (None, 1, 3, 2)
 
 
 @dataclass(frozen=True)
 class SampleField:
-    """The rationals, a prime field F_p, or the four-element field F4."""
+    """The rationals, a prime field F_p, or the four-element field F4.
+
+    An element of Q is a ``Fraction``, an element of F_p an int in
+    ``range(p)``, and the element ``a + b*w`` of F4 the int ``a + 2*b`` (so
+    2 is w and 3 is w + 1; addition is xor).  In every field zero is the
+    one falsy element, so ``not a`` tests for zero.
+    """
 
     characteristic: int
     size: int = 0  # 0 for the rationals, else the field size
@@ -178,56 +183,36 @@ class SampleField:
     def tag(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.size}"
 
-    @property
-    def _is_gf4(self) -> bool:
-        return self.size == 4
-
     def sample(self, rng: random.Random):
         if self.characteristic == 0:
             return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         return rng.randrange(self.size)
 
     def from_int(self, n: int):
-        if self.characteristic == 0:
-            return Fraction(n)
-        if self._is_gf4:
-            return n % 2
-        return n % self.characteristic
+        return n % self.characteristic if self.characteristic else Fraction(n)
 
     def add(self, a, b):
-        if self._is_gf4:
-            return a ^ b
-        if self.characteristic == 0:
+        if not self.characteristic:
             return a + b
-        return (a + b) % self.characteristic
+        return a ^ b if self.size == 4 else (a + b) % self.characteristic
 
     def sub(self, a, b):
-        if self._is_gf4:
-            return a ^ b
-        if self.characteristic == 0:
+        if not self.characteristic:
             return a - b
-        return (a - b) % self.characteristic
+        return a ^ b if self.size == 4 else (a - b) % self.characteristic
 
     def mul(self, a, b):
-        if self._is_gf4:
-            if a == 0 or b == 0:
-                return 0
-            return _GF4_EXP[(_GF4_LOG[a] + _GF4_LOG[b]) % 3]
-        if self.characteristic == 0:
+        if not self.characteristic:
             return a * b
-        return (a * b) % self.characteristic
+        return _F4_MUL[a][b] if self.size == 4 else a * b % self.characteristic
 
     def div(self, a, b):
-        if self.is_zero(b):
+        if not b:
             raise EvaluationError("division by zero")
-        if self._is_gf4:
-            if a == 0:
-                return 0
-            return _GF4_EXP[(_GF4_LOG[a] - _GF4_LOG[b]) % 3]
-        if self.characteristic == 0:
+        p = self.characteristic
+        if not p:
             return Fraction(a) / Fraction(b)
-        return (a * pow(b, self.characteristic - 2, self.characteristic)) \
-            % self.characteristic
+        return _F4_MUL[a][_F4_INV[b]] if self.size == 4 else a * pow(b, p - 2, p) % p
 
     def power(self, a, n: int):
         if n >= 0:
@@ -236,9 +221,6 @@ class SampleField:
                 result = self.mul(result, a)
             return result
         return self.div(self.from_int(1), self.power(a, -n))
-
-    def is_zero(self, a) -> bool:
-        return a == self.from_int(0)
 
 
 def fields_for_characteristics(characteristics: Sequence[int]) -> list[SampleField]:
@@ -262,21 +244,18 @@ def fields_for_characteristics(characteristics: Sequence[int]) -> list[SampleFie
 
 def evaluate(expr, values: dict, F: SampleField):
     kind = expr[0]
-    if kind == "num":
-        if F.characteristic == 0:
-            return expr[1]
-        return F.div(F.from_int(expr[1].numerator), F.from_int(expr[1].denominator))
     if kind == "var":
         if expr[1] not in values:
             raise EvaluationError(f"unbound parameter {expr[1]}")
         return values[expr[1]]
+    if kind == "num":
+        return F.from_int(expr[1])
     if kind == "neg":
         return F.sub(F.from_int(0), evaluate(expr[1], values, F))
     if kind == "pow":
         return F.power(evaluate(expr[1], values, F), expr[2])
-    a = evaluate(expr[1], values, F)
-    b = evaluate(expr[2], values, F)
-    return {"add": F.add, "sub": F.sub, "mul": F.mul, "div": F.div}[kind](a, b)
+    # a binary node's kind names the field operation
+    return getattr(F, kind)(evaluate(expr[1], values, F), evaluate(expr[2], values, F))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +270,7 @@ class Constraint:
     source: str
 
     def satisfied(self, values: dict, F: SampleField) -> bool:
-        value = evaluate(self.expr, values, F)
-        return F.is_zero(value) if self.equality else not F.is_zero(value)
+        return (not evaluate(self.expr, values, F)) == self.equality
 
 
 @dataclass(frozen=True)
@@ -458,15 +436,16 @@ def _try_repair(values: dict, constraints: Sequence[Constraint],
         if not c.equality:
             continue
         try:
-            if F.is_zero(evaluate(c.expr, values, F)):
+            if not evaluate(c.expr, values, F):
                 continue
         except EvaluationError:
             return False
+        names = expression_vars(c.expr)
         order = list(params)
         rng.shuffle(order)
         repaired = False
         for v in order:
-            if v not in expression_vars(c.expr):
+            if v not in names:
                 continue
             probe = dict(values)
             try:
@@ -478,11 +457,11 @@ def _try_repair(values: dict, constraints: Sequence[Constraint],
                 if x2 is not None:
                     probe[v] = x2
                     e2 = evaluate(c.expr, probe, F)
-                    if not F.is_zero(F.sub(e2, F.add(F.mul(slope, x2), e0))):
+                    if F.sub(e2, F.add(F.mul(slope, x2), e0)):
                         continue  # not linear in v at this sample
             except EvaluationError:
                 continue
-            if F.is_zero(slope):
+            if not slope:
                 continue
             try:
                 values[v] = F.div(F.sub(x0, e0), slope)
@@ -503,10 +482,15 @@ def _cell_rng(seed: int, family: str, tag: str, locus: str) -> random.Random:
     return random.Random(digest)
 
 
+def zero_pattern(family: ParamFamily, values: dict, F: SampleField) -> frozenset:
+    """The 1-based (row, column) positions of the entries that vanish at values."""
+    return frozenset((i, j) for i, row in enumerate(family.matrix, 1)
+                     for j, entry in enumerate(row, 1) if not evaluate(entry, values, F))
+
+
 def realizable_patterns(family: ParamFamily,
                         characteristics: Sequence[int] = (0, 2, 3, 5),
                         samples: int = 2000,
-                        loci: Optional[dict] = None,
                         seed: int = 20259) -> PatternReport:
     """Sample the family and report the distinct zero patterns with witnesses.
 
@@ -521,11 +505,8 @@ def realizable_patterns(family: ParamFamily,
         raise ValueError("at least one sample required")
     all_loci: dict[str, tuple[Constraint, ...]] = {"generic": ()}
     all_loci.update(family.loci)
-    if loci:
-        all_loci.update(loci)
     patterns: dict = {}
     warnings = []
-    nrows, ncols = family.shape
     for F in fields_for_characteristics(characteristics):
         for locus_name in sorted(all_loci):
             rng = _cell_rng(seed, family.name, F.tag, locus_name)
@@ -542,15 +523,10 @@ def realizable_patterns(family: ParamFamily,
                 try:
                     if not all(c.satisfied(values, F) for c in constraints):
                         continue
-                    zeros = []
-                    for i in range(nrows):
-                        for j in range(ncols):
-                            if F.is_zero(evaluate(family.matrix[i][j], values, F)):
-                                zeros.append((i + 1, j + 1))
+                    pattern = zero_pattern(family, values, F)
                 except EvaluationError:
                     continue
                 hits += 1
-                pattern = frozenset(zeros)
                 info = patterns.setdefault(pattern, {"fields": set(), "witnesses": []})
                 if F.tag not in info["fields"]:
                     info["fields"].add(F.tag)
@@ -588,13 +564,7 @@ def reevaluate_witness(family: ParamFamily, pattern: frozenset,
     values = {}
     for k, v in witness.values:
         values[k] = Fraction(v) if F.characteristic == 0 else int(v)
-    nrows, ncols = family.shape
-    zeros = set()
-    for i in range(nrows):
-        for j in range(ncols):
-            if F.is_zero(evaluate(family.matrix[i][j], values, F)):
-                zeros.add((i + 1, j + 1))
-    return zeros == set(pattern)
+    return zero_pattern(family, values, F) == set(pattern)
 
 
 def merge_reports(*reports: PatternReport) -> PatternReport:

@@ -15,7 +15,7 @@ from blueweyl.blueprint import (
     saturate_relations,
     simplify_presentation,
 )
-from blueweyl.spectrum import _enumerate_masks, _symmetry_group
+from blueweyl.spectrum import DEFAULT_GENERATOR_CAP, _enumerate_masks, _symmetry_group
 from blueweyl.catalog import CatalogError, GroupTable, from_selector, perm_of_pattern
 
 
@@ -266,6 +266,22 @@ def test_semidirect_rejects_bad_matrices():
 def test_group_table_validation():
     with pytest.raises(CatalogError):
         GroupTable(("a", "b"), ((0, 1), (1, 1)), 0)
+
+
+def test_model_sizes_are_bounded_by_the_generator_cap():
+    # torus rank, table size, and rank plus table size for semidirect
+    # products are checked before anything is built
+    assert catalog.torus(DEFAULT_GENERATOR_CAP).presentation.width == DEFAULT_GENERATOR_CAP
+    assert len(GroupTable.cyclic(DEFAULT_GENERATOR_CAP).elements) == DEFAULT_GENERATOR_CAP
+    table = GroupTable.cyclic(DEFAULT_GENERATOR_CAP - 1)
+    exps = {name: [[1]] for name in table.elements}
+    assert catalog.semidirect(1, table, exps).presentation.width == DEFAULT_GENERATOR_CAP
+    with pytest.raises(CatalogError, match="supported range"):
+        catalog.torus(DEFAULT_GENERATOR_CAP + 1)
+    with pytest.raises(CatalogError, match="supported range"):
+        GroupTable.cyclic(DEFAULT_GENERATOR_CAP + 1)
+    with pytest.raises(CatalogError, match="supported range"):
+        catalog.semidirect(2, table, {name: [[1, 0], [0, 1]] for name in table.elements})
 
 
 def test_nonstandard_torus():

@@ -176,6 +176,56 @@ def test_bad_model_file_is_a_catalog_error(tmp_path, verb, content):
     assert data["error"] == "CatalogError"
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"elements": ["e"], "table": [[0]',  # truncated JSON
+    b"\xff{}",  # not UTF-8
+    b"[" * 100000,  # nested beyond the decoder's recursion limit
+], ids=["truncated", "not-utf8", "too-deep"])
+def test_unreadable_model_file_is_a_catalog_error(tmp_path, raw):
+    path = tmp_path / "model.json"
+    path.write_bytes(raw)
+    code, data = invoke_json(["spec", f"const:{path}"])
+    assert code == EXIT_COMPUTATION
+    assert data["error"] == "CatalogError"
+    assert str(path) in data["message"]
+
+
+@pytest.mark.parametrize("selector", ["sl:", "torus:1.5", "parabolic:3:1,x", "levi:x:1"])
+def test_malformed_selector_is_a_catalog_error(selector):
+    code, data = invoke_json(["spec", selector])
+    assert code == EXIT_COMPUTATION
+    assert data["error"] == "CatalogError"
+    assert repr(selector) in data["message"]
+
+
+def _cyclic_table(n, rank=None):
+    data = {"elements": [f"g{i}" for i in range(n)],
+            "table": [[(i + j) % n for j in range(n)] for i in range(n)]}
+    if rank is not None:
+        data["rank"] = rank
+        data["exps"] = {name: [[int(i == j) for j in range(rank)] for i in range(rank)]
+                        for name in data["elements"]}
+    return data
+
+
+@pytest.mark.parametrize("verb,content", [
+    ("torus:2000", None),
+    ("const", _cyclic_table(150)),
+    ("semidirect", _cyclic_table(150, rank=1)),
+    ("semidirect", _cyclic_table(25, rank=2)),  # rank plus elements over the cap
+])
+def test_oversized_model_is_refused_before_it_is_built(tmp_path, verb, content):
+    selector = verb
+    if content is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(content))
+        selector = f"{verb}:{path}"
+    code, data = invoke_json(["spec", selector])
+    assert code == EXIT_COMPUTATION
+    assert data["error"] == "CatalogError"
+    assert "supported range" in data["message"]
+
+
 # per key of a model file, values that make any file holding them malformed
 BAD_MODEL_VALUES = {
     "elements": [5, None, 1.5, ["e", 5], [["e"]], [None]],

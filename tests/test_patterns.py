@@ -1,11 +1,14 @@
 """Expression parsing and the zero-pattern sampling oracle."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from blueweyl import catalog
 from blueweyl.patterns import (
+    EvaluationError,
     FamilySyntaxError,
     SampleField,
     adjoint_families,
@@ -97,6 +100,51 @@ def test_gf4_arithmetic():
     assert F.div(1, 2) == 3
 
 
+def _f4_product(x, y):
+    # F4 = F2[w]/(w^2 + w + 1); the int a + 2*b stands for a + b*w
+    a0, a1, b0, b1 = x & 1, x >> 1, y & 1, y >> 1
+    # (a0 + a1 w)(b0 + b1 w) = a0 b0 + (a0 b1 + a1 b0) w + a1 b1 (w + 1)
+    return ((a0 * b0 + a1 * b1) % 2) + 2 * ((a0 * b1 + a1 * b0 + a1 * b1) % 2)
+
+
+# field tag -> (size, addition, negation, multiplication) on the field's ints
+_REFERENCE_FIELDS = {
+    "F2": (2, lambda x, y: (x + y) % 2, lambda x: x, lambda x, y: x * y % 2),
+    "F3": (3, lambda x, y: (x + y) % 3, lambda x: -x % 3, lambda x, y: x * y % 3),
+    "F5": (5, lambda x, y: (x + y) % 5, lambda x: -x % 5, lambda x, y: x * y % 5),
+    "F4": (4, lambda x, y: x ^ y, lambda x: x, _f4_product),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_REFERENCE_FIELDS))
+def test_finite_field_arithmetic_matches_reference_tables(tag):
+    size, plus, minus, times = _REFERENCE_FIELDS[tag]
+    F = next(F for F in fields_for_characteristics((2, 3, 5)) if F.tag == tag)
+    elements = range(size)
+    inverse = {x: next(y for y in elements if times(x, y) == 1) for x in elements if x}
+    for x in elements:
+        for y in elements:
+            assert F.add(x, y) == plus(x, y)
+            assert F.sub(x, y) == plus(x, minus(y))
+            assert F.mul(x, y) == times(x, y)
+            if y:
+                assert F.div(x, y) == times(x, inverse[y])
+            else:
+                with pytest.raises(EvaluationError):
+                    F.div(x, y)
+        for n in range(-3, 7):
+            if n < 0 and not x:
+                with pytest.raises(EvaluationError):
+                    F.power(x, n)
+                continue
+            expected = 1
+            for _ in range(abs(n)):
+                expected = times(expected, x if n >= 0 else inverse[x])
+            assert F.power(x, n) == expected
+    for n in range(-7, 8):
+        assert F.from_int(n) == n % (2 if size == 4 else size)
+
+
 def test_fields_for_characteristics():
     tags = [F.tag for F in fields_for_characteristics((0, 2, 3, 5))]
     assert tags == ["Q", "F2", "F4", "F3", "F5"]
@@ -181,3 +229,22 @@ def test_deterministic_reports():
     r1 = realizable_patterns(fam, samples=100, seed=42)
     r2 = realizable_patterns(fam, samples=100, seed=42)
     assert r1.to_json() == r2.to_json()
+
+
+# SHA-256 of the sorted-key JSON of each family's report at samples=300
+PINNED_REPORTS = {
+    ("psl2-conj", 20259): "a4c261af6c1b7367b31620a2f54c2fd4dcf2c9dab923eee35780df70431aa97c",
+    ("psl2-adj-B", 20259): "c05a7fbc102aa52e9b4484efa50f0a57a69b4cbdf026491e65fc040ad418f40e",
+    ("psl2-adj-BwB", 20259): "d3e21a2f7b8df9e1160f03cb72273f0d12bf3e2a5ac3e8fbe39335a2de6365be",
+    ("psl2-conj", 1): "7dbec79599793595dcae332324b2ce0b122e9f6fd5835bef81d189063b3baede",
+    ("psl2-adj-B", 1): "875f815acb5714e729592d6e82c9a2a0002a9d214753c0423c0f9ea0ca92a3f4",
+    ("psl2-adj-BwB", 1): "1979af090506d18bfa8149a78cf883aa4f7c8182dd9737d5705bcd1508821278",
+}
+
+
+@pytest.mark.parametrize("seed", [20259, 1])
+def test_reports_are_pinned(seed):
+    for fam in (conjugation_family(), *adjoint_families()):
+        report = realizable_patterns(fam, samples=300, seed=seed)
+        text = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[fam.name, seed]
