@@ -727,16 +727,17 @@ def is_zero_blueprint(B: BlueprintPresentation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def detect_units(B: BlueprintPresentation) -> frozenset[int]:
+def detect_units(B: BlueprintPresentation,
+                 saturated: Sequence[Relation]) -> frozenset[int]:
     """Generators that are forced invertible.
 
     Starts from the inverted generators and saturates: whenever a relation
     identifies a monomial with a unit monomial (directly, or as the additive
     inverse of one via m1 + m2 == 0), every generator in its support becomes
-    a unit.  Sound but conservative; transitivity consequences are exposed
-    through :func:`saturate_relations` first.
+    a unit.  Sound but conservative; ``saturated`` is ``saturate_relations(B)``
+    (which ignores ``inverted``), so transitivity consequences are exposed.
     """
-    pairs = [pair for rel in _relation_forms(saturate_relations(B))
+    pairs = [pair for rel in _relation_forms(saturated)
              if (pair := _pair_shape(rel.lhs, rel.rhs))]
     dead = _mask(B.killed())
     units = _unit_closure(pairs, _mask(B.inverted), dead) & ~dead
@@ -751,7 +752,7 @@ def unit_field(B: BlueprintPresentation) -> BlueprintPresentation:
     detection is conservative, so the result can be smaller than the true
     unit field; catalog inputs are covered exactly.
     """
-    units = detect_units(B)
+    units = detect_units(B, saturate_relations(B))
     dead, rels = _canonical_relations(B)
     index = {g: k for k, g in enumerate(sorted(units))}
     names = tuple(B.generator_names[g] for g in sorted(units))
@@ -805,7 +806,7 @@ def inverse_closure(B: BlueprintPresentation) -> ClosureResult:
     unsupported result carrying the original presentation, never a wrong
     answer.
     """
-    return _inverse_closure(B, detect_units(B))
+    return _inverse_closure(B, detect_units(B, saturate_relations(B)))
 
 
 def _inverse_closure(B: BlueprintPresentation, units: frozenset[int]) -> ClosureResult:
@@ -959,7 +960,8 @@ class NormalFormAnalysis:
     """Decomposition of a residue-style presentation into normal-form data.
 
     ``sum_defined`` maps a generator to the balance of 1's in its defining
-    sum-of-units relation (g == 1 + ... + 1 and variants with signs).
+    sum-of-units relation (g == 1 + ... + 1 and variants with signs), and
+    ``pairs`` holds the unit pairs of the relations between detected units.
     """
 
     ok: bool
@@ -967,6 +969,7 @@ class NormalFormAnalysis:
     units: frozenset[int]
     killed: frozenset[int]
     sum_defined: dict[int, int]
+    pairs: list
     diagnostics: tuple[str, ...] = ()
 
 
@@ -978,12 +981,13 @@ def analyze_normal_form(B: BlueprintPresentation) -> NormalFormAnalysis:
     kill, a lattice relation between unit monomials (including m1 + m2 == 0),
     or one of the defining sums.  Anything else is flagged raw.
     """
-    units = detect_units(B)
-    dead, rels = _canonical_relations(B)
-    if units & dead:
-        return NormalFormAnalysis(False, None, units, dead, {},
-                                  ("a generator is both unit and annihilated",))
+    return _analyze_normal_form(B, saturate_relations(B))
 
+
+def _analyze_normal_form(B: BlueprintPresentation,
+                         saturated: Sequence[Relation]) -> NormalFormAnalysis:
+    units = detect_units(B, saturated)
+    dead, rels = _canonical_relations(B)
     sum_defined: dict[int, int] = {}
     pairs = []
     problems: list[str] = []
@@ -1009,10 +1013,11 @@ def analyze_normal_form(B: BlueprintPresentation) -> NormalFormAnalysis:
                         f"nor a sum of units")
 
     if problems:
-        return NormalFormAnalysis(False, None, units, dead, sum_defined, tuple(problems))
+        return NormalFormAnalysis(False, None, units, dead, sum_defined, pairs,
+                                  tuple(problems))
 
     if any((t1.mask | t2.mask) & _mask(sum_defined) for t1, t2, _ in pairs):
-        return NormalFormAnalysis(False, None, units, dead, sum_defined,
+        return NormalFormAnalysis(False, None, units, dead, sum_defined, pairs,
                                   ("lattice relation touches a sum-defined generator",))
     cols = sorted(units - frozenset(sum_defined))
     rows, signs = _lattice_rows(pairs, cols)
@@ -1024,7 +1029,7 @@ def analyze_normal_form(B: BlueprintPresentation) -> NormalFormAnalysis:
         signs = [0] * len(signs)
     nf = NormalFormBlueField(epsilon, tuple(B.name_of(g) for g in cols),
                              tuple(rows), tuple(signs))
-    return NormalFormAnalysis(True, nf, units, dead, sum_defined)
+    return NormalFormAnalysis(True, nf, units, dead, sum_defined, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1121,25 +1126,25 @@ TORSION_BUDGET = 2_000
 MAX_TORSION = 6
 
 
-def potential_characteristics(F) -> CharacteristicClass:
-    """Classify the potential characteristics of a blue field or presentation.
+def potential_characteristics(B: BlueprintPresentation) -> CharacteristicClass:
+    """Classify the potential characteristics of a presentation.
 
-    Lattice blue fields are immediate: F1[Lambda] is of indefinite
-    characteristic and F1^2[Lambda] has every characteristic except 1.  For
-    presentations, a derivable relation 1 + ... + 1 == 0 (n times) pins the
-    class to the prime divisors of n; 1 + 1 == 1 pins it to the idempotent
-    characteristic 1; monoid presentations are indefinite; presentations in
-    lattice normal form with sum-of-unit definitions g == n_g exclude
-    exactly the primes dividing some n_g (plus 1 when -1 is present).
-    Everything else is reported unknown.
+    A derivable relation 1 + ... + 1 == 0 (n times) pins the class to the
+    prime divisors of n; 1 + 1 == 1 pins it to the idempotent
+    characteristic 1; monoid presentations are indefinite (F1^2 ones have
+    every characteristic except 1); presentations in lattice normal form
+    with sum-of-unit definitions g == n_g exclude exactly the primes
+    dividing some n_g (plus 1 when -1 is present).  Everything else is
+    reported unknown.  The relations are saturated once, and the list
+    serves both the torsion-probe gate and the normal-form analysis.
     """
-    if isinstance(F, NormalFormBlueField):
-        return INDEFINITE if F.epsilon == 1 else ALL_BUT_1
-    B: BlueprintPresentation = F
+    return _potential_characteristics(B, saturate_relations(B))
 
+
+def _potential_characteristics(B: BlueprintPresentation,
+                               saturated: Sequence[Relation]) -> CharacteristicClass:
     # torsion probes are pointless (and costly) unless some relation can
     # produce a constants-only sum
-    saturated = saturate_relations(B)
     probe_worthwhile = B.coeff_order == 2 or any(
         rel.all_terms() and all(t.is_constant() for t in rel.all_terms())
         for rel in saturated)
@@ -1159,7 +1164,7 @@ def potential_characteristics(F) -> CharacteristicClass:
            for r in rels):
         return INDEFINITE if B.coeff_order == 1 else ALL_BUT_1
 
-    analysis = analyze_normal_form(B)
+    analysis = _analyze_normal_form(B, saturated)
     if analysis.ok:
         excluded: set[int] = set()
         if analysis.field.epsilon == 2:

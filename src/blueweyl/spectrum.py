@@ -37,7 +37,6 @@ from typing import Iterable, Optional, Sequence
 
 from .blueprint import (
     BlueprintPresentation,
-    Relation,
     _mask,
     _outside_counts,
     _outside_terms,
@@ -101,9 +100,8 @@ def _criterion_holds(layout: _TermBits, cand: int) -> bool:
     return not some & ~several
 
 
-def is_prime(B: BlueprintPresentation, vars: Iterable[int],
-             relations: Optional[Sequence[Relation]] = None) -> bool:
-    """Prime criterion on the (by default saturated) relations.
+def is_prime(B: BlueprintPresentation, vars: Iterable[int]) -> bool:
+    """Prime criterion on the saturated relations.
 
     The candidate is prime iff it holds no inverted generator and every
     relation has 0 or >= 2 terms outside it.  A relation with exactly one
@@ -118,9 +116,8 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int],
         return False
     if not cand <= set(range(B.width)):
         raise ValueError("unknown generator index")
-    if relations is None:
-        relations = saturate_relations(B)
-    if not _criterion_holds(_term_bits(_relation_forms(relations), B.width), _mask(cand)):
+    layout = _term_bits(_relation_forms(saturate_relations(B)), B.width)
+    if not _criterion_holds(layout, _mask(cand)):
         return False
     return not is_zero_blueprint(B)
 

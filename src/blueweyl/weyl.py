@@ -18,19 +18,21 @@ from .blueprint import (
     CharacteristicClass,
     Monomial,
     NormalFormBlueField,
+    _analyze_normal_form,
     _defined_generator,
     _lattice_rows,
     _mask,
     _outside_terms,
     _pair_shape,
+    _potential_characteristics,
     _relation_forms,
     _RelationForm,
     _term_bits,
     _TermBits,
     _unit_closure,
-    analyze_normal_form,
-    potential_characteristics,
+    localize,
     quotient_by_vars,
+    saturate_relations,
     smith_normal_form,
     tensor,
 )
@@ -41,7 +43,6 @@ from .spectrum import (
     _byte_tables,
     _orbit,
     enumerate_primes,
-    residue_presentation,
 )
 
 
@@ -95,9 +96,13 @@ class PseudoHopfReport:
 
 def _classify_point(B: BlueprintPresentation, p: PrimePoint) -> PseudoHopfReport:
     subscheme = quotient_by_vars(B, p.gens)
-    analysis = analyze_normal_form(subscheme)
-    kappa = residue_presentation(B, p)
-    chars = potential_characteristics(kappa)
+    kappa = localize(subscheme, [g for g in range(B.width) if g not in p.gens])
+    # saturate_relations reads only the relations and the killed generators,
+    # never ``inverted``, so the quotient and its residue field share one list;
+    # unit detection, both normal-form analyses and the torsion-probe gate read it
+    saturated = saturate_relations(subscheme)
+    analysis = _analyze_normal_form(subscheme, saturated)
+    chars = _potential_characteristics(kappa, saturated)
 
     if chars.almost_indefinite() is False:
         return PseudoHopfReport(p, 0, "rejected", characteristics=chars,
@@ -108,17 +113,10 @@ def _classify_point(B: BlueprintPresentation, p: PrimePoint) -> PseudoHopfReport
                                 field=nf, characteristics=chars)
 
     # unknown: estimate the rank from what is detected
-    units = analysis.units
-    killed = analysis.killed
-    undetermined = [g for g in range(B.width)
-                    if g not in units and g not in killed
-                    and g not in analysis.sum_defined]
-    cols = sorted(units - frozenset(analysis.sum_defined))
-    unit_mask = _mask(units)
-    pairs = [pair for rel in _relation_forms(subscheme.relations)
-             if (pair := _pair_shape(rel.lhs, rel.rhs))
-             and not (pair[0].mask | pair[1].mask) & ~unit_mask]
-    estimate = _rank_estimate(pairs, cols) + len(undetermined)
+    defined = frozenset(analysis.sum_defined)
+    undetermined = B.width - len(analysis.units | analysis.killed | defined)
+    cols = sorted(analysis.units - defined)
+    estimate = _rank_estimate(analysis.pairs, cols) + undetermined
     diag = tuple(analysis.diagnostics) + (
         () if chars.almost_indefinite() else ("characteristic class unknown",))
     return PseudoHopfReport(p, estimate, "unknown",

@@ -23,11 +23,14 @@ from blueweyl import (
 )
 from blueweyl.blueprint import (
     Monomial,
+    _relation_forms,
+    _term_bits,
     one_monomial,
     saturate_relations,
     smith_normal_form_with_transforms,
 )
 from blueweyl.spectrum import (
+    _criterion_holds,
     brute_force_primes,
     enumerate_primes,
     is_prime,
@@ -143,13 +146,16 @@ def _random_presentation_with_kills(rng):
 
 
 def test_skipped_killed_relations_change_no_prime_verdict():
-    """Re-adding what saturation skips leaves every is_prime verdict alone.
+    """Re-adding what saturation skips leaves every prime verdict alone.
 
     The skipped relations are T_i == T_j for killed i, j, and their
     round-2 consequences T_i == S for every side S with S == 0 in the list
     (T_i == S for a side S not known to vanish is no consequence at all).
+    The criterion is compared on the two compiled lists; the rest of
+    is_prime (the inverted check and the zero test) never reads the list.
     ``skipped`` counts the re-added relations the list lacked, so the test
-    cannot pass with the skip never firing.
+    cannot pass with the skip never firing, and ``primes`` counts the
+    candidates is_prime accepts.
     """
     rng = random.Random(5)
     skipped = primes = 0
@@ -163,11 +169,12 @@ def test_skipped_killed_relations_change_no_prime_verdict():
         extra += [relation([B.gen(i)], s.terms) for i in dead for s in vanishing]
         extra = [rel for rel in extra if not rel.is_trivial()]
         skipped += sum(rel not in relations for rel in extra)
+        layout = _term_bits(_relation_forms(relations), B.width)
+        layout_extra = _term_bits(_relation_forms(relations + tuple(extra)), B.width)
         for bits in range(1 << B.width):
-            cand = [g for g in range(B.width) if bits >> g & 1]
-            verdict = is_prime(B, cand, relations=relations)
-            assert verdict == is_prime(B, cand, relations=relations + tuple(extra)), (B, cand)
-            primes += verdict
+            verdict = _criterion_holds(layout, bits)
+            assert verdict == _criterion_holds(layout_extra, bits), (B, bits)
+            primes += verdict and is_prime(B, [g for g in range(B.width) if bits >> g & 1])
     assert skipped >= 100 and primes >= 20
 
 

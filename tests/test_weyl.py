@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -20,10 +21,18 @@ from blueweyl import (
     relation,
     tensor,
 )
-from blueweyl.blueprint import NormalFormBlueField, _relation_forms, _term_bits
+from blueweyl.blueprint import (
+    NormalFormBlueField,
+    _relation_forms,
+    _term_bits,
+    localize,
+    quotient_by_vars,
+    saturate_relations,
+)
 from blueweyl import catalog
+from blueweyl.spectrum import residue_presentation
 from blueweyl.verify import count_homs_to_f1m, extended_weyl_sign_oracle
-from blueweyl.weyl import _fast_scan
+from blueweyl.weyl import _classify_point, _fast_scan
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +121,66 @@ def test_pseudo_hopf_counts_of_sl4():
     slow = [r for r in reports if r.diagnostics != ("mask-level scan only",)]
     assert len(slow) == 24
     assert all(r.status == "certified" for r in slow)
+
+
+def _random_slow_path_presentation(rng):
+    """Width <= 5, coefficient order 1 or 2, constant terms and empty sides."""
+    width = rng.randint(1, 5)
+    order = rng.choice((1, 2))
+    B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, min(2, width - 1))),
+                coeff_order=order)
+    pool = [B.one(s) for s in range(order)] + [B.gen(g) for g in range(width)]
+    pool += [B.monomial([rng.randint(0, 1) for _ in range(width)], rng.randint(0, 1))
+             for _ in range(2)]
+
+    def side():
+        return [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+
+    return B.with_relations(relation(side(), side()) for _ in range(rng.randint(1, 4)))
+
+
+def test_slow_path_reports_are_pinned():
+    """The full classification of every prime of 30 seeded random
+    presentations, characteristics and unit fields included, pinned from
+    the classifier that built the quotient twice and saturated it two or
+    three times; it gives 86 unknown, 16 rejected and 12 certified points."""
+    rng = random.Random(11)
+    rows = []
+    for _ in range(30):
+        B = _random_slow_path_presentation(rng)
+        for p in enumerate_primes(B):
+            r = _classify_point(B, p)
+            rows.append((p.gens, r.status, r.rank, r.epsilon, r.diagnostics,
+                         r.characteristics.label,
+                         None if r.field is None else r.field.to_json()))
+    assert {row[1] for row in rows} == {"certified", "unknown", "rejected"}
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == "03a6b45c04b8ff8e9287528102b1db91439bcd96c6cb697a118d2af6313a87a5"
+
+
+def test_residue_shares_the_quotient_and_its_saturation():
+    """The basis of the one-quotient, one-saturation slow path: the residue
+    field is the quotient with the surviving generators inverted, and the
+    saturated list does not depend on which generators are inverted."""
+    rng = random.Random(12)
+    cases = [(model.presentation, model.spectrum())
+             for model in (catalog.sl(2), catalog.sl(3), catalog.gl(2))]
+    cases += [(B, rng.sample(enumerate_primes(B), 20))
+              for B in (catalog.sp(4).presentation, catalog.so(4).presentation)]
+    cases += [(B, enumerate_primes(B))
+              for B in (_random_slow_path_presentation(rng) for _ in range(40))]
+    checked = 0
+    for B, points in cases:
+        inverted = frozenset(rng.sample(range(B.width), rng.randint(0, B.width)))
+        other = dataclasses.replace(B, inverted=inverted, symmetries=())
+        assert saturate_relations(other) == saturate_relations(B), B
+        for p in points:
+            Q = quotient_by_vars(B, p.gens)
+            kappa = localize(Q, [g for g in range(B.width) if g not in p.gens])
+            assert residue_presentation(B, p) == kappa, (B, p)
+            assert saturate_relations(kappa) == saturate_relations(Q), (B, p)
+            checked += 1
+    assert checked > 300
 
 
 def test_fast_scan_memo_matches_a_fresh_scan():
@@ -224,6 +293,23 @@ def test_rank_space_enumerates_the_spectrum_once(monkeypatch):
     monkeypatch.setattr(weyl, "enumerate_primes", counting)
     assert len(rank_space(catalog.sl(3).presentation)) == 6
     assert len(calls) == 1
+
+
+def test_rank_space_saturates_once_per_slow_path_point(monkeypatch):
+    """One saturation for the prime search, then one per slow-path point:
+    sp:4 sends 8 points to the slow path."""
+    original = saturate_relations
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("blueweyl") and getattr(module, "saturate_relations", None) is original:
+            monkeypatch.setattr(module, "saturate_relations", counting)
+    assert len(rank_space(catalog.sp(4).presentation)) == 8
+    assert len(calls) == 9
 
 
 def test_rank_space_of_torus():
