@@ -609,6 +609,27 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
     return tuple(rels)
 
 
+class _Relations(NamedTuple):
+    """The relations as unit detection and the analyses read them: the
+    killed generators, the canonical relations of :func:`_canonical_relations`
+    with their compiled ``forms``, and the compiled ``saturated`` list, of
+    which ``forms`` is a slice by the prefix guarantee.  None of it reads
+    ``inverted``, so a quotient and its residue field share one bundle.  It
+    is built once per presentation and passed as an argument, never kept.
+    """
+
+    dead: frozenset[int]
+    relations: list[Relation]
+    forms: tuple[_RelationForm, ...]
+    saturated: tuple[_RelationForm, ...]
+
+
+def _relations(B: BlueprintPresentation) -> _Relations:
+    dead, rels = _canonical_relations(B)
+    saturated = _relation_forms(saturate_relations(B))
+    return _Relations(dead, rels, saturated[len(dead):len(dead) + len(rels)], saturated)
+
+
 # ---------------------------------------------------------------------------
 # Bounded entailment of relations
 # ---------------------------------------------------------------------------
@@ -727,19 +748,17 @@ def is_zero_blueprint(B: BlueprintPresentation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def detect_units(B: BlueprintPresentation,
-                 saturated: Sequence[Relation]) -> frozenset[int]:
+def detect_units(B: BlueprintPresentation, rels: _Relations) -> frozenset[int]:
     """Generators that are forced invertible.
 
     Starts from the inverted generators and saturates: whenever a relation
     identifies a monomial with a unit monomial (directly, or as the additive
     inverse of one via m1 + m2 == 0), every generator in its support becomes
-    a unit.  Sound but conservative; ``saturated`` is ``saturate_relations(B)``
-    (which ignores ``inverted``), so transitivity consequences are exposed.
+    a unit.  Sound but conservative; ``rels`` is ``_relations(B)``, and its
+    compiled saturated list exposes transitivity consequences.
     """
-    pairs = [pair for rel in _relation_forms(saturated)
-             if (pair := _pair_shape(rel.lhs, rel.rhs))]
-    dead = _mask(B.killed())
+    pairs = [pair for form in rels.saturated if (pair := _pair_shape(form.lhs, form.rhs))]
+    dead = _mask(rels.dead)
     units = _unit_closure(pairs, _mask(B.inverted), dead) & ~dead
     return frozenset(g for g in range(B.width) if units >> g & 1)
 
@@ -752,25 +771,21 @@ def unit_field(B: BlueprintPresentation) -> BlueprintPresentation:
     detection is conservative, so the result can be smaller than the true
     unit field; catalog inputs are covered exactly.
     """
-    units = detect_units(B, saturate_relations(B))
-    dead, rels = _canonical_relations(B)
-    index = {g: k for k, g in enumerate(sorted(units))}
-    names = tuple(B.generator_names[g] for g in sorted(units))
+    rels = _relations(B)
+    units = detect_units(B, rels)
+    cols = sorted(units)
+    names = tuple(B.generator_names[g] for g in cols)
 
     def restrict(m: Monomial) -> Monomial:
-        exps = [0] * len(index)
-        for g, e in enumerate(m.exps):
-            if e:
-                exps[index[g]] = e
-        return Monomial(m.sign, tuple(exps))
+        return Monomial(m.sign, tuple(m.exps[g] for g in cols))
 
     non_units = ~_mask(units)
     kept = []
-    for rel, form in zip(rels, _relation_forms(rels)):
+    for rel, form in zip(rels.relations, rels.forms):
         if not any(m & non_units for m in form.masks):
             kept.append(relation([restrict(t) for t in rel.lhs.terms],
                                  [restrict(t) for t in rel.rhs.terms]))
-    return make_presentation(names, range(len(index)), B.coeff_order, kept)
+    return make_presentation(names, range(len(cols)), B.coeff_order, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -787,14 +802,6 @@ class ClosureResult:
     diagnostics: tuple[str, ...] = ()
 
 
-def _exhibits_additive_inverse(B: BlueprintPresentation, units: frozenset[int]) -> bool:
-    _, rels = _canonical_relations(B)
-    non_units = ~_mask(units)
-    # canonical relations are non-trivial, so one empty side means a sum == 0
-    return any(not (form.lhs and form.rhs) and not any(m & non_units for m in form.masks)
-               for form in _relation_forms(rels))
-
-
 def inverse_closure(B: BlueprintPresentation) -> ClosureResult:
     """Additive closure inside the base extension adjoining -1.
 
@@ -806,17 +813,14 @@ def inverse_closure(B: BlueprintPresentation) -> ClosureResult:
     unsupported result carrying the original presentation, never a wrong
     answer.
     """
-    return _inverse_closure(B, detect_units(B, saturate_relations(B)))
-
-
-def _inverse_closure(B: BlueprintPresentation, units: frozenset[int]) -> ClosureResult:
-    dead = B.killed()
-    stray = [B.name_of(g) for g in range(B.width) if g not in units and g not in dead]
+    rels = _relations(B)
+    units = detect_units(B, rels)
+    stray = [B.name_of(g) for g in range(B.width) if g not in units and g not in rels.dead]
     if stray:
         return ClosureResult(False, B, (f"generators outside the normal-form class: {stray}",))
-    if B.coeff_order == 1 and _exhibits_additive_inverse(B, units):
-        upgraded = make_presentation(B.generator_names, B.inverted, 2, B.relations)
-        return ClosureResult(True, upgraded)
+    # every canonical term is now a unit monomial: an empty side means a sum of units == 0
+    if B.coeff_order == 1 and any(not (form.lhs and form.rhs) for form in rels.forms):
+        B = make_presentation(B.generator_names, B.inverted, 2, B.relations)
     return ClosureResult(True, B)
 
 
@@ -979,27 +983,26 @@ def analyze_normal_form(B: BlueprintPresentation) -> NormalFormAnalysis:
     Succeeds when every generator is a detected unit, annihilated, or
     directly defined as a sum of unit constants, and every relation is a
     kill, a lattice relation between unit monomials (including m1 + m2 == 0),
-    or one of the defining sums.  Anything else is flagged raw.
+    or one of the defining sums, never empty for a unit.  Anything else is flagged raw.
     """
-    return _analyze_normal_form(B, saturate_relations(B))
+    return _analyze_normal_form(B, _relations(B))
 
 
-def _analyze_normal_form(B: BlueprintPresentation,
-                         saturated: Sequence[Relation]) -> NormalFormAnalysis:
-    units = detect_units(B, saturated)
-    dead, rels = _canonical_relations(B)
+def _analyze_normal_form(B: BlueprintPresentation, rels: _Relations) -> NormalFormAnalysis:
+    units = detect_units(B, rels)
     sum_defined: dict[int, int] = {}
     pairs = []
     problems: list[str] = []
     unit_mask = _mask(units)
-    for rel, form in zip(rels, _relation_forms(rels)):
+    for rel, form in zip(rels.relations, rels.forms):
         pair = _pair_shape(form.lhs, form.rhs)
         if pair and not (pair[0].mask | pair[1].mask) & ~unit_mask:
             pairs.append(pair)
             continue
         for single, rest in ((form.lhs, form.rhs), (form.rhs, form.lhs)):
             g = _defined_generator(single, rest)
-            if g is not None and g not in sum_defined:
+            # a unit defined as 0 means 1 == 0, which has no normal form
+            if g is not None and g not in sum_defined and (rest or g not in units):
                 sum_defined[g] = sum(-1 if t.sign else 1 for t in rest)
                 break
         else:
@@ -1007,29 +1010,24 @@ def _analyze_normal_form(B: BlueprintPresentation,
                             f"{render_relation(B, rel)}")
 
     for g in range(B.width):
-        if g in units or g in dead or g in sum_defined:
+        if g in units or g in rels.dead or g in sum_defined:
             continue
         problems.append(f"generator {B.name_of(g)} is neither unit, killed, "
                         f"nor a sum of units")
 
+    if not problems and any((t1.mask | t2.mask) & _mask(sum_defined) for t1, t2, _ in pairs):
+        problems.append("lattice relation touches a sum-defined generator")
     if problems:
-        return NormalFormAnalysis(False, None, units, dead, sum_defined, pairs,
+        return NormalFormAnalysis(False, None, units, rels.dead, sum_defined, pairs,
                                   tuple(problems))
-
-    if any((t1.mask | t2.mask) & _mask(sum_defined) for t1, t2, _ in pairs):
-        return NormalFormAnalysis(False, None, units, dead, sum_defined, pairs,
-                                  ("lattice relation touches a sum-defined generator",))
     cols = sorted(units - frozenset(sum_defined))
     rows, signs = _lattice_rows(pairs, cols)
-    # F1^2 when the inverse closure adjoins -1
-    epsilon = _inverse_closure(B, units).presentation.coeff_order
-    if epsilon == 1 and any(signs):
-        epsilon = 2
-    if epsilon == 1:
-        signs = [0] * len(signs)
+    # every relation is now a unit pair or a sum definition, so the sums of units == 0
+    # that make the inverse closure adjoin -1 are pairs t1 + t2 == 0, of sign 1 over F1
+    epsilon = 2 if B.coeff_order == 2 or any(signs) else 1
     nf = NormalFormBlueField(epsilon, tuple(B.name_of(g) for g in cols),
                              tuple(rows), tuple(signs))
-    return NormalFormAnalysis(True, nf, units, dead, sum_defined, pairs)
+    return NormalFormAnalysis(True, nf, units, rels.dead, sum_defined, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,19 +1133,18 @@ def potential_characteristics(B: BlueprintPresentation) -> CharacteristicClass:
     every characteristic except 1); presentations in lattice normal form
     with sum-of-unit definitions g == n_g exclude exactly the primes
     dividing some n_g (plus 1 when -1 is present).  Everything else is
-    reported unknown.  The relations are saturated once, and the list
-    serves both the torsion-probe gate and the normal-form analysis.
+    reported unknown.  One :func:`_relations` bundle serves the torsion-probe
+    gate, the monoid-shape test and the normal-form analysis.
     """
-    return _potential_characteristics(B, saturate_relations(B))
+    return _potential_characteristics(B, _relations(B))
 
 
 def _potential_characteristics(B: BlueprintPresentation,
-                               saturated: Sequence[Relation]) -> CharacteristicClass:
+                               rels: _Relations) -> CharacteristicClass:
     # torsion probes are pointless (and costly) unless some relation can
     # produce a constants-only sum
     probe_worthwhile = B.coeff_order == 2 or any(
-        rel.all_terms() and all(t.is_constant() for t in rel.all_terms())
-        for rel in saturated)
+        form.masks and not any(form.masks) for form in rels.saturated)
     if probe_worthwhile:
         for n in range(1, MAX_TORSION + 1):
             if relation_entailed(B, relation([B.one()] * n, []), budget=TORSION_BUDGET,
@@ -1159,12 +1156,11 @@ def _potential_characteristics(B: BlueprintPresentation,
                              constant_states_only=True) == "yes":
             return CharacteristicClass("finite", included=frozenset({1}))
 
-    _, rels = _canonical_relations(B)
-    if all(len(r.lhs) + len(r.rhs) <= 1 or (len(r.lhs) == 1 and len(r.rhs) == 1)
-           for r in rels):
+    if all(len(form.masks) <= 1 or len(form.lhs) == len(form.rhs) == 1
+           for form in rels.forms):
         return INDEFINITE if B.coeff_order == 1 else ALL_BUT_1
 
-    analysis = _analyze_normal_form(B, saturated)
+    analysis = _analyze_normal_form(B, rels)
     if analysis.ok:
         excluded: set[int] = set()
         if analysis.field.epsilon == 2:

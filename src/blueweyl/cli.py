@@ -72,6 +72,13 @@ def _emit(payload: dict, args, out) -> None:
     out.write(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
 
 
+def _json_arg(text: str, flag: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # nested past the decoder's recursion limit
+        raise ValueError(f"{flag} is nested too deeply to parse") from None
+
+
 def _model(args) -> GroupModel:
     return from_selector(args.model)
 
@@ -149,13 +156,13 @@ def _dispatch(args, out) -> int:
     if args.verb == "points":
         model = from_selector(args.model)
         S = BUILTIN_SEMIRINGS[args.semiring]
-        entries = json.loads(args.check)
+        entries = _json_arg(args.check, "--check")
         if not isinstance(entries, list):
             raise ValueError("--check must be a JSON list of matrix entries")
         if args.semiring == "tropical":
             entries = [float("inf") if e in ("inf", None) else e for e in entries]
         M = PointMatrix(model.dimension, tuple(entries))
-        aux = json.loads(args.aux) if args.aux else None
+        aux = _json_arg(args.aux, "--aux") if args.aux else None
         if aux is not None and not isinstance(aux, dict):
             raise ValueError("--aux must be a JSON object")
         ok = is_point(model, M, S, aux)

@@ -27,12 +27,12 @@ from .blueprint import (
     _potential_characteristics,
     _relation_forms,
     _RelationForm,
+    _relations,
     _term_bits,
     _TermBits,
     _unit_closure,
     localize,
     quotient_by_vars,
-    saturate_relations,
     smith_normal_form,
     tensor,
 )
@@ -97,12 +97,9 @@ class PseudoHopfReport:
 def _classify_point(B: BlueprintPresentation, p: PrimePoint) -> PseudoHopfReport:
     subscheme = quotient_by_vars(B, p.gens)
     kappa = localize(subscheme, [g for g in range(B.width) if g not in p.gens])
-    # saturate_relations reads only the relations and the killed generators,
-    # never ``inverted``, so the quotient and its residue field share one list;
-    # unit detection, both normal-form analyses and the torsion-probe gate read it
-    saturated = saturate_relations(subscheme)
-    analysis = _analyze_normal_form(subscheme, saturated)
-    chars = _potential_characteristics(kappa, saturated)
+    rels = _relations(subscheme)
+    analysis = _analyze_normal_form(subscheme, rels)
+    chars = _potential_characteristics(kappa, rels)
 
     if chars.almost_indefinite() is False:
         return PseudoHopfReport(p, 0, "rejected", characteristics=chars,

@@ -98,6 +98,10 @@ def test_points_verb_missing_aux_is_an_error():
     ("sl:2", "boolean", "[1, 0, 0, 2]", None),  # 2 is no boolean
     ("gl:2", "boolean", "[1, 0, 0, 1]", '{"d": "x"}'),  # bad auxiliary value
     ("gl:2", "boolean", "[1, 0, 0, 1]", "[1]"),  # aux not an object
+    # nested past the JSON decoder's recursion limit
+    pytest.param("sl:2", "boolean", "[" * 5000 + "]" * 5000, None, id="check-nested-5000"),
+    pytest.param("gl:2", "boolean", "[1, 0, 0, 1]", "[" * 5000 + "]" * 5000,
+                 id="aux-nested-5000"),
 ])
 def test_points_verb_rejects_malformed_input(model, semiring, check, aux):
     argv = ["points", "--model", model, "--semiring", semiring, "--check", check]

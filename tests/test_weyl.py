@@ -1,5 +1,6 @@
 """Pseudo-Hopf points, rank spaces, induced Weyl laws, Tits points."""
 
+import collections
 import dataclasses
 import hashlib
 import random
@@ -10,10 +11,12 @@ import pytest
 from blueweyl import (
     LawDoesNotDescend,
     RankSpaceUndecidable,
+    analyze_normal_form,
     comultiplication,
     enumerate_primes,
     field_hom_count,
     induced_weyl_law,
+    inverse_closure,
     mk_free,
     product_check,
     pseudo_hopf_points,
@@ -23,7 +26,9 @@ from blueweyl import (
 )
 from blueweyl.blueprint import (
     NormalFormBlueField,
+    _lattice_rows,
     _relation_forms,
+    _relations,
     _term_bits,
     localize,
     quotient_by_vars,
@@ -160,8 +165,9 @@ def test_slow_path_reports_are_pinned():
 
 def test_residue_shares_the_quotient_and_its_saturation():
     """The basis of the one-quotient, one-saturation slow path: the residue
-    field is the quotient with the surviving generators inverted, and the
-    saturated list does not depend on which generators are inverted."""
+    field is the quotient with the surviving generators inverted, and neither
+    the saturated list nor the relation bundle depends on which generators
+    are inverted."""
     rng = random.Random(12)
     cases = [(model.presentation, model.spectrum())
              for model in (catalog.sl(2), catalog.sl(3), catalog.gl(2))]
@@ -179,8 +185,63 @@ def test_residue_shares_the_quotient_and_its_saturation():
             kappa = localize(Q, [g for g in range(B.width) if g not in p.gens])
             assert residue_presentation(B, p) == kappa, (B, p)
             assert saturate_relations(kappa) == saturate_relations(Q), (B, p)
+            assert _relations(kappa) == _relations(Q), (B, p)
             checked += 1
     assert checked > 300
+
+
+def test_normal_form_epsilon_matches_the_inverse_closure():
+    """Epsilon read from the lattice signs equals the older derivation: the
+    coefficient order of the inverse closure, raised to 2 when a lattice
+    row carries a sign.  Checked wherever the normal-form reading succeeds
+    on 100 seeded random presentations, their quotients at primes and their
+    residue fields.  The inverse closure's upgrade is checked against its
+    definition: a canonical relation with an empty side and only unit terms."""
+    rng = random.Random(13)
+    counts = collections.Counter()
+    for _ in range(100):
+        B = _random_slow_path_presentation(rng)
+        cases = [B]
+        for p in enumerate_primes(B):
+            Q = quotient_by_vars(B, p.gens)
+            cases += [Q, localize(Q, [g for g in range(B.width) if g not in p.gens])]
+        for C in cases:
+            analysis = analyze_normal_form(C)
+            closure = inverse_closure(C)
+            if closure.ok and C.coeff_order == 1:
+                exhibits = any(not (r.lhs.terms and r.rhs.terms)
+                               and all(t.support() <= analysis.units for t in r.all_terms())
+                               for r in saturate_relations(C, rounds=0))
+                assert (closure.presentation.coeff_order == 2) == exhibits, C
+                counts["upgraded"] += exhibits
+            if not analysis.ok:
+                continue
+            cols = sorted(analysis.units - frozenset(analysis.sum_defined))
+            _, signs = _lattice_rows(analysis.pairs, cols)
+            expected = closure.presentation.coeff_order
+            if expected == 1 and any(signs):
+                expected = 2
+            assert analysis.field.epsilon == expected, C
+            assert list(analysis.field.row_signs) == (signs if expected == 2 else [0] * len(signs))
+            counts[analysis.field.epsilon, C.coeff_order] += 1
+            counts["sum-defined non-unit"] += any(g not in analysis.units
+                                                  for g in analysis.sum_defined)
+    # the counts of the older derivation on the same cases
+    assert counts[1, 1] >= 114 and counts[2, 1] >= 43 and counts[2, 2] >= 138
+    assert counts["sum-defined non-unit"] >= 3 and counts["upgraded"] >= 66
+
+
+def test_normal_form_refuses_a_unit_defined_as_zero():
+    """T1 is inverted, T2 == 0 and T1 == T2 + T2, so T1 == 0 and 1 == 0.
+    A detected unit set to 0 is outside the normal-form shapes, so the
+    reading does not take this zero blueprint for a blue field."""
+    B = mk_free(2, inverted=[0])
+    B = B.with_relations([relation([B.gen(1)], []),
+                          relation([B.gen(0)], [B.gen(1), B.gen(1)])])
+    analysis = analyze_normal_form(B)
+    assert not analysis.ok and analysis.field is None
+    assert analysis.diagnostics == ("relation outside the normal-form shapes: 0 == T1",)
+    assert inverse_closure(B).presentation.coeff_order == 2
 
 
 def test_fast_scan_memo_matches_a_fresh_scan():
@@ -310,6 +371,31 @@ def test_rank_space_saturates_once_per_slow_path_point(monkeypatch):
             monkeypatch.setattr(module, "saturate_relations", counting)
     assert len(rank_space(catalog.sp(4).presentation)) == 8
     assert len(calls) == 9
+
+
+def test_rank_space_canonicalises_and_compiles_once_per_slow_path_point(monkeypatch):
+    """The slow path builds one relation bundle per point: sp:4 canonicalises
+    its relations 18 times (46 when every analysis derived its own list)
+    and compiles relation lists 10 times (44)."""
+    from blueweyl import blueprint
+
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(blueprint, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("blueweyl") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    counting("_canonical_relations")
+    counting("_relation_forms")
+    assert len(rank_space(catalog.sp(4).presentation)) == 8
+    assert calls["_canonical_relations"] <= 18 and calls["_relation_forms"] <= 10
 
 
 def test_rank_space_of_torus():
