@@ -635,8 +635,17 @@ def _relations(B: BlueprintPresentation) -> _Relations:
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_rules(B: BlueprintPresentation) -> tuple[frozenset[int], list[tuple[FormalSum, FormalSum]]]:
-    dead, rels = _canonical_relations(B)
+def _kills_a_unit(B: BlueprintPresentation, dead: frozenset[int],
+                  relations: Sequence[Relation]) -> bool:
+    """Whether an inverted generator is killed, or a canonical relation sets
+    a monomial m over inverted generators to 0: then 1 == m * m^-1 == 0."""
+    return bool(dead & B.inverted) or any(
+        len(r.lhs) + len(r.rhs) == 1 and r.all_terms()[0].support() <= B.inverted
+        for r in relations)
+
+
+def _rewrite_rules(B: BlueprintPresentation,
+                   rels: Sequence[Relation]) -> list[tuple[FormalSum, FormalSum]]:
     rules = []
     for r in rels:
         rules.append((r.lhs, r.rhs))
@@ -646,7 +655,7 @@ def _rewrite_rules(B: BlueprintPresentation) -> tuple[frozenset[int], list[tuple
         empty = formal_sum([])
         rules.append((pair, empty))
         rules.append((empty, pair))
-    return dead, rules
+    return rules
 
 
 def _sum_minus(s: FormalSum, part: list[Monomial]) -> Optional[FormalSum]:
@@ -688,11 +697,15 @@ def relation_entailed(B: BlueprintPresentation, rel: Relation,
     verdict is monotone in ``budget``.  With ``constant_states_only`` the
     search never leaves sums of constants, which keeps the state space tiny
     for torsion probes (at the cost of missing derivations that pass
-    through non-constant sums).
+    through non-constant sums).  When :func:`_kills_a_unit` holds, 1 == 0
+    and every relation is derivable, so the answer is "yes" without a search.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    dead, rules = _rewrite_rules(B)
+    dead, rels = _canonical_relations(B)
+    if _kills_a_unit(B, dead, rels):
+        return "yes"
+    rules = _rewrite_rules(B, rels)
     start = _kill_terms(rel.lhs, dead)
     target = _kill_terms(rel.rhs, dead)
     if start.key() == target.key():
@@ -1015,6 +1028,8 @@ def _analyze_normal_form(B: BlueprintPresentation, rels: _Relations) -> NormalFo
         problems.append(f"generator {B.name_of(g)} is neither unit, killed, "
                         f"nor a sum of units")
 
+    if rels.dead & B.inverted:  # 1 == 0; a unit set to 0 is refused above
+        problems.append("an inverted generator is killed, so 1 == 0")
     if not problems and any((t1.mask | t2.mask) & _mask(sum_defined) for t1, t2, _ in pairs):
         problems.append("lattice relation touches a sum-defined generator")
     if problems:
@@ -1141,6 +1156,8 @@ def potential_characteristics(B: BlueprintPresentation) -> CharacteristicClass:
 
 def _potential_characteristics(B: BlueprintPresentation,
                                rels: _Relations) -> CharacteristicClass:
+    if _kills_a_unit(B, rels.dead, rels.relations):  # 1 == 0, as the n = 1 probe reads it
+        return CharacteristicClass("finite", included=frozenset({1}))
     # torsion probes are pointless (and costly) unless some relation can
     # produce a constants-only sum
     probe_worthwhile = B.coeff_order == 2 or any(

@@ -66,32 +66,32 @@ class GroupModel:
     rank_override: Optional[tuple[RankSpacePoint, ...]] = None
     rank_point_filter: Optional[Callable[[PrimePoint], bool]] = field(
         default=None, compare=False, hash=False)
-    # rank points per cap, computed once; dataclasses.replace starts empty
-    _rank_points: dict = field(default_factory=dict, init=False, compare=False,
-                               hash=False, repr=False)
+    # the rank points, computed once; dataclasses.replace starts unset
+    _rank_points: Optional[tuple[RankSpacePoint, ...]] = field(
+        default=None, init=False, compare=False, hash=False, repr=False)
 
-    def spectrum(self, cap: int = DEFAULT_GENERATOR_CAP) -> list[PrimePoint]:
+    def spectrum(self) -> list[PrimePoint]:
         if self.spectrum_override is not None:
             return list(self.spectrum_override)
-        return enumerate_primes(self.presentation, cap=cap)
+        return enumerate_primes(self.presentation)
 
-    def rank_points(self, cap: int = DEFAULT_GENERATOR_CAP) -> list[RankSpacePoint]:
-        if cap not in self._rank_points:
+    def rank_points(self) -> list[RankSpacePoint]:
+        if self._rank_points is None:
             if self.rank_override is not None:
                 pts = list(self.rank_override)
             else:
-                pts = rank_space(self.presentation, cap=cap)
+                pts = rank_space(self.presentation)
             if self.rank_point_filter is not None:
                 pts = [p for p in pts if self.rank_point_filter(p.point)]
-            self._rank_points[cap] = tuple(pts)
-        return list(self._rank_points[cap])
+            object.__setattr__(self, "_rank_points", tuple(pts))
+        return list(self._rank_points)
 
-    def weyl_monoid(self, cap: int = DEFAULT_GENERATOR_CAP) -> WeylMonoid:
+    def weyl_monoid(self) -> WeylMonoid:
         return induced_weyl_law(self.presentation, self.comult, self.counit_zero,
-                                self.rank_points(cap=cap))
+                                self.rank_points())
 
-    def tits_points(self, m: int, cap: int = DEFAULT_GENERATOR_CAP):
-        return tits_points(self.presentation, m, self.rank_points(cap=cap),
+    def tits_points(self, m: int):
+        return tits_points(self.presentation, m, self.rank_points(),
                            delta=self.comult, counit_zero=self.counit_zero)
 
     def validate_counit(self) -> None:

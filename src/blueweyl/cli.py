@@ -8,10 +8,9 @@ import sys
 from typing import Optional
 
 from . import verify as verify_module
-from .catalog import CatalogError, GroupModel, from_selector
+from .catalog import CatalogError, from_selector
 from .semirings import BUILTIN_SEMIRINGS, MissingAuxiliaryValue, PointMatrix, is_point
 from .spectrum import (
-    DEFAULT_GENERATOR_CAP,
     GeneratorCapExceeded,
     export_dot,
     poset,
@@ -29,15 +28,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="blueweyl",
         description="exact spectra, rank spaces, Weyl monoids and semiring "
                     "points of F1 group models")
-    parser.add_argument("--cap", type=int, default=DEFAULT_GENERATOR_CAP,
-                        help="generator cap for prime enumeration (default %(default)s)")
     parser.add_argument("--seed", type=int, default=20259,
                         help="sampling seed of oracle, verify oracle and the semiring "
                              "closure checks of verify properties (default %(default)s)")
     parser.add_argument("--samples", type=int, default=2000,
                         help="samples per field and locus for oracle and verify oracle; "
                              "verify properties draws min(SAMPLES, 200) point pairs per "
-                             "closure check (default %(default)s)")
+                             "closure check; at least 1 (default %(default)s)")
     parser.add_argument("--json-pretty", action="store_true",
                         help="indent JSON output")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -79,15 +76,13 @@ def _json_arg(text: str, flag: str):
         raise ValueError(f"{flag} is nested too deeply to parse") from None
 
 
-def _model(args) -> GroupModel:
-    return from_selector(args.model)
-
-
 def run(argv: Optional[list[str]] = None, out=None) -> int:
     out = out or sys.stdout
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.samples < 1:
+            parser.error(f"argument --samples: must be at least 1, got {args.samples}")
     except SystemExit as stop:
         return EXIT_USAGE if stop.code else EXIT_OK
     try:
@@ -100,8 +95,8 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
 
 def _dispatch(args, out) -> int:
     if args.verb == "spec":
-        model = _model(args)
-        P = poset(model.spectrum(cap=args.cap))
+        model = from_selector(args.model)
+        P = poset(model.spectrum())
         if len(P.points) <= 2000:
             payload = spectrum_to_json(P)
         else:  # the Hasse scan is quadratic; emit the raw point list instead
@@ -113,8 +108,8 @@ def _dispatch(args, out) -> int:
         return EXIT_OK
 
     if args.verb == "rank-space":
-        model = _model(args)
-        pts = model.rank_points(cap=args.cap)
+        model = from_selector(args.model)
+        pts = model.rank_points()
         payload = {
             "model": model.name,
             "rank": pts[0].rank if pts else 0,
@@ -130,8 +125,8 @@ def _dispatch(args, out) -> int:
         return EXIT_OK
 
     if args.verb == "weyl":
-        model = _model(args)
-        W = model.weyl_monoid(cap=args.cap)
+        model = from_selector(args.model)
+        W = model.weyl_monoid()
         payload = W.to_json()
         payload["model"] = model.name
         payload["group"] = W.is_group()
@@ -140,8 +135,8 @@ def _dispatch(args, out) -> int:
         return EXIT_OK
 
     if args.verb == "tits-points":
-        model = _model(args)
-        result = model.tits_points(args.m, cap=args.cap)
+        model = from_selector(args.model)
+        result = model.tits_points(args.m)
         payload = {
             "model": model.name,
             "m": args.m,
@@ -178,7 +173,7 @@ def _dispatch(args, out) -> int:
 
     if args.verb == "verify":
         checks = verify_module.run_suite(args.suite, seed=args.seed,
-                                         samples=args.samples, cap=args.cap)
+                                         samples=args.samples)
         failed = [c for c in checks if not c["pass"]]
         for c in checks:
             status = "PASS" if c["pass"] else "FAIL"
@@ -189,8 +184,8 @@ def _dispatch(args, out) -> int:
         return EXIT_OK if not failed else EXIT_COMPUTATION
 
     if args.verb == "dot":
-        model = _model(args)
-        P = poset(model.spectrum(cap=args.cap))
+        model = from_selector(args.model)
+        P = poset(model.spectrum())
         out.write(export_dot(P, model.presentation, name=model.name))
         return EXIT_OK
 

@@ -29,7 +29,7 @@ class Semiring:
     ``contains`` tells whether a value is an element of the carrier, so
     input from outside can be rejected before it is evaluated.
     ``elements`` lists the full carrier for finite semirings (used by the
-    exhaustive point counter) and a sampling pool otherwise.
+    exhaustive point counter) and is ``None`` for infinite ones.
     """
 
     name: str
@@ -39,7 +39,6 @@ class Semiring:
     mul: Callable
     contains: Callable[[object], bool]
     elements: Optional[tuple] = None
-    sample_pool: tuple = ()
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -62,21 +61,19 @@ def _is_int(v) -> bool:
 
 
 NATURALS = Semiring("naturals", 0, 1, lambda a, b: a + b, lambda a, b: a * b,
-                    lambda v: _is_int(v) and v >= 0,
-                    sample_pool=tuple(range(6)))
+                    lambda v: _is_int(v) and v >= 0)
 
 BOOLEAN = Semiring("boolean", 0, 1,
                    lambda a, b: a | b, lambda a, b: a & b,
                    lambda v: _is_int(v) and v in (0, 1),
-                   elements=(0, 1), sample_pool=(0, 1))
+                   elements=(0, 1))
 
 _INF = float("inf")
 
 TROPICAL = Semiring("tropical", _INF, 0,
                     lambda a, b: min(a, b), lambda a, b: a + b,
                     lambda v: (_is_int(v) or isinstance(v, float))
-                    and (v == _INF or math.isfinite(v)),
-                    sample_pool=(_INF, 0, 1, 2, 3, 5, 7))
+                    and (v == _INF or math.isfinite(v)))
 
 
 def integers_mod(n: int) -> Semiring:
@@ -85,7 +82,7 @@ def integers_mod(n: int) -> Semiring:
     return Semiring(f"mod{n}", 0, 1,
                     lambda a, b: (a + b) % n, lambda a, b: (a * b) % n,
                     lambda v: _is_int(v) and 0 <= v < n,
-                    elements=tuple(range(n)), sample_pool=tuple(range(n)))
+                    elements=tuple(range(n)))
 
 
 BUILTIN_SEMIRINGS = {

@@ -56,12 +56,7 @@ DEFAULT_GENERATOR_CAP = 26
 
 
 class GeneratorCapExceeded(Exception):
-    def __init__(self, width: int, cap: int):
-        super().__init__(
-            f"presentation has {width} generators, above the enumeration cap {cap}; "
-            f"raise the cap explicitly if this size is intended")
-        self.width = width
-        self.cap = cap
+    """A presentation has more generators than the prime search takes."""
 
 
 class PrimePoint(namedtuple("PrimePoint", "size gens")):
@@ -287,8 +282,7 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
     return results
 
 
-def enumerate_primes(B: BlueprintPresentation,
-                     cap: int = DEFAULT_GENERATOR_CAP) -> list[PrimePoint]:
+def enumerate_primes(B: BlueprintPresentation) -> list[PrimePoint]:
     """All prime ideals of the presentation, sorted by size then index.
 
     Each call runs the search and returns a new list; a caller that needs
@@ -304,8 +298,9 @@ def enumerate_primes(B: BlueprintPresentation,
     list needs no deduplication.  Every member of a leaf's orbit is prime
     because the criterion on the saturated relations is constant on orbits.
     """
-    if B.width > cap:
-        raise GeneratorCapExceeded(B.width, cap)
+    if B.width > DEFAULT_GENERATOR_CAP:
+        raise GeneratorCapExceeded(f"presentation has {B.width} generators, above "
+                                   f"the enumeration cap {DEFAULT_GENERATOR_CAP}")
     if is_zero_blueprint(B):
         return []
     found = _enumerate_masks(_relation_forms(saturate_relations(B)), B.width,
@@ -486,11 +481,10 @@ def spectrum_to_json(P: SpectrumPoset) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def closed_subscheme(B: BlueprintPresentation, p: PrimePoint,
-                     cap: int = DEFAULT_GENERATOR_CAP) -> BlueprintPresentation:
+def closed_subscheme(B: BlueprintPresentation, p: PrimePoint) -> BlueprintPresentation:
     """The reduced closed subscheme supported on the closure of p."""
     quotient = quotient_by_vars(B, p.gens)
-    primes = [q.vars for q in enumerate_primes(quotient, cap=cap)]
+    primes = [q.vars for q in enumerate_primes(quotient)]
     return reduce_presentation(quotient, primes)
 
 

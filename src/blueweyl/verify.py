@@ -38,13 +38,11 @@ from .semirings import (
     multiply,
 )
 from .spectrum import (
-    DEFAULT_GENERATOR_CAP,
     PrimePoint,
     brute_force_primes,
     enumerate_primes,
     poset,
     residue_presentation,
-    sobriety_check,
 )
 from .weyl import WeylMonoid, product_check
 
@@ -256,12 +254,12 @@ def _named(B, p: PrimePoint) -> tuple:
     return tuple(B.name_of(g) for g in p.gens)
 
 
-def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
+def paper_counts_checks() -> list[dict]:
     checks = []
 
     # the seven points of the determinant-one 2x2 model, with their order
     m2 = catalog.sl(2)
-    pts = m2.spectrum(cap=cap)
+    pts = m2.spectrum()
     checks.append(_check("sl:2 point set",
                          sorted(SL2_EXPECTED_POINTS),
                          sorted(_named(m2.presentation, p) for p in pts)))
@@ -274,7 +272,7 @@ def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
     # rank data of the determinant-one models
     for n in (2, 3, 4):
         model = catalog.sl(n)
-        rank_points = model.rank_points(cap=cap)
+        rank_points = model.rank_points()
         fact = math.factorial(n)
         checks.append(_check(f"sl:{n} rank point count", fact, len(rank_points)))
         checks.append(_check(f"sl:{n} rank", n - 1,
@@ -286,17 +284,17 @@ def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
             for r in rank_points)
         checks.append(_check(f"sl:{n} residue sign parity", True, parity_ok))
 
-        W = model.weyl_monoid(cap=cap)
+        W = model.weyl_monoid()
         checks.append(_check(f"sl:{n} Weyl group order", fact, len(W)))
         checks.append(_check(f"sl:{n} Weyl monoid is a group", True, W.is_group()))
         checks.append(_check(f"sl:{n} symmetric group isomorphism", True,
                              symmetric_group_isomorphism(model, W)))
 
-        t1 = model.tits_points(1, cap=cap)
+        t1 = model.tits_points(1)
         checks.append(_check(f"sl:{n} F1-points", fact // 2, t1.count))
         checks.append(_check(f"sl:{n} F1-points closed", True,
                              t1.monoid is not None and t1.monoid.is_group()))
-        t2 = model.tits_points(2, cap=cap)
+        t2 = model.tits_points(2)
         checks.append(_check(f"sl:{n} F1^2-points", 2 ** (n - 1) * fact, t2.count))
         checks.append(_check(f"sl:{n} F1^2 sign-vector oracle",
                              extended_weyl_sign_oracle(n), t2.count))
@@ -310,33 +308,33 @@ def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
     for n in (1, 2, 3):
         model = catalog.gl(n)
         fact = math.factorial(n)
-        rank_points = model.rank_points(cap=cap)
+        rank_points = model.rank_points()
         checks.append(_check(f"gl:{n} rank", n, rank_points[0].rank))
         checks.append(_check(f"gl:{n} Weyl order", fact, len(rank_points)))
-        W = model.weyl_monoid(cap=cap)
+        W = model.weyl_monoid()
         checks.append(_check(f"gl:{n} Weyl monoid is a group", True, W.is_group()))
         if n > 1:
             checks.append(_check(f"gl:{n} symmetric group isomorphism", True,
                                  symmetric_group_isomorphism(model, W)))
-        t2 = model.tits_points(2, cap=cap)
+        t2 = model.tits_points(2)
         checks.append(_check(f"gl:{n} F1^2-points", 2 ** n * fact, t2.count))
 
     # symplectic and orthogonal models
     models = {"sp:4": catalog.sp(4), "so:3": catalog.so(3), "so:5": catalog.so(5),
               "so:4": catalog.so(4), "o:4": catalog.o(4)}
     for name, order in (("sp:4", 8), ("so:3", 2), ("so:5", 8), ("so:4", 4), ("o:4", 8)):
-        W = models[name].weyl_monoid(cap=cap)
+        W = models[name].weyl_monoid()
         checks.append(_check(f"{name} Weyl order", order, len(W)))
         checks.append(_check(f"{name} Weyl monoid is a group", True, W.is_group()))
     for name in ("sp:4", "so:5"):
         checks.append(_check(f"{name} rank", 2,
-                             models[name].rank_points(cap=cap)[0].rank))
+                             models[name].rank_points()[0].rank))
 
     # projective rank-one models
     conj = catalog.psl2_conj()
     checks.append(_check("psl2-conj point count", 7, len(conj.spectrum())))
     conj_poset = poset(conj.spectrum())
-    sl2_poset = poset(catalog.sl(2).spectrum(cap=cap))
+    sl2_poset = poset(catalog.sl(2).spectrum())
     checks.append(_check("psl2-conj poset shape matches sl:2", True,
                          _same_poset_shape(conj_poset, sl2_poset)))
     adj = catalog.psl2_adjoint()
@@ -363,10 +361,10 @@ def paper_counts_checks(cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
 
     # parabolic and unipotent models
     borel3 = catalog.standard_parabolic(3, [1, 1, 1])
-    checks.append(_check("borel gl:3 Weyl order", 1, len(borel3.rank_points(cap=cap))))
+    checks.append(_check("borel gl:3 Weyl order", 1, len(borel3.rank_points())))
     uni = catalog.unipotent_radical(3, [1, 1, 1])
     checks.append(_check("unipotent borel gl:3 rank space", 1,
-                         len(uni.rank_points(cap=cap))))
+                         len(uni.rank_points())))
     simplified = simplify_presentation(uni.presentation)
     checks.append(_check("unipotent borel gl:3 is affine 3-space",
                          mk_free(3).canonical_key(), simplified.canonical_key()))
@@ -428,7 +426,6 @@ def _blue_field_catalog() -> list[tuple[str, BlueprintPresentation]]:
 
 
 def properties_checks(seed: int = 20259, samples: int = 200,
-                      cap: int = DEFAULT_GENERATOR_CAP,
                       models: Optional[list[GroupModel]] = None) -> list[dict]:
     if models is not None and not models:
         return []  # an empty catalog subset passes vacuously
@@ -443,23 +440,24 @@ def properties_checks(seed: int = 20259, samples: int = 200,
     for model in base_models:
         if model.presentation.width > 16 or model.spectrum_override is not None:
             continue
-        fast = enumerate_primes(model.presentation, cap=cap)
+        fast = enumerate_primes(model.presentation)
         slow = brute_force_primes(model.presentation)
         checks.append(_check(f"enumeration oracle {model.name}",
                              [p.gens for p in slow],
                              [p.gens for p in fast]))
 
-    # sobriety of every catalog spectrum
+    # the orbit expansion of the prime search yields each point once
     for model in base_models + big_models:
-        P = poset(model.spectrum(cap=cap))
-        checks.append(_check(f"sobriety {model.name}", True, sobriety_check(P)))
+        pts = model.spectrum()
+        checks.append(_check(f"spectrum lists each point once {model.name}",
+                             len(pts), len(set(pts))))
 
     # product theorems on catalog pairs with at most 12 total generators
     small = [m for m in base_models if m.spectrum_override is None]
     for a, b in itertools.combinations_with_replacement(small, 2):
         if a.presentation.width + b.presentation.width > 12:
             continue
-        report = product_check(a.presentation, b.presentation, cap=cap)
+        report = product_check(a.presentation, b.presentation)
         checks.append(_check(f"product theorem {a.name} x {b.name}",
                              (), report.violations))
 
@@ -468,8 +466,8 @@ def properties_checks(seed: int = 20259, samples: int = 200,
                  (catalog.sl(2), catalog.torus(1)),
                  (catalog.constant_group(GroupTable.cyclic(2)), catalog.torus(2))):
         prod = catalog.model_product(a, b)
-        Wp = prod.weyl_monoid(cap=cap)
-        Wa, Wb = a.weyl_monoid(cap=cap), b.weyl_monoid(cap=cap)
+        Wp = prod.weyl_monoid()
+        Wa, Wb = a.weyl_monoid(), b.weyl_monoid()
         checks.append(_check(f"product Weyl law {a.name} x {b.name}",
                              True, _is_product_table(Wp, Wa, Wb,
                                                      a.presentation.width)))
@@ -484,7 +482,7 @@ def properties_checks(seed: int = 20259, samples: int = 200,
             detail.append(f"{name1}/{name2}: unclassified")
             continue
         expected = 1 if class_nonempty(c1.intersect(c2)) else 0
-        actual = len(enumerate_primes(tensor(B1, B2), cap=cap))
+        actual = len(enumerate_primes(tensor(B1, B2)))
         if expected != actual:
             detail.append(f"{name1}(x){name2}: expected {expected} points, "
                           f"got {actual}")
@@ -501,7 +499,7 @@ def properties_checks(seed: int = 20259, samples: int = 200,
     checks.append(_check("twisted tensor characteristics", "{2}",
                          potential_characteristics(twisted).label))
     checks.append(_check("twisted tensor spectrum", 1,
-                         len(enumerate_primes(twisted, cap=cap))))
+                         len(enumerate_primes(twisted))))
 
     # semiring closure and the exhaustive counts
     for model in (catalog.sl(2), catalog.sl(3)):
@@ -601,12 +599,11 @@ def oracle_checks(seed: int = 20259, samples: int = 2000) -> list[dict]:
     return checks
 
 
-def run_suite(name: str, seed: int = 20259, samples: int = 2000,
-              cap: int = DEFAULT_GENERATOR_CAP) -> list[dict]:
+def run_suite(name: str, seed: int = 20259, samples: int = 2000) -> list[dict]:
     if name == "paper-counts":
-        return paper_counts_checks(cap=cap)
+        return paper_counts_checks()
     if name == "properties":
-        return properties_checks(seed=seed, samples=min(samples, 200), cap=cap)
+        return properties_checks(seed=seed, samples=min(samples, 200))
     if name == "oracle":
         return oracle_checks(seed=seed, samples=samples)
     raise ValueError(f"unknown suite {name}")

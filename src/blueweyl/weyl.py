@@ -37,7 +37,6 @@ from .blueprint import (
     tensor,
 )
 from .spectrum import (
-    DEFAULT_GENERATOR_CAP,
     PrimePoint,
     SpectrumPoset,
     _byte_tables,
@@ -294,8 +293,7 @@ class RankSpacePoint:
                 "row_signs": list(self.field.row_signs)}
 
 
-def rank_space(B: BlueprintPresentation,
-               cap: int = DEFAULT_GENERATOR_CAP) -> list[RankSpacePoint]:
+def rank_space(B: BlueprintPresentation) -> list[RankSpacePoint]:
     """Minimal-rank certified pseudo-Hopf points per connected component.
 
     One spectrum serves the pseudo-Hopf scan and the component split.
@@ -303,7 +301,7 @@ def rank_space(B: BlueprintPresentation,
     sit at or below the minimal rank of its component.
     """
     # the points come sorted; SpectrumPoset still checks they are distinct
-    spec = SpectrumPoset(tuple(enumerate_primes(B, cap=cap)))
+    spec = SpectrumPoset(tuple(enumerate_primes(B)))
     reports = pseudo_hopf_points(B, spec.points)
     comps = spec.components()
     comp_of = {}
@@ -544,13 +542,12 @@ class ProductReport:
     violations: tuple[str, ...]
 
 
-def product_check(B1: BlueprintPresentation, B2: BlueprintPresentation,
-                  cap: int = DEFAULT_GENERATOR_CAP) -> ProductReport:
+def product_check(B1: BlueprintPresentation, B2: BlueprintPresentation) -> ProductReport:
     """Verify Z(X x Y) = Z(X) x Z(Y) and rank additivity on a tensor product."""
     T = tensor(B1, B2)
-    r1 = rank_space(B1, cap=cap)
-    r2 = rank_space(B2, cap=cap)
-    rt = rank_space(T, cap=cap)
+    r1 = rank_space(B1)
+    r2 = rank_space(B2)
+    rt = rank_space(T)
     expected = {frozenset(x.point.vars | frozenset(g + B1.width for g in y.point.vars))
                 for x in r1 for y in r2}
     found = {p.point.vars for p in rt}

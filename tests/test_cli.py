@@ -258,9 +258,20 @@ def test_fuzzed_model_files_end_in_a_catalog_error(tmp_path):
 
 
 def test_cap_flag_reported():
-    code, data = invoke_json(["--cap", "3", "spec", "sl:2"])
+    """The generator cap is a constant of the search, not a flag."""
+    assert run(["--cap", "3", "spec", "sl:2"], out=io.StringIO()) == EXIT_USAGE
+    code, data = invoke_json(["spec", "so:6"])
     assert code == EXIT_COMPUTATION
     assert data["error"] == "GeneratorCapExceeded"
+
+
+@pytest.mark.parametrize("args", [["--samples", "0", "verify", "properties"],
+                                  ["--samples", "-3", "verify", "properties"],
+                                  ["--samples", "0", "oracle", "psl2-conj"]])
+def test_samples_must_be_positive(args):
+    out = io.StringIO()
+    assert run(args, out=out) == EXIT_USAGE
+    assert out.getvalue() == ""
 
 
 # stdout SHA-256 of queries that take at most about 1.5 s, as pinned in

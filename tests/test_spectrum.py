@@ -358,7 +358,7 @@ def test_brute_force_agrees_with_pointwise_criterion():
 def test_generator_cap():
     with pytest.raises(GeneratorCapExceeded):
         enumerate_primes(mk_free(30))
-    assert len(enumerate_primes(mk_free(5), cap=5)) == 32
+    assert len(enumerate_primes(mk_free(5))) == 32
 
 
 def test_zero_blueprint_has_empty_spectrum():

@@ -18,6 +18,7 @@ from blueweyl import (
     induced_weyl_law,
     inverse_closure,
     mk_free,
+    potential_characteristics,
     product_check,
     pseudo_hopf_points,
     rank_space,
@@ -30,6 +31,7 @@ from blueweyl.blueprint import (
     _relation_forms,
     _relations,
     _term_bits,
+    is_zero_blueprint,
     localize,
     quotient_by_vars,
     saturate_relations,
@@ -242,6 +244,33 @@ def test_normal_form_refuses_a_unit_defined_as_zero():
     assert not analysis.ok and analysis.field is None
     assert analysis.diagnostics == ("relation outside the normal-form shapes: 0 == T1",)
     assert inverse_closure(B).presentation.coeff_order == 2
+
+
+def _killed_inverted_generator():
+    B = mk_free(1, inverted=[0])
+    return B.with_relations([relation([B.gen(0)], [])])
+
+
+def _unit_set_to_zero():
+    B = mk_free(2, inverted=[0])
+    return B.with_relations([relation([B.gen(1)], []),
+                             relation([B.gen(0)], [B.gen(1), B.gen(1)])])
+
+
+@pytest.mark.parametrize("build", [_killed_inverted_generator, _unit_set_to_zero])
+def test_a_killed_unit_means_one_equals_zero(build):
+    """T1 is inverted and T1 == 0, directly or through T1 == T2 + T2 with
+    T2 == 0, so 1 == T1 * T1^-1 == 0: the normal-form reading refuses, the
+    zero test sees the zero blueprint, and the classifier gives it the class
+    of a derived 1 == 0, as on F1 with 1 == 0."""
+    B = build()
+    analysis = analyze_normal_form(B)
+    assert not analysis.ok and analysis.field is None
+    assert is_zero_blueprint(B)
+    F = mk_free(0)
+    one_is_zero = potential_characteristics(F.with_relations([relation([F.one()], [])]))
+    assert potential_characteristics(B) == one_is_zero and one_is_zero.label == "{1}"
+    assert enumerate_primes(B) == []
 
 
 def test_fast_scan_memo_matches_a_fresh_scan():
