@@ -637,10 +637,15 @@ def _relations(B: BlueprintPresentation) -> _Relations:
 
 def _kills_a_unit(B: BlueprintPresentation, dead: frozenset[int],
                   relations: Sequence[Relation]) -> bool:
-    """Whether an inverted generator is killed, or a canonical relation sets
-    a monomial m over inverted generators to 0: then 1 == m * m^-1 == 0."""
-    return bool(dead & B.inverted) or any(
-        len(r.lhs) + len(r.rhs) == 1 and r.all_terms()[0].support() <= B.inverted
+    """Whether a unit is killed, or a canonical relation sets a monomial m
+    over units to 0: then 1 == m * m^-1 == 0.  The units are the inverted
+    generators closed by :func:`_unit_closure` under the canonical
+    ``relations`` of two terms, so T1 == T2 with T2 inverted makes T1 one."""
+    pairs = [_pair_shape(tuple(map(_term, r.lhs.terms)), tuple(map(_term, r.rhs.terms)))
+             for r in relations if len(r.lhs) + len(r.rhs) == 2]
+    units = _unit_closure(pairs, _mask(B.inverted), 0)
+    return bool(_mask(dead) & units) or any(
+        len(r.lhs) + len(r.rhs) == 1 and not _mask(r.all_terms()[0].support()) & ~units
         for r in relations)
 
 

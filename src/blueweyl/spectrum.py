@@ -282,20 +282,14 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
     return results
 
 
-def enumerate_primes(B: BlueprintPresentation) -> list[PrimePoint]:
-    """All prime ideals of the presentation, sorted by size then index.
+def _prime_leaders(B: BlueprintPresentation) -> list[int]:
+    """One member of each ``B.symmetries`` orbit of the prime ideals, as
+    generator masks in search order: the leaves of :func:`_enumerate_masks`
+    over the whole saturated list, or none on a zero blueprint.
 
-    Each call runs the search and returns a new list; a caller that needs
-    the spectrum twice keeps the list (:func:`weyl.rank_space` hands one
-    list to the pseudo-Hopf scan and to the poset).
-
-    :func:`_enumerate_masks` searches the whole saturated list, so its
-    leaves are exactly the subsets that pass the criterion.  With
-    ``B.symmetries`` the search keeps one lex-leader per orbit, and each
-    leaf is expanded into its orbit by breadth-first search over the
-    generators.  The leaves are distinct orbit representatives, since the
-    search prunes with the whole group, so the orbits are disjoint and the
-    list needs no deduplication.  Every member of a leaf's orbit is prime
+    The leaves are exactly the lex-leaders of the subsets that pass the
+    criterion, and the search prunes with the whole group, so distinct
+    leaders have disjoint orbits.  Every member of a leader's orbit is prime
     because the criterion on the saturated relations is constant on orbits.
     """
     if B.width > DEFAULT_GENERATOR_CAP:
@@ -303,15 +297,31 @@ def enumerate_primes(B: BlueprintPresentation) -> list[PrimePoint]:
                                    f"the enumeration cap {DEFAULT_GENERATOR_CAP}")
     if is_zero_blueprint(B):
         return []
-    found = _enumerate_masks(_relation_forms(saturate_relations(B)), B.width,
-                             _mask(B.inverted), B.symmetries)
+    return _enumerate_masks(_relation_forms(saturate_relations(B)), B.width,
+                            _mask(B.inverted), B.symmetries)
+
+
+def _orbit_points(B: BlueprintPresentation, leaders: Iterable[int]) -> list[PrimePoint]:
+    """The points of the ``B.symmetries`` orbits of the disjoint orbit
+    ``leaders``, sorted; each orbit is expanded by breadth-first search over
+    the generators, so the list needs no deduplication."""
     if B.symmetries:
         tables = [_byte_tables(sigma) for sigma in B.symmetries]
-        found = [m for leader in found for m in _orbit(leader, tables)]
-    points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in found]
-    del found
+        leaders = [m for leader in leaders for m in _orbit(leader, tables)]
+    points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in leaders]
+    del leaders  # the expanded masks go before the sort
     points.sort()
     return points
+
+
+def enumerate_primes(B: BlueprintPresentation) -> list[PrimePoint]:
+    """All prime ideals of the presentation, sorted by size then index.
+
+    Each call runs the search of :func:`_prime_leaders` and expands every
+    orbit it finds into points.  :func:`weyl.rank_space` does not call it:
+    it reads the orbit leaders and expands only the orbits it needs.
+    """
+    return _orbit_points(B, _prime_leaders(B))
 
 
 def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:

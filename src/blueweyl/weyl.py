@@ -39,9 +39,8 @@ from .blueprint import (
 from .spectrum import (
     PrimePoint,
     SpectrumPoset,
-    _byte_tables,
-    _orbit,
-    enumerate_primes,
+    _orbit_points,
+    _prime_leaders,
 )
 
 
@@ -136,14 +135,14 @@ def _rank_estimate(pairs, cols: Sequence[int]) -> int:
 # The scan reads the relations in the term-bit layout of
 # blueprint._term_bits: one integer holds the terms outside the point, a
 # block per relation.  What a relation says about a point depends only on
-# its block, so the outcome per (relation index, block) is memoised for one
-# pseudo_hopf_points call: a unit pair, a generator defined as a sum of
-# constants, or a shape the scan does not recognise.  Two outcomes are read
-# off the bits without the memo: a block holding only constants sends the
-# whole point to the slow path, and a block with more than two terms and no
-# side of exactly one term is an unrecognised shape.  The second keeps
-# relations spanning every generator (the determinant) out of the memo,
-# which on so:5 then holds about 200 entries.  The Smith-normal-form rank of
+# its block, so the outcome per (relation index, block) is memoised for the
+# points of one presentation (see _scanner): a unit pair, a generator
+# defined as a sum of constants, or a shape the scan does not recognise.
+# Two outcomes are read off the bits without the memo: a block holding only
+# constants sends the whole point to the slow path, and a block with more
+# than two terms and no side of exactly one term is an unrecognised shape.
+# The second keeps relations spanning every generator (the determinant) out
+# of the memo, which on so:5 then holds about 200 entries.  The Smith-normal-form rank of
 # the inside pairs is memoised too, keyed by their (relation, block) keys
 # and the column mask.
 
@@ -222,50 +221,40 @@ def _fast_scan(B: BlueprintPresentation, forms: Sequence[_RelationForm],
     return rank + uncovered.bit_count()
 
 
-_UNSCANNED = object()
+def _scanner(B: BlueprintPresentation):
+    """:func:`_fast_scan` of ``B`` as a function of the point mask, with one
+    compiled relation list, term-bit layout and memo set for all points."""
+    forms = _relation_forms(B.relations)
+    layout = _term_bits(forms, B.width)
+    outcomes: dict = {}
+    ranks: dict = {}
+    return lambda pmask: _fast_scan(B, forms, layout, pmask, outcomes, ranks)
 
 
 def pseudo_hopf_points(B: BlueprintPresentation,
                        points: Iterable[PrimePoint]) -> list[PseudoHopfReport]:
     """Certified and unknown pseudo-Hopf candidates among ``points``, the
-    spectrum of ``B``.
+    spectrum of ``B``, one report per point in the order given.
 
     Points whose residue field has only finitely many potential
     characteristics are definitively not pseudo-Hopf and are dropped.
-    Points that a cheap scan leaves undetermined are reported unknown with
-    an upper rank estimate; :func:`rank_space` raises when one of them
-    could reach the minimal rank of its component.
-
-    The fast scan runs once per orbit of ``B.symmetries``: its answer for
-    a point is kept for the rest of the point's orbit and used when those
-    points come up.  This is sound because each symmetry maps the relation
-    set onto itself, so it permutes the relations the scan reads along with
-    the generators, and the scan's answer (a rank estimate, or the slow
-    path) is constant on orbits.  The slow path still runs on every point
-    sent there, so a certified point prints its own lattice.
+    Points that the fast scan leaves undetermined are reported unknown with
+    its upper rank estimate; the rest take the full classification, so a
+    certified point prints its own lattice.  :func:`rank_space` reads the
+    same reports one orbit at a time, and falls back to this list of every
+    point where it cannot.
     """
-    forms = _relation_forms(B.relations)
-    layout = _term_bits(forms, B.width)
-    outcomes: dict = {}
-    ranks: dict = {}
-    tables = [_byte_tables(sigma) for sigma in B.symmetries]
-    # scan answers for the orbit members not yet reached, dropped when used
-    pending: dict = {}
+    scan = _scanner(B)
     reports = []
     for p in points:
-        pmask = _mask(p.gens)
-        estimate = pending.pop(pmask, _UNSCANNED)
-        if estimate is _UNSCANNED:
-            estimate = _fast_scan(B, forms, layout, pmask, outcomes, ranks)
-            if tables:
-                pending.update(dict.fromkeys(_orbit(pmask, tables)[1:], estimate))
+        estimate = scan(_mask(p.gens))
         if estimate is None:
             r = _classify_point(B, p)
             if r.status != "rejected":
                 reports.append(r)
-            continue
-        reports.append(PseudoHopfReport(p, estimate, "unknown",
-                                        diagnostics=("mask-level scan only",)))
+        else:
+            reports.append(PseudoHopfReport(p, estimate, "unknown",
+                                            diagnostics=("mask-level scan only",)))
     return reports
 
 
@@ -294,14 +283,63 @@ class RankSpacePoint:
 
 
 def rank_space(B: BlueprintPresentation) -> list[RankSpacePoint]:
-    """Minimal-rank certified pseudo-Hopf points per connected component.
+    """Minimal-rank certified pseudo-Hopf points per connected component,
+    sorted.  Raises :class:`RankSpaceUndecidable` when an unknown-status
+    point could sit at or below the minimal rank of its component.
 
-    One spectrum serves the pseudo-Hopf scan and the component split.
-    Raises :class:`RankSpaceUndecidable` when an unknown-status point could
-    sit at or below the minimal rank of its component.
+    The prime search runs once.  When ``(0)`` is prime it lies below every
+    point, so the spectrum is one component, and :func:`_rank_space_by_orbits`
+    decides it from the orbit leaders.  In every other case (``(0)`` not
+    prime, no certified point, or an unknown estimate at or below the
+    minimal rank) the leaders are expanded into the whole spectrum and
+    :func:`_rank_space_of_spectrum` scans it point by point, so an error
+    lists every offending point.
     """
-    # the points come sorted; SpectrumPoset still checks they are distinct
-    spec = SpectrumPoset(tuple(enumerate_primes(B)))
+    leaders = _prime_leaders(B)
+    if 0 in leaders:
+        ranked = _rank_space_by_orbits(B, leaders)
+        if ranked is not None:
+            return ranked
+    return _rank_space_of_spectrum(B, SpectrumPoset(tuple(_orbit_points(B, leaders))))
+
+
+def _rank_space_by_orbits(B: BlueprintPresentation,
+                          leaders: Sequence[int]) -> Optional[list[RankSpacePoint]]:
+    """The rank space of a connected spectrum from its ``B.symmetries``
+    orbit ``leaders``, or None when the orbits do not decide it.
+
+    The fast scan runs once per leader.  Its answer is constant on orbits,
+    since each symmetry maps the relation set onto itself and so permutes
+    the relations the scan reads along with the generators.  Only the
+    orbits it sends to the slow path are expanded, and every member there
+    is classified on its own.  The minimal certified rank decides the rank
+    space when every unknown estimate, of the scan or of the slow path,
+    lies above it; otherwise the answer is None.
+    """
+    scan = _scanner(B)
+    slow: list[int] = []
+    estimates: list[int] = []
+    for leader in leaders:
+        estimate = scan(leader)
+        if estimate is None:
+            slow.append(leader)
+        else:
+            estimates.append(estimate)
+    reports = [_classify_point(B, p) for p in _orbit_points(B, slow)]
+    certified = [r for r in reports if r.status == "certified"]
+    if not certified:
+        return None
+    minimal = min(r.rank for r in certified)
+    estimates += [r.rank for r in reports if r.status == "unknown"]
+    if any(estimate <= minimal for estimate in estimates):
+        return None
+    return [RankSpacePoint(r.point, r.field, r.rank) for r in certified if r.rank == minimal]
+
+
+def _rank_space_of_spectrum(B: BlueprintPresentation,
+                            spec: SpectrumPoset) -> list[RankSpacePoint]:
+    """The rank space from the reports of every point of ``spec``, the
+    spectrum of ``B``, split into connected components."""
     reports = pseudo_hopf_points(B, spec.points)
     comps = spec.components()
     comp_of = {}

@@ -28,6 +28,7 @@ from blueweyl import (
 from blueweyl.blueprint import (
     NormalFormBlueField,
     _lattice_rows,
+    _mask,
     _relation_forms,
     _relations,
     _term_bits,
@@ -37,9 +38,16 @@ from blueweyl.blueprint import (
     saturate_relations,
 )
 from blueweyl import catalog
-from blueweyl.spectrum import residue_presentation
+from blueweyl.spectrum import (
+    SpectrumPoset,
+    _byte_tables,
+    _orbit,
+    _orbit_points,
+    _prime_leaders,
+    residue_presentation,
+)
 from blueweyl.verify import count_homs_to_f1m, extended_weyl_sign_oracle
-from blueweyl.weyl import _classify_point, _fast_scan
+from blueweyl.weyl import RankSpacePoint, _classify_point, _fast_scan, _scanner
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +265,22 @@ def _unit_set_to_zero():
                              relation([B.gen(0)], [B.gen(1), B.gen(1)])])
 
 
-@pytest.mark.parametrize("build", [_killed_inverted_generator, _unit_set_to_zero])
+def _detected_unit_set_to_zero():
+    B = mk_free(3, inverted=[1])
+    return B.with_relations([relation([B.gen(0)], [B.gen(1)]),
+                             relation([B.gen(2)], []),
+                             relation([B.gen(0)], [B.gen(2), B.gen(2)])])
+
+
+@pytest.mark.parametrize("build", [_killed_inverted_generator, _unit_set_to_zero,
+                                   _detected_unit_set_to_zero])
 def test_a_killed_unit_means_one_equals_zero(build):
-    """T1 is inverted and T1 == 0, directly or through T1 == T2 + T2 with
+    """T1 is a unit and T1 == 0, directly or through T1 == T2 + T2 with
     T2 == 0, so 1 == T1 * T1^-1 == 0: the normal-form reading refuses, the
     zero test sees the zero blueprint, and the classifier gives it the class
-    of a derived 1 == 0, as on F1 with 1 == 0."""
+    of a derived 1 == 0, as on F1 with 1 == 0.  T1 is inverted, or a unit
+    that T1 == T2 with T2 inverted detects (then T3 == 0 and T1 == T3 + T3
+    set it to 0)."""
     B = build()
     analysis = analyze_normal_form(B)
     assert not analysis.ok and analysis.field is None
@@ -302,12 +320,13 @@ def test_fast_scan_memo_matches_a_fresh_scan():
 
 def test_fast_scan_runs_once_per_orbit(monkeypatch):
     """sp:4 has 3,259 points in 465 orbits of its 8 coordinate symmetries;
-    the reports equal those of the same presentation without symmetries."""
+    rank_space scans each orbit once, at its leader, and answers as the
+    same presentation without symmetries, which scans every point."""
     from blueweyl import weyl
 
     B = catalog.sp(4).presentation
-    points = enumerate_primes(B)
-    plain = pseudo_hopf_points(dataclasses.replace(B, symmetries=()), points)
+    expected = _rank_space_over_every_point(B)
+    assert len(enumerate_primes(B)) == 3259
     calls = []
     original = weyl._fast_scan
 
@@ -316,35 +335,142 @@ def test_fast_scan_runs_once_per_orbit(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(weyl, "_fast_scan", counting)
-    assert pseudo_hopf_points(B, points) == plain
-    assert len(points) == 3259 and len(calls) == len(set(calls)) == 465
+    assert rank_space(B) == expected
+    assert len(calls) == len(set(calls)) == 465
+    assert set(calls) == set(_prime_leaders(B))
+    calls.clear()
+    assert rank_space(dataclasses.replace(B, symmetries=())) == expected
+    assert len(calls) == len(set(calls)) == 3259
 
 
 def test_fast_scan_is_constant_on_planted_orbits():
-    """Tensor squares with the swap of their two copies classify every
-    point as without the swap, on random monoid presentations."""
+    """Tensor squares with the swap of their two copies: the fast scan gives
+    a point and its swap the same answer, and the pseudo-Hopf reports are
+    those of the presentation without the swap, on random monoid
+    presentations."""
     rng = random.Random(5)
     scanned = 0
     for _ in range(12):
-        width = rng.randint(1, 3)
-        B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 1)))
-        pool = [B.one()] + [B.gen(g) for g in range(width)]
-        B = B.with_relations(
-            relation(rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(1, 2)))
-            for _ in range(rng.randint(1, 2)))
-        T = tensor(B, B)
+        T = _random_tensor_square(rng)
+        width = T.width // 2
         swap = tuple(range(width, 2 * width)) + tuple(range(width))
         S = dataclasses.replace(T, symmetries=(swap,))
         points = enumerate_primes(T)
+        scan = _scanner(S)
+        tables = [_byte_tables(swap)]
+        for p in points:
+            pmask = _mask(p.gens)
+            assert {scan(m) for m in _orbit(pmask, tables)} == {scan(pmask)}, (T, p)
         reports = pseudo_hopf_points(S, points)
         assert reports == pseudo_hopf_points(T, points), T
         scanned += sum(r.diagnostics == ("mask-level scan only",) for r in reports)
     assert scanned >= 10
 
 
+def _random_tensor_square(rng):
+    width = rng.randint(1, 3)
+    B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 1)))
+    pool = [B.one()] + [B.gen(g) for g in range(width)]
+    B = B.with_relations(
+        relation(rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 2)))
+    return tensor(B, B)
+
+
 # ---------------------------------------------------------------------------
 # rank spaces
 # ---------------------------------------------------------------------------
+
+
+def _rank_space_over_every_point(B):
+    """The rank space as computed before it read orbit leaders: the
+    pseudo-Hopf reports of every point of the spectrum, split into the
+    components of the spectrum poset."""
+    spec = SpectrumPoset(tuple(enumerate_primes(B)))
+    reports = pseudo_hopf_points(B, spec.points)
+    comp_of = {spec.points[i]: ci for ci, comp in enumerate(spec.components()) for i in comp}
+    by_comp = collections.defaultdict(list)
+    for r in reports:
+        by_comp[comp_of[r.point]].append(r)
+    minimal = {}
+    for ci in sorted(by_comp):
+        rs = by_comp[ci]
+        certified = [r for r in rs if r.status == "certified"]
+        if not certified:
+            raise RankSpaceUndecidable(B, [r for r in rs if r.status == "unknown"] or rs)
+        minimal[ci] = min(r.rank for r in certified)
+        offenders = [r for r in rs if r.status == "unknown" and r.rank <= minimal[ci]]
+        if offenders:
+            raise RankSpaceUndecidable(B, offenders)
+    return [RankSpacePoint(r.point, r.field, r.rank) for r in reports
+            if r.status == "certified" and r.rank == minimal[comp_of[r.point]]]
+
+
+def _outcome(compute, B):
+    """The rank points, or the offenders of RankSpaceUndecidable."""
+    try:
+        return compute(B)
+    except RankSpaceUndecidable as err:
+        return ("undecidable", err.offenders)
+
+
+LADDER = {selector: (lambda s=selector: catalog.from_selector(s))
+          for selector in ("sl:2", "sl:3", "sl:4", "gl:3", "sp:4", "so:4", "o:4",
+                           "nstorus", "levi:3:2,1", "psl2-adj", "psl2-conj")}
+LADDER["const:cyclic-3"] = lambda: catalog.constant_group(catalog.GroupTable.cyclic(3))
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_rank_space_matches_every_point_on_the_ladder(name):
+    B = LADDER[name]().presentation
+    assert rank_space(B) == _rank_space_over_every_point(B)
+
+
+def test_rank_space_matches_every_point_on_planted_orbits():
+    """Tensor squares with the swap of their two copies: rank_space with and
+    without the swap gives the rank points, or the offenders, that the
+    whole-spectrum algorithm gives, whichever path it takes."""
+    from blueweyl import weyl
+
+    rng = random.Random(7)
+    paths = collections.Counter()
+    for _ in range(60):
+        T = _random_tensor_square(rng)
+        width = T.width // 2
+        S = dataclasses.replace(T, symmetries=(tuple(range(width, 2 * width))
+                                               + tuple(range(width)),))
+        expected = _outcome(_rank_space_over_every_point, T)
+        assert _outcome(rank_space, S) == expected, T
+        assert _outcome(rank_space, T) == expected, T
+        leaders = _prime_leaders(S)
+        if 0 not in leaders:
+            paths["(0) not prime"] += 1
+        elif weyl._rank_space_by_orbits(S, leaders) is None:
+            paths["undecided by orbits"] += 1
+        else:
+            paths["orbits"] += 1
+        paths["undecidable"] += isinstance(expected, tuple)
+    # 30, 23, 7 and 7 with seed 7
+    assert paths["orbits"] >= 20 and paths["(0) not prime"] >= 15, paths
+    assert paths["undecided by orbits"] >= 5 and paths["undecidable"] >= 5, paths
+
+
+def test_rank_space_of_so5_from_orbit_leaders():
+    """so:5: 4,094 orbit leaders whose orbits hold the 105,631 points, 85
+    saturated relations, and 8 slow-path points, all certified: the rank
+    points."""
+    B = catalog.so(5).presentation
+    leaders = _prime_leaders(B)
+    tables = [_byte_tables(sigma) for sigma in B.symmetries]
+    assert len(leaders) == 4094
+    assert sum(len(_orbit(m, tables)) for m in leaders) == 105631 == len(enumerate_primes(B))
+    assert len(saturate_relations(B)) == 85
+    scan = _scanner(B)
+    slow = _orbit_points(B, [m for m in leaders if scan(m) is None])
+    assert len(slow) == 8
+    reports = [_classify_point(B, p) for p in slow]
+    assert all(r.status == "certified" and r.rank == 2 for r in reports)
+    assert [p.point for p in rank_space(B)] == slow
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -371,18 +497,33 @@ def test_rank_space_of_invertible_models(n, expected_rank):
 
 
 def test_rank_space_enumerates_the_spectrum_once(monkeypatch):
-    from blueweyl import weyl
+    """rank_space runs the prime search once and never calls
+    enumerate_primes: on sl:3 it decides from the orbit leaders, on
+    levi:3:2,1 and a constant group ((0) is not prime) it expands them."""
+    from blueweyl import spectrum
 
-    calls = []
-    original = weyl.enumerate_primes
+    searches, enumerations = [], []
+    search, enumerate_ = spectrum._enumerate_masks, spectrum.enumerate_primes
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting_search(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(weyl, "enumerate_primes", counting)
-    assert len(rank_space(catalog.sl(3).presentation)) == 6
-    assert len(calls) == 1
+    def counting_enumerate(*args, **kwargs):
+        enumerations.append(args)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_enumerate_masks", counting_search)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("blueweyl") and getattr(module, "enumerate_primes", None) is enumerate_:
+            monkeypatch.setattr(module, "enumerate_primes", counting_enumerate)
+    cases = ((catalog.sl(3), 6), (catalog.levi(3, [2, 1]), 2),
+             (catalog.constant_group(catalog.GroupTable.cyclic(3)), 3))
+    for model, order in cases:
+        searches.clear()
+        assert len(rank_space(model.presentation)) == order, model.name
+        assert len(searches) == 1, model.name
+    assert enumerations == []
 
 
 def test_rank_space_saturates_once_per_slow_path_point(monkeypatch):
