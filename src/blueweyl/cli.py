@@ -22,6 +22,10 @@ EXIT_OK = 0
 EXIT_COMPUTATION = 1
 EXIT_USAGE = 2
 
+# a cell with no satisfying sample runs every sample it is given, so the
+# count is bounded
+MAX_SAMPLES = 100_000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -34,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=2000,
                         help="samples per field and locus for oracle and verify oracle; "
                              "verify properties draws min(SAMPLES, 200) point pairs per "
-                             "closure check; at least 1 (default %(default)s)")
+                             "closure check; from 1 to %d (default %%(default)s)"
+                             % MAX_SAMPLES)
     parser.add_argument("--json-pretty", action="store_true",
                         help="indent JSON output")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -81,8 +86,9 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.samples < 1:
-            parser.error(f"argument --samples: must be at least 1, got {args.samples}")
+        if not 1 <= args.samples <= MAX_SAMPLES:
+            parser.error(f"argument --samples: must be from 1 to {MAX_SAMPLES}, "
+                         f"got {args.samples}")
     except SystemExit as stop:
         return EXIT_USAGE if stop.code else EXIT_OK
     try:

@@ -149,7 +149,7 @@ def render_expression(expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation over Q and prime fields
+# Exact reference evaluation over Q and the small fields
 # ---------------------------------------------------------------------------
 
 
@@ -182,11 +182,6 @@ class SampleField:
     @property
     def tag(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.size}"
-
-    def sample(self, rng: random.Random):
-        if self.characteristic == 0:
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        return rng.randrange(self.size)
 
     def from_int(self, n: int):
         return n % self.characteristic if self.characteristic else Fraction(n)
@@ -275,13 +270,29 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ParamFamily:
-    """A parametrized matrix with constraints and named sampling loci."""
+    """A parametrized matrix with constraints and named sampling loci.
+
+    The parameters are distinct, and every name in the matrix, the
+    constraints and the loci is one of them.
+    """
 
     params: tuple[str, ...]
     constraints: tuple[Constraint, ...]
     matrix: tuple[tuple[object, ...], ...]
     loci: dict = field(default_factory=dict)
     name: str = "family"
+
+    def __post_init__(self):
+        # the compiled code reads every name as a position in params
+        if len(set(self.params)) != len(self.params):
+            twice = {p for p in self.params if self.params.count(p) > 1}
+            raise FamilySyntaxError(f"duplicate parameters {sorted(twice)}", 0)
+        exprs = [entry for row in self.matrix for entry in row]
+        exprs += [c.expr for cs in (self.constraints, *self.loci.values()) for c in cs]
+        for expr in exprs:
+            bad = expression_vars(expr) - set(self.params)
+            if bad:
+                raise FamilySyntaxError(f"undeclared parameters {sorted(bad)}", 0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -364,14 +375,158 @@ def parse_family(text: str, name: str = "family") -> ParamFamily:
     widths = {len(r) for r in matrix_rows}
     if len(widths) != 1:
         raise FamilySyntaxError("matrix rows have inconsistent widths", 0)
-    known = set(params)
-    for row in matrix_rows:
-        for entry in row:
-            bad = expression_vars(entry) - known
-            if bad:
-                raise FamilySyntaxError(f"undeclared parameters {sorted(bad)}", 0)
     return ParamFamily(tuple(params), tuple(constraints), tuple(matrix_rows),
                        loci, name)
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation: straight-line code over one field
+# ---------------------------------------------------------------------------
+
+# A compiled function takes the parameter values as one sequence in parameter
+# order.  Over F_p and F4 a value is the field's int, as in SampleField; over Q
+# it is an unnormalised pair (numerator, denominator) of ints, zero exactly
+# when its numerator is.  Slot i is the local s<i> (the pair n<i>, d<i> over
+# Q).  Every operand of every node is computed, as `evaluate` computes it, so
+# a function raises EvaluationError exactly when `evaluate` raises on one of
+# its expressions.
+
+_RAISE = "raise E('division by zero')"
+
+_Q_LINES = {
+    "var": ("n{i}, d{i} = v[{a}]",),
+    "num": ("n{i}, d{i} = {a}, 1",),
+    "add": ("n{i} = n{a} * d{b} + n{b} * d{a}", "d{i} = d{a} * d{b}"),
+    "sub": ("n{i} = n{a} * d{b} - n{b} * d{a}", "d{i} = d{a} * d{b}"),
+    "mul": ("n{i} = n{a} * n{b}", "d{i} = d{a} * d{b}"),
+    "div": ("if not n{b}: " + _RAISE, "n{i} = n{a} * d{b}", "d{i} = d{a} * n{b}"),
+    "neg": ("n{i} = -n{a}", "d{i} = d{a}"),
+    "pow": ("n{i} = n{a} ** {b}", "d{i} = d{a} ** {b}"),
+    "inv": ("if not n{a}: " + _RAISE, "n{i} = d{a} ** {b}", "d{i} = n{a} ** {b}"),
+}
+
+_PRIME_LINES = {
+    "var": ("s{i} = v[{a}]",),
+    "num": ("s{i} = {a}",),
+    "add": ("s{i} = (s{a} + s{b}) % {p}",),
+    "sub": ("s{i} = (s{a} - s{b}) % {p}",),
+    "mul": ("s{i} = s{a} * s{b} % {p}",),
+    "div": ("if not s{b}: " + _RAISE, "s{i} = s{a} * pow(s{b}, {p} - 2, {p}) % {p}"),
+    "neg": ("s{i} = -s{a} % {p}",),
+    "pow": ("s{i} = pow(s{a}, {b}, {p})",),
+    "inv": ("if not s{a}: " + _RAISE, "s{i} = pow(s{a}, -{b}, {p})"),
+}
+
+# over F4, M and I are the product and inverse tables; a nonzero element has
+# order dividing 3, so a power is 1, the base, its square or its cube
+_F4_LINES = {
+    "var": ("s{i} = v[{a}]",),
+    "num": ("s{i} = {a}",),
+    "add": ("s{i} = s{a} ^ s{b}",),
+    "sub": ("s{i} = s{a} ^ s{b}",),
+    "mul": ("s{i} = M[s{a}][s{b}]",),
+    "div": ("if not s{b}: " + _RAISE, "s{i} = M[s{a}][I[s{b}]]"),
+    "neg": ("s{i} = s{a}",),
+    "pow0": ("s{i} = 1",),
+    "pow1": ("s{i} = s{a}",),
+    "pow2": ("s{i} = M[s{a}][s{a}]",),
+    "pow3": ("s{i} = M[s{a}][M[s{a}][s{a}]]",),
+    "inv": ("if not s{a}: " + _RAISE,),
+}
+
+
+class _StraightLine:
+    """One function body: a numbered slot per distinct subterm, in operand order."""
+
+    def __init__(self, F: SampleField, params: Sequence[str]):
+        self.F = F
+        self.position = {p: k for k, p in enumerate(params)}
+        self.slots: dict[tuple, int] = {}
+        self.lines: list[str] = []
+
+    def slot(self, expr) -> int:
+        kind = expr[0]
+        if kind == "var":
+            key = ("var", self.position[expr[1]])
+        elif kind == "num":
+            key = ("num", self.F.from_int(expr[1]) if self.F.characteristic else expr[1])
+        elif kind in ("neg", "pow"):
+            key = (kind, self.slot(expr[1])) + expr[2:]
+        else:
+            key = (kind, self.slot(expr[1]), self.slot(expr[2]))
+        if key not in self.slots:
+            self.slots[key] = len(self.slots)
+            self._emit(self.slots[key], key)
+        return self.slots[key]
+
+    def _emit(self, i: int, key: tuple) -> None:
+        F, kind, a, b = self.F, key[0], key[1], (key + (None,))[2]
+        table = (_Q_LINES if not F.characteristic
+                 else _F4_LINES if F.size == 4 else _PRIME_LINES)
+        steps = [kind]
+        if kind == "pow" and b < 0:
+            steps, b = ["inv"], -b
+            if F.size == 4:  # a^-b == a^(-b mod 3) once a is known to be nonzero
+                steps.append(f"pow{-b % 3}")
+        elif kind == "pow" and F.size == 4:
+            steps = [f"pow{b and (b % 3 or 3)}"]
+        for step in steps:
+            self.lines.extend(line.format(i=i, a=a, b=b, p=F.characteristic)
+                              for line in table[step])
+
+    def function(self, exprs, value: bool) -> str:
+        """Source of ``f(v)``.
+
+        With ``value`` it returns the value of the one expression in exprs;
+        without, a tuple with one entry per expression, falsy exactly when
+        the expression is zero (over Q, its numerator).
+        """
+        slots = [self.slot(e) for e in exprs]
+        if self.F.characteristic:
+            out = [f"s{i}" for i in slots]
+        else:
+            out = [f"(n{i}, d{i})" if value else f"n{i}" for i in slots]
+        result = out[0] if value else f"({''.join(o + ', ' for o in out)})"
+        lines = self.lines + [f"return {result}"]
+        return "def f(v):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _compiled(source: str, tag: str):
+    scope = {"E": EvaluationError, "M": _F4_MUL, "I": _F4_INV}
+    exec(compile(source, f"<{tag} straight-line code>", "exec"), scope)
+    return scope["f"]
+
+
+@dataclass(frozen=True)
+class CompiledFamily:
+    """A family's matrix and constraints as straight-line Python over one field.
+
+    ``matrix(v)`` returns the entries in row-major order, each zero exactly
+    when falsy (over Q, the numerators); ``constraints[c](v)`` returns the
+    value of constraint ``c``.  ``v`` holds the parameter values in
+    parameter order, over Q as (numerator, denominator) pairs.
+    """
+
+    matrix: object
+    constraints: dict
+    source: str
+
+
+def compile_family(family: ParamFamily, F: SampleField) -> CompiledFamily:
+    """Compile the matrix entries and every constraint, loci included, for F.
+
+    The generated source holds only slot names, parameter positions, integer
+    literals and fixed operators; no text of the family reaches it.
+    """
+    entries = [e for row in family.matrix for e in row]
+    constraints = dict.fromkeys(
+        family.constraints + tuple(c for cs in family.loci.values() for c in cs))
+    sources = [_StraightLine(F, family.params).function(entries, value=False)]
+    sources += [_StraightLine(F, family.params).function([c.expr], value=True)
+                for c in constraints]
+    functions = [_compiled(source, F.tag) for source in sources]
+    return CompiledFamily(functions[0], dict(zip(constraints, functions[1:])),
+                          "".join(sources))
 
 
 # ---------------------------------------------------------------------------
@@ -421,55 +576,68 @@ class PatternReport:
                 "patterns": out, "warnings": list(self.warnings)}
 
 
-def _try_repair(values: dict, constraints: Sequence[Constraint],
-                F: SampleField, rng: random.Random, params: Sequence[str]) -> bool:
+def _is_zero(F: SampleField, value) -> bool:
+    """Zero test of a compiled value (a pair over Q)."""
+    return not (value if F.characteristic else value[0])
+
+
+def _affine_root(F: SampleField, e0, e1, e2=None):
+    """The root of the affine map that takes 0, 1 (and 2) to e0, e1 (and e2).
+
+    Values are compiled ones (pairs over Q).  None when the three values are
+    not collinear or the slope is zero.  Over F4 the third point is w, the
+    int 2 as well.
+    """
+    if not F.characteristic:
+        (n0, d0), (n1, d1), (n2, d2) = e0, e1, e2
+        slope_n, slope_d = n1 * d0 - n0 * d1, d1 * d0
+        if not slope_n or n2 * slope_d * d0 != (2 * slope_n * d0 + n0 * slope_d) * d2:
+            return None
+        root = Fraction(-n0 * slope_d, d0 * slope_n)
+        return root.numerator, root.denominator
+    slope = F.sub(e1, e0)
+    if not slope or (e2 is not None and F.sub(e2, F.add(F.mul(slope, 2), e0))):
+        return None
+    return F.div(F.sub(0, e0), slope)
+
+
+def _try_repair(values: list, checks: Sequence[tuple], F: SampleField,
+                rng: random.Random) -> bool:
     """Fix violated equalities by solving for one parameter when linear in it.
 
-    Linearity in the chosen parameter is probed at three distinct field
-    elements (two over F2, where every function of one variable is affine);
-    a final exact re-check of every constraint guards the result, so a bad
-    repair only costs the sample.
+    ``checks`` holds (compiled constraint, equality, positions of its
+    parameters).  Linearity in the chosen parameter is probed at three
+    distinct field elements (two over F2, where every function of one
+    variable is affine); a final exact re-check of every constraint guards
+    the result, so a bad repair only costs the sample.
     """
-    x0, x1 = F.from_int(0), F.from_int(1)
-    x2 = 2 if F.size == 4 else (None if F.size == 2 else F.from_int(2))
-    for c in constraints:
-        if not c.equality:
+    probes = [(0, 1), (1, 1), (2, 1)] if not F.characteristic else [0, 1, 2][:F.size]
+    for constraint, equality, involved in checks:
+        if not equality:
             continue
         try:
-            if not evaluate(c.expr, values, F):
+            if _is_zero(F, constraint(values)):
                 continue
         except EvaluationError:
             return False
-        names = expression_vars(c.expr)
-        order = list(params)
+        order = list(range(len(values)))
         rng.shuffle(order)
-        repaired = False
-        for v in order:
-            if v not in names:
+        for k in order:
+            if k not in involved:
                 continue
-            probe = dict(values)
+            probe = list(values)
+            images = []
             try:
-                probe[v] = x0
-                e0 = evaluate(c.expr, probe, F)
-                probe[v] = x1
-                e1 = evaluate(c.expr, probe, F)
-                slope = F.sub(e1, e0)
-                if x2 is not None:
-                    probe[v] = x2
-                    e2 = evaluate(c.expr, probe, F)
-                    if F.sub(e2, F.add(F.mul(slope, x2), e0)):
-                        continue  # not linear in v at this sample
+                for x in probes:
+                    probe[k] = x
+                    images.append(constraint(probe))
             except EvaluationError:
                 continue
-            if not slope:
-                continue
-            try:
-                values[v] = F.div(F.sub(x0, e0), slope)
-            except EvaluationError:
-                continue
-            repaired = True
-            break
-        if not repaired:
+            root = _affine_root(F, *images)
+            if root is not None:
+                values[k] = root
+                break
+        else:
             return False
     return True
 
@@ -483,7 +651,11 @@ def _cell_rng(seed: int, family: str, tag: str, locus: str) -> random.Random:
 
 
 def zero_pattern(family: ParamFamily, values: dict, F: SampleField) -> frozenset:
-    """The 1-based (row, column) positions of the entries that vanish at values."""
+    """The 1-based (row, column) positions of the entries that vanish at values.
+
+    This is the reference evaluator, independent of the compiled code that
+    sampling runs; witnesses are re-checked through it.
+    """
     return frozenset((i, j) for i, row in enumerate(family.matrix, 1)
                      for j, entry in enumerate(row, 1) if not evaluate(entry, values, F))
 
@@ -500,37 +672,56 @@ def realizable_patterns(family: ParamFamily,
     early once a long streak of samples stops producing new patterns, so
     reported pattern sets are monotone in ``samples``.  Unsatisfiable
     constraint systems produce a per-field warning rather than an error.
+
+    Samples run through ``compile_family``: the family compiled, once per
+    call and field, to straight-line code with one slot per distinct
+    subterm.  Over Q a value there is an unnormalised pair of ints, and a
+    ``Fraction`` is built only for a repaired value and for a witness.
+    ``evaluate`` and ``zero_pattern`` stay the reference evaluator, which
+    ``reevaluate_witness`` runs on every witness.
     """
     if samples < 1:
         raise ValueError("at least one sample required")
     all_loci: dict[str, tuple[Constraint, ...]] = {"generic": ()}
     all_loci.update(family.loci)
+    involved = {c: frozenset(map(family.params.index, expression_vars(c.expr)))
+                for cs in (family.constraints, *all_loci.values()) for c in cs}
+    positions = [(i, j) for i, row in enumerate(family.matrix, 1)
+                 for j in range(1, len(row) + 1)]
     patterns: dict = {}
     warnings = []
     for F in fields_for_characteristics(characteristics):
+        code = compile_family(family, F)
         for locus_name in sorted(all_loci):
             rng = _cell_rng(seed, family.name, F.tag, locus_name)
-            extra = all_loci[locus_name]
-            constraints = tuple(family.constraints) + tuple(extra)
+            checks = [(code.constraints[c], c.equality, involved[c])
+                      for c in family.constraints + all_loci[locus_name]]
             hits = 0
             stale = 0
             for _ in range(samples):
                 if hits >= _SATURATION_STREAK and stale >= _SATURATION_STREAK:
                     break
-                values = {p: F.sample(rng) for p in family.params}
-                if not _try_repair(values, constraints, F, rng, family.params):
+                if F.characteristic:
+                    values = [rng.randrange(F.size) for _ in family.params]
+                else:  # a draw of Fraction(randint(-9, 9), randint(1, 5)), unnormalised
+                    values = [(rng.randint(-9, 9), rng.randint(1, 5))
+                              for _ in family.params]
+                if not _try_repair(values, checks, F, rng):
                     continue
                 try:
-                    if not all(c.satisfied(values, F) for c in constraints):
+                    if any(_is_zero(F, constraint(values)) != equality
+                           for constraint, equality, _ in checks):
                         continue
-                    pattern = zero_pattern(family, values, F)
+                    entries = code.matrix(values)
                 except EvaluationError:
                     continue
+                pattern = frozenset(pos for pos, e in zip(positions, entries) if not e)
                 hits += 1
                 info = patterns.setdefault(pattern, {"fields": set(), "witnesses": []})
                 if F.tag not in info["fields"]:
                     info["fields"].add(F.tag)
-                    rendered = tuple(sorted((p, str(values[p])) for p in family.params))
+                    exact = values if F.characteristic else [Fraction(*v) for v in values]
+                    rendered = tuple(sorted((p, str(x)) for p, x in zip(family.params, exact)))
                     info["witnesses"].append(Witness(F.tag, locus_name, rendered))
                     stale = 0
                 else:

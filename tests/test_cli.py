@@ -9,7 +9,14 @@ import sys
 
 import pytest
 
-from blueweyl.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_USAGE, run
+from blueweyl.cli import (
+    EXIT_COMPUTATION,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_SAMPLES,
+    _build_parser,
+    run,
+)
 
 
 def invoke(args):
@@ -267,11 +274,17 @@ def test_cap_flag_reported():
 
 @pytest.mark.parametrize("args", [["--samples", "0", "verify", "properties"],
                                   ["--samples", "-3", "verify", "properties"],
-                                  ["--samples", "0", "oracle", "psl2-conj"]])
+                                  ["--samples", "0", "oracle", "psl2-conj"],
+                                  [f"--samples={MAX_SAMPLES + 1}", "oracle", "psl2-adj"],
+                                  ["--samples", "1000000000", "verify", "oracle"],
+                                  ["--samples", "1000000000", "verify", "properties"]])
 def test_samples_must_be_positive(args):
+    """--samples runs from 1 to MAX_SAMPLES: a cell with no satisfying sample
+    runs every sample it is given."""
     out = io.StringIO()
     assert run(args, out=out) == EXIT_USAGE
     assert out.getvalue() == ""
+    assert f"from 1 to {MAX_SAMPLES}" in " ".join(_build_parser().format_help().split())
 
 
 # stdout SHA-256 of queries that take at most about 1.5 s, as pinned in

@@ -2,17 +2,21 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from blueweyl import catalog
 from blueweyl.patterns import (
+    Constraint,
     EvaluationError,
     FamilySyntaxError,
+    ParamFamily,
     SampleField,
     adjoint_families,
     compare_with_spectrum,
+    compile_family,
     conjugation_family,
     evaluate,
     fields_for_characteristics,
@@ -62,8 +66,15 @@ def test_parse_errors_carry_position():
 
 
 def test_family_rejects_undeclared_parameters():
+    for text in ["params: a\nmatrix: [a, b]",
+                 "params: a\nconstraints: b = 1\nmatrix: [a]",
+                 "params: a\nconstraints: a != 0\nmatrix: [a]\nloci: b=0 { a = 1; b = 0 }",
+                 "params: a, a\nmatrix: [a]",
+                 "params: a, b\nparams: a\nmatrix: [a, b]"]:
+        with pytest.raises(FamilySyntaxError):
+            parse_family(text)
     with pytest.raises(FamilySyntaxError):
-        parse_family("params: a\nmatrix: [a, b]")
+        ParamFamily(("a",), (parse_constraint("b = 1"),), ((("var", "a"),),))
 
 
 def test_families_round_trip_through_parser():
@@ -231,20 +242,127 @@ def test_deterministic_reports():
     assert r1.to_json() == r2.to_json()
 
 
-# SHA-256 of the sorted-key JSON of each family's report at samples=300
+# SHA-256 of the sorted-key JSON of each family's report at the given seed and
+# sample count; 2,000 samples is the CLI default
 PINNED_REPORTS = {
-    ("psl2-conj", 20259): "a4c261af6c1b7367b31620a2f54c2fd4dcf2c9dab923eee35780df70431aa97c",
-    ("psl2-adj-B", 20259): "c05a7fbc102aa52e9b4484efa50f0a57a69b4cbdf026491e65fc040ad418f40e",
-    ("psl2-adj-BwB", 20259): "d3e21a2f7b8df9e1160f03cb72273f0d12bf3e2a5ac3e8fbe39335a2de6365be",
-    ("psl2-conj", 1): "7dbec79599793595dcae332324b2ce0b122e9f6fd5835bef81d189063b3baede",
-    ("psl2-adj-B", 1): "875f815acb5714e729592d6e82c9a2a0002a9d214753c0423c0f9ea0ca92a3f4",
-    ("psl2-adj-BwB", 1): "1979af090506d18bfa8149a78cf883aa4f7c8182dd9737d5705bcd1508821278",
+    ("psl2-conj", 20259, 300): "a4c261af6c1b7367b31620a2f54c2fd4dcf2c9dab923eee35780df70431aa97c",
+    ("psl2-adj-B", 20259, 300): "c05a7fbc102aa52e9b4484efa50f0a57a69b4cbdf026491e65fc040ad418f40e",
+    ("psl2-adj-BwB", 20259, 300): "d3e21a2f7b8df9e1160f03cb72273f0d12bf3e2a5ac3e8fbe39335a2de6365be",
+    ("psl2-conj", 1, 300): "7dbec79599793595dcae332324b2ce0b122e9f6fd5835bef81d189063b3baede",
+    ("psl2-adj-B", 1, 300): "875f815acb5714e729592d6e82c9a2a0002a9d214753c0423c0f9ea0ca92a3f4",
+    ("psl2-adj-BwB", 1, 300): "1979af090506d18bfa8149a78cf883aa4f7c8182dd9737d5705bcd1508821278",
+    ("psl2-conj", 1, 2000): "8169461b62698909432492431e1fb4a3294805983de55273047d2030f4a324c4",
+    ("psl2-adj-B", 1, 2000): "8a74aaaaec4c9e94bd861e7e3d03797f284d1e18d189f2c63cb9781536c36b46",
+    ("psl2-adj-BwB", 1, 2000): "0b20e14c96f09be4e1bfd8c9b0395316e259ba4b2cce580c33ae1187a58fa8c8",
+    ("psl2-conj", 7, 2000): "8d911053578a853a04ee6de7faa49bace5fa1f8d6ac8fb95db3968a1a8d8b2b2",
+    ("psl2-adj-B", 7, 2000): "3e9da41d95193571343736d96b93335263d676e557b1f99d55cfc84cef476b56",
+    ("psl2-adj-BwB", 7, 2000): "f4c1c49ed50d924edb55ccfb8c60e31fa036389cb7041819f72b4ba384ad7292",
 }
 
 
-@pytest.mark.parametrize("seed", [20259, 1])
-def test_reports_are_pinned(seed):
+@pytest.mark.parametrize("seed, samples", [(20259, 300), (1, 300), (1, 2000), (7, 2000)],
+                         ids=["20259", "1", "1-2000", "7-2000"])
+def test_reports_are_pinned(seed, samples):
     for fam in (conjugation_family(), *adjoint_families()):
-        report = realizable_patterns(fam, samples=300, seed=seed)
+        report = realizable_patterns(fam, samples=samples, seed=seed)
         text = json.dumps(report.to_json(), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[fam.name, seed]
+        key = (fam.name, seed, samples)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[key]
+
+
+# ---------------------------------------------------------------------------
+# compiled straight-line code against the reference evaluator
+# ---------------------------------------------------------------------------
+
+
+_PARAMS = ("x", "y", "z")
+
+
+def _random_tree(rng, depth, pool):
+    """A random expression; pool holds earlier subtrees, reused as shared terms."""
+    if pool and rng.random() < 0.25:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.2:
+        tree = (("num", rng.randrange(4)) if rng.random() < 0.3
+                else ("var", rng.choice(_PARAMS)))
+    else:
+        kind = rng.choice(["add", "sub", "mul", "div", "neg", "pow"])
+        if kind == "neg":
+            tree = ("neg", _random_tree(rng, depth - 1, pool))
+        elif kind == "pow":
+            tree = ("pow", _random_tree(rng, depth - 1, pool), rng.randint(-3, 4))
+        else:
+            tree = (kind, _random_tree(rng, depth - 1, pool),
+                    _random_tree(rng, depth - 1, pool))
+    pool.append(tree)
+    return tree
+
+
+def _reference(expr, values, F):
+    try:
+        return evaluate(expr, values, F)
+    except EvaluationError:
+        return EvaluationError
+
+
+def _compiled_value(function, values):
+    try:
+        return function(values)
+    except EvaluationError:
+        return EvaluationError
+
+
+def test_compiled_code_matches_the_reference_evaluator():
+    rng = random.Random(15)
+    kinds, raised = set(), 0
+    for _ in range(150):
+        pool = []
+        trees = [_random_tree(rng, 4, pool) for _ in range(3)]
+        kinds.update(t[0] for t in pool)
+        family = ParamFamily(_PARAMS, (Constraint(trees[0], True, "t0"),),
+                             ((trees[1], trees[2]), (trees[0], ("num", 0))))
+        entries = [e for row in family.matrix for e in row]
+        for F in fields_for_characteristics((0, 2, 3, 5)):
+            code = compile_family(family, F)
+            for _ in range(4):
+                if F.characteristic:
+                    point = [rng.randrange(F.size) for _ in _PARAMS]
+                    values = dict(zip(_PARAMS, point))
+                else:
+                    point = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in _PARAMS]
+                    values = {p: Fraction(*v) for p, v in zip(_PARAMS, point)}
+                expected = _reference(trees[0], values, F)
+                got = _compiled_value(code.constraints[family.constraints[0]], point)
+                if got is not EvaluationError and not F.characteristic:
+                    got = Fraction(*got)
+                assert got == expected, (trees[0], F.tag, point)
+                raised += expected is EvaluationError
+                expected = [_reference(e, values, F) for e in entries]
+                got = _compiled_value(code.matrix, point)
+                if EvaluationError in expected:
+                    assert got is EvaluationError
+                else:
+                    assert [not e for e in got] == [not e for e in expected]
+    assert kinds == {"num", "var", "add", "sub", "mul", "div", "neg", "pow"}
+    assert raised > 50
+
+
+def test_compiled_power_is_one_operation():
+    family = parse_family("params: a\nconstraints: a^-100000 = 1\nmatrix: [a^100000]")
+    for F in fields_for_characteristics((0, 2, 3, 5)):
+        code = compile_family(family, F)
+        assert len(code.source) < 400, F.tag
+        if not F.characteristic:
+            continue
+        for a in range(F.size):
+            entry = family.matrix[0][0]
+            assert (not code.matrix([a])[0]) == (not evaluate(entry, {"a": a}, F))
+            expected = _reference(family.constraints[0].expr, {"a": a}, F)
+            assert _compiled_value(code.constraints[family.constraints[0]], [a]) == expected
+
+
+def test_compiled_source_holds_no_family_text():
+    family = parse_family("params: evil_name\nconstraints: evil_name != 0\n"
+                          "matrix: [evil_name^2]\nloci: evil_locus { evil_name = 1 }")
+    for F in fields_for_characteristics((0, 2, 3, 5)):
+        assert "evil" not in compile_family(family, F).source
