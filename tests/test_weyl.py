@@ -23,6 +23,7 @@ from blueweyl import (
     pseudo_hopf_points,
     rank_space,
     relation,
+    relation_entailed,
     tensor,
 )
 from blueweyl.blueprint import (
@@ -171,6 +172,48 @@ def test_slow_path_reports_are_pinned():
     assert {row[1] for row in rows} == {"certified", "unknown", "rejected"}
     digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
     assert digest == "03a6b45c04b8ff8e9287528102b1db91439bcd96c6cb697a118d2af6313a87a5"
+
+
+def _zero_and_entailment_verdicts(count):
+    """The SHA-256 of one row per presentation, and a tally of the rows.
+
+    The presentations are the first ``count`` seeded random ones, each
+    followed by its quotient and its residue field at each of its primes.
+    A row holds the zero test, the class of potential characteristics,
+    ``1 + 1 == 0`` entailed at budgets 50 and 400, and the primes.  The
+    prime search runs the zero test too, so both are hashed: a drift in
+    the zero test alone would move both enumerations together.
+    """
+    rng = random.Random(16)
+    rows, tally = [], collections.Counter()
+    for _ in range(count):
+        B = _random_slow_path_presentation(rng)
+        cases = [B]
+        for p in enumerate_primes(B):
+            Q = quotient_by_vars(B, p.gens)
+            cases += [Q, localize(Q, [g for g in range(B.width) if g not in p.gens])]
+        for C in cases:
+            two = relation([C.one()] * 2, [])
+            row = (is_zero_blueprint(C), potential_characteristics(C).label,
+                   relation_entailed(C, two, budget=50), relation_entailed(C, two, budget=400),
+                   [p.gens for p in enumerate_primes(C)])
+            tally["zero"] += row[0]
+            tally["budget matters"] += row[2] != row[3]
+            tally[row[1]] += 1
+            rows.append(row)
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest(), tally
+
+
+def test_zero_and_entailment_verdicts_are_pinned():
+    """Pinned from the code that canonicalised the relations again for
+    every zero test, entailment and torsion probe.  All 200 presentations
+    take minutes, so a CI step checks them; the first 30 give 204
+    presentations, 16 of them zero, 4 whose ``1 + 1 == 0`` verdict needs
+    the larger budget, and five kinds of characteristic class."""
+    digest, tally = _zero_and_entailment_verdicts(30)
+    assert tally["zero"] == 16 and tally["budget matters"] == 4
+    assert {"indefinite", "all-but-1", "{1}", "{2}", "unknown"} <= set(tally)
+    assert digest == "926cd1850eb512d0ff3064c070bb5a35016a4cc79ee70f2c4f4eb25a059b138a"
 
 
 def test_residue_shares_the_quotient_and_its_saturation():
