@@ -44,9 +44,7 @@ from .spectrum import (
     export_dot,
     is_prime,
     poset,
-    projective_space_poset,
     residue_field,
-    sobriety_check,
     spectrum_to_json,
 )
 from .weyl import (

@@ -582,8 +582,13 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
     with.  Only derived relations are skipped, so the prefix guarantee
     holds.
     """
-    dead, rels = _canonical_relations(B)
-    rels = [relation([B.gen(g)], []) for g in sorted(dead)] + rels
+    return _saturate(B, *_canonical_relations(B), rounds)
+
+
+def _saturate(B: BlueprintPresentation, dead: frozenset[int], canonical: list[Relation],
+              rounds: int = 2) -> tuple[Relation, ...]:
+    """:func:`saturate_relations` from the output of :func:`_canonical_relations`."""
+    rels = [relation([B.gen(g)], []) for g in sorted(dead)] + canonical
     seen = {(r.lhs.key(), r.rhs.key()) for r in rels}
     for _ in range(rounds):
         new = []
@@ -610,12 +615,18 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
 
 
 class _Relations(NamedTuple):
-    """The relations as unit detection and the analyses read them: the
-    killed generators, the canonical relations of :func:`_canonical_relations`
-    with their compiled ``forms``, and the compiled ``saturated`` list, of
-    which ``forms`` is a slice by the prefix guarantee.  None of it reads
-    ``inverted``, so a quotient and its residue field share one bundle.  It
-    is built once per presentation and passed as an argument, never kept.
+    """A presentation's relations, canonicalised, saturated and compiled
+    once: the killed generators, the canonical relations of
+    :func:`_canonical_relations` with their compiled ``forms``, and the
+    compiled ``saturated`` list, of which ``forms`` is a slice by the prefix
+    guarantee.  None of it reads ``inverted``, so a quotient and its residue
+    field share one bundle.  It is built once per presentation and passed
+    as an argument, never kept.
+
+    Its readers: the prime criterion and its zero test (:mod:`spectrum`),
+    the bounded entailment search and :func:`_kills_a_unit`, unit
+    detection, the normal-form analysis and the torsion probes of
+    :func:`potential_characteristics`.
     """
 
     dead: frozenset[int]
@@ -626,7 +637,7 @@ class _Relations(NamedTuple):
 
 def _relations(B: BlueprintPresentation) -> _Relations:
     dead, rels = _canonical_relations(B)
-    saturated = _relation_forms(saturate_relations(B))
+    saturated = _relation_forms(_saturate(B, dead, rels))
     return _Relations(dead, rels, saturated[len(dead):len(dead) + len(rels)], saturated)
 
 
@@ -635,18 +646,15 @@ def _relations(B: BlueprintPresentation) -> _Relations:
 # ---------------------------------------------------------------------------
 
 
-def _kills_a_unit(B: BlueprintPresentation, dead: frozenset[int],
-                  relations: Sequence[Relation]) -> bool:
+def _kills_a_unit(B: BlueprintPresentation, rels: _Relations) -> bool:
     """Whether a unit is killed, or a canonical relation sets a monomial m
     over units to 0: then 1 == m * m^-1 == 0.  The units are the inverted
-    generators closed by :func:`_unit_closure` under the canonical
-    ``relations`` of two terms, so T1 == T2 with T2 inverted makes T1 one."""
-    pairs = [_pair_shape(tuple(map(_term, r.lhs.terms)), tuple(map(_term, r.rhs.terms)))
-             for r in relations if len(r.lhs) + len(r.rhs) == 2]
+    generators closed by :func:`_unit_closure` under the compiled canonical
+    relations of two terms, so T1 == T2 with T2 inverted makes T1 one."""
+    pairs = [_pair_shape(form.lhs, form.rhs) for form in rels.forms if len(form.masks) == 2]
     units = _unit_closure(pairs, _mask(B.inverted), 0)
-    return bool(_mask(dead) & units) or any(
-        len(r.lhs) + len(r.rhs) == 1 and not _mask(r.all_terms()[0].support()) & ~units
-        for r in relations)
+    return bool(_mask(rels.dead) & units) or any(
+        len(form.masks) == 1 and not form.masks[0] & ~units for form in rels.forms)
 
 
 def _rewrite_rules(B: BlueprintPresentation,
@@ -704,13 +712,25 @@ def relation_entailed(B: BlueprintPresentation, rel: Relation,
     for torsion probes (at the cost of missing derivations that pass
     through non-constant sums).  When :func:`_kills_a_unit` holds, 1 == 0
     and every relation is derivable, so the answer is "yes" without a search.
+    The search rewrites with the canonical relations of B's
+    :func:`_relations` bundle; :func:`is_zero_blueprint` and the torsion
+    probes of :func:`potential_characteristics` read a bundle they already
+    hold through :func:`_entailed`.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    dead, rels = _canonical_relations(B)
-    if _kills_a_unit(B, dead, rels):
+    rels = _relations(B)
+    if _kills_a_unit(B, rels):
         return "yes"
-    rules = _rewrite_rules(B, rels)
+    return _entailed(B, rels, rel, budget, constant_states_only)
+
+
+def _entailed(B: BlueprintPresentation, rels: _Relations, rel: Relation, budget: int,
+              constant_states_only: bool = False) -> Literal["yes", "unknown"]:
+    """The search of :func:`relation_entailed` over the bundle ``rels``, for
+    a caller that has found :func:`_kills_a_unit` false."""
+    dead = rels.dead
+    rules = _rewrite_rules(B, rels.relations)
     start = _kill_terms(rel.lhs, dead)
     target = _kill_terms(rel.rhs, dead)
     if start.key() == target.key():
@@ -758,7 +778,12 @@ ZERO_TEST_BUDGET = 400
 
 def is_zero_blueprint(B: BlueprintPresentation) -> bool:
     """Detect (soundly, not completely) that 1 == 0 is derivable."""
-    return relation_entailed(B, relation([B.one()], []), budget=ZERO_TEST_BUDGET) == "yes"
+    return _is_zero(B, _relations(B))
+
+
+def _is_zero(B: BlueprintPresentation, rels: _Relations) -> bool:
+    return _kills_a_unit(B, rels) or _entailed(B, rels, relation([B.one()], []),
+                                               ZERO_TEST_BUDGET) == "yes"
 
 
 # ---------------------------------------------------------------------------
@@ -1154,14 +1179,15 @@ def potential_characteristics(B: BlueprintPresentation) -> CharacteristicClass:
     with sum-of-unit definitions g == n_g exclude exactly the primes
     dividing some n_g (plus 1 when -1 is present).  Everything else is
     reported unknown.  One :func:`_relations` bundle serves the torsion-probe
-    gate, the monoid-shape test and the normal-form analysis.
+    gate, the torsion probes, the monoid-shape test and the normal-form
+    analysis.
     """
     return _potential_characteristics(B, _relations(B))
 
 
 def _potential_characteristics(B: BlueprintPresentation,
                                rels: _Relations) -> CharacteristicClass:
-    if _kills_a_unit(B, rels.dead, rels.relations):  # 1 == 0, as the n = 1 probe reads it
+    if _kills_a_unit(B, rels):  # 1 == 0, as the n = 1 probe reads it
         return CharacteristicClass("finite", included=frozenset({1}))
     # torsion probes are pointless (and costly) unless some relation can
     # produce a constants-only sum
@@ -1169,13 +1195,13 @@ def _potential_characteristics(B: BlueprintPresentation,
         form.masks and not any(form.masks) for form in rels.saturated)
     if probe_worthwhile:
         for n in range(1, MAX_TORSION + 1):
-            if relation_entailed(B, relation([B.one()] * n, []), budget=TORSION_BUDGET,
-                                 constant_states_only=True) == "yes":
+            if _entailed(B, rels, relation([B.one()] * n, []), TORSION_BUDGET,
+                         constant_states_only=True) == "yes":
                 if n == 1:
                     return CharacteristicClass("finite", included=frozenset({1}))
                 return CharacteristicClass("finite", included=_prime_divisors(n))
-        if relation_entailed(B, relation([B.one()] * 2, [B.one()]), budget=TORSION_BUDGET,
-                             constant_states_only=True) == "yes":
+        if _entailed(B, rels, relation([B.one()] * 2, [B.one()]), TORSION_BUDGET,
+                     constant_states_only=True) == "yes":
             return CharacteristicClass("finite", included=frozenset({1}))
 
     if all(len(form.masks) <= 1 or len(form.lhs) == len(form.rhs) == 1

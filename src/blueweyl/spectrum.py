@@ -5,7 +5,8 @@ generated by a subset of the generators, so the spectrum is a finite set of
 generator subsets ordered by inclusion.  The criterion for a subset to be
 prime is that no saturated relation has exactly one term outside the
 candidate ideal.  Enumeration is a branch-and-bound search over subsets
-against the whole saturated list.
+against the whole saturated list, which, with the zero test, comes from
+one :func:`blueprint._relations` bundle per presentation.
 
 A point is a :class:`PrimePoint`, the tuple ``(size, gens)`` of its number
 of generators and their increasing tuple.  Its own order, by size and then
@@ -37,19 +38,18 @@ from typing import Iterable, Optional, Sequence
 
 from .blueprint import (
     BlueprintPresentation,
+    _is_zero,
     _mask,
     _outside_counts,
     _outside_terms,
-    _relation_forms,
     _RelationForm,
+    _relations,
     _term_bits,
     _TermBits,
     analyze_normal_form,
-    is_zero_blueprint,
     quotient_by_vars,
     localize,
     reduce_presentation,
-    saturate_relations,
 )
 
 DEFAULT_GENERATOR_CAP = 26
@@ -104,17 +104,18 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int]) -> bool:
     or an inverted generator can never get there.  A zero blueprint (1 == 0
     derivable) has no prime ideal, as :func:`enumerate_primes` and
     :func:`brute_force_primes` report; the zero test runs only for a
-    candidate that passes the criterion.
+    candidate that passes the criterion.  Both read one
+    :func:`blueprint._relations` bundle of B.
     """
     cand = frozenset(vars)
     if cand & B.inverted:
         return False
     if not cand <= set(range(B.width)):
         raise ValueError("unknown generator index")
-    layout = _term_bits(_relation_forms(saturate_relations(B)), B.width)
-    if not _criterion_holds(layout, _mask(cand)):
+    rels = _relations(B)
+    if not _criterion_holds(_term_bits(rels.saturated, B.width), _mask(cand)):
         return False
-    return not is_zero_blueprint(B)
+    return not _is_zero(B, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +296,10 @@ def _prime_leaders(B: BlueprintPresentation) -> list[int]:
     if B.width > DEFAULT_GENERATOR_CAP:
         raise GeneratorCapExceeded(f"presentation has {B.width} generators, above "
                                    f"the enumeration cap {DEFAULT_GENERATOR_CAP}")
-    if is_zero_blueprint(B):
+    rels = _relations(B)
+    if _is_zero(B, rels):
         return []
-    return _enumerate_masks(_relation_forms(saturate_relations(B)), B.width,
-                            _mask(B.inverted), B.symmetries)
+    return _enumerate_masks(rels.saturated, B.width, _mask(B.inverted), B.symmetries)
 
 
 def _orbit_points(B: BlueprintPresentation, leaders: Iterable[int]) -> list[PrimePoint]:
@@ -331,9 +332,10 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
     bound): each relation must have 0 or at least 2 terms outside the
     candidate ideal.
     """
-    if is_zero_blueprint(B):
+    rels = _relations(B)
+    if _is_zero(B, rels):
         return []
-    layout = _term_bits(_relation_forms(saturate_relations(B)), B.width)
+    layout = _term_bits(rels.saturated, B.width)
     free = [g for g in range(B.width) if g not in B.inverted]
     points = []
     for bits in range(1 << len(free)):
@@ -356,14 +358,12 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
 class SpectrumPoset:
     """A finite spectrum with its inclusion order.
 
-    Closed subsets are the up-closed sets.  ``closed_family`` optionally
-    fixes an explicit family of closed sets to check (used to exercise the
-    sobriety checker on corrupted inputs); without one the topology is the
-    full up-set topology, which :func:`sobriety_check` need not scan.
+    Closed subsets are the up-closed sets.  The points are distinct, so the
+    topology is T0 and, being finite, sober: every irreducible closed set
+    is the closure of exactly one point.
     """
 
     points: tuple[PrimePoint, ...]
-    closed_family: Optional[tuple[frozenset[int], ...]] = None
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
@@ -426,45 +426,6 @@ def poset(points: Iterable[PrimePoint]) -> SpectrumPoset:
     return SpectrumPoset(tuple(sorted(set(points))))
 
 
-def sobriety_check(P: SpectrumPoset) -> bool:
-    """Every irreducible closed subset must have a unique minimal point.
-
-    Without an explicit closed family this is a theorem: the up-set
-    topology of a finite poset is T0 (inclusion is antisymmetric), every
-    finite T0 space is sober, and :class:`SpectrumPoset` already rejects
-    duplicate points, so the answer is True without a scan.
-
-    With an explicit ``closed_family``, irreducibility is judged against
-    it: a non-empty closed set is irreducible when it is not the union of
-    two proper closed subsets from the family.
-    """
-    if P.closed_family is None:
-        return True
-    family = list(P.closed_family)
-    family_set = set(family)
-    for V in family:
-        if not V:
-            continue
-        # fast path: a global minimum is the unique generic point
-        members = sorted(V)
-        cand = members[0]
-        for j in members[1:]:
-            if P.leq(j, cand):
-                cand = j
-        if all(P.leq(cand, j) for j in members):
-            continue
-        proper = [W for W in family_set if W < V]
-        reducible = any(a | b == V for k, a in enumerate(proper)
-                        for b in proper[k:] if a != V and b != V)
-        if reducible:
-            continue
-        minimals = [i for i in V
-                    if not any(j != i and P.leq(j, i) for j in V)]
-        if len(minimals) != 1:
-            return False
-    return True
-
-
 def export_dot(P: SpectrumPoset, B: Optional[BlueprintPresentation] = None,
                name: str = "Spec") -> str:
     """Deterministic DOT digraph of the Hasse diagram, edges lower to higher."""
@@ -515,22 +476,3 @@ def residue_presentation(B: BlueprintPresentation, p: PrimePoint) -> BlueprintPr
     """The residue field as a raw presentation (all survivors inverted)."""
     complement = [g for g in range(B.width) if g not in p.gens]
     return quotient_by_vars(localize(B, complement), p.gens)
-
-
-# ---------------------------------------------------------------------------
-# Explicit point lists for glued (non-affine) schemes
-# ---------------------------------------------------------------------------
-
-
-def projective_space_poset(n: int) -> SpectrumPoset:
-    """The 2^(n+1)-1 points of P^n over F1 with the specialization order.
-
-    A point is a nonzero 0/1 coordinate pattern; it specializes towards
-    smaller supports, so the order is reverse inclusion of supports recast
-    as inclusion of the vanishing sets.
-    """
-    points = []
-    for bits in range(1, 1 << (n + 1)):
-        vanishing = frozenset(i for i in range(n + 1) if not (bits >> i) & 1)
-        points.append(PrimePoint(vanishing))
-    return poset(points)

@@ -17,7 +17,6 @@ from blueweyl import (
     quotient_by_vars,
     relation,
     residue_field,
-    sobriety_check,
     spectrum_to_json,
     tensor,
 )
@@ -28,7 +27,6 @@ from blueweyl.spectrum import (
     _enumerate_masks,
     _symmetry_group,
     brute_force_primes,
-    projective_space_poset,
 )
 from blueweyl.blueprint import _mask, _relation_forms, is_zero_blueprint, saturate_relations
 from blueweyl import catalog
@@ -444,8 +442,15 @@ def test_hasse_edges_match_the_triple_loop_on_shuffled_families():
         assert P.hasse_edges() == _hasse_by_triple_loop(points)
 
 
+def _projective_space_points(n):
+    """The 2^(n+1) - 1 points of P^n over F1, each a nonzero 0/1 coordinate
+    pattern given by its vanishing set, so specialization is inclusion."""
+    return [PrimePoint(i for i in range(n + 1) if not bits >> i & 1)
+            for bits in range(1, 1 << (n + 1))]
+
+
 def test_projective_line_chain_shape():
-    P = projective_space_poset(1)
+    P = poset(_projective_space_points(1))
     assert len(P.points) == 3
     # one generic point below two closed points
     assert len(P.hasse_edges()) == 2
@@ -454,50 +459,17 @@ def test_projective_line_chain_shape():
 
 
 def test_projective_plane_count():
-    assert len(projective_space_poset(2).points) == 7
+    # the generic point, three lines and three closed points: each line
+    # covers the generic point and is covered by its two closed points
+    P = poset(_projective_space_points(2))
+    assert len(P.points) == 7
+    assert len(P.hasse_edges()) == 9 and len(P.components()) == 1
 
 
 def test_components_of_constant_group():
     model = catalog.constant_group(catalog.GroupTable.cyclic(3))
     P = poset(model.spectrum())
     assert len(P.components()) == 3
-
-
-def test_sobriety_of_catalog_spectra():
-    for model in (catalog.sl(2), catalog.sl(3), catalog.gl(2), catalog.so(3)):
-        assert sobriety_check(poset(model.spectrum()))
-    assert sobriety_check(projective_space_poset(2))
-
-
-def _point_closures(P, unions):
-    n = len(P.points)
-    family = {frozenset(j for j in range(n) if P.leq(i, j)) for i in range(n)}
-    if unions:
-        family |= {a | b for a in family for b in family}
-    return tuple(sorted(family | {frozenset()}, key=lambda s: (len(s), sorted(s))))
-
-
-@pytest.mark.parametrize("unions", [False, True])
-def test_sobriety_scan_of_an_explicit_topology(unions):
-    # the scan run on the point closures (and, with unions, on the
-    # reducible sets without a global minimum) of sober spaces
-    for P in (poset(enumerate_primes(sl2())), projective_space_poset(2)):
-        family = _point_closures(P, unions)
-        assert sobriety_check(SpectrumPoset(P.points, closed_family=family))
-
-
-def test_sobriety_detects_broken_closed_family():
-    # a diamond whose family omits the two point closures: the top set
-    # becomes irreducible with two minimal points
-    pts = (PrimePoint({0}), PrimePoint({1}), PrimePoint({0, 1}))
-    family = (frozenset(), frozenset({2}), frozenset({0, 1, 2}))
-    P = SpectrumPoset(pts, closed_family=family)
-    assert not sobriety_check(P)
-
-
-def test_sobriety_of_two_incomparable_points():
-    P = poset([PrimePoint({0}), PrimePoint({1})])
-    assert sobriety_check(P)
 
 
 # ---------------------------------------------------------------------------

@@ -569,46 +569,53 @@ def test_rank_space_enumerates_the_spectrum_once(monkeypatch):
     assert enumerations == []
 
 
-def test_rank_space_saturates_once_per_slow_path_point(monkeypatch):
-    """One saturation for the prime search, then one per slow-path point:
-    sp:4 sends 8 points to the slow path."""
-    original = saturate_relations
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("blueweyl") and getattr(module, "saturate_relations", None) is original:
-            monkeypatch.setattr(module, "saturate_relations", counting)
-    assert len(rank_space(catalog.sp(4).presentation)) == 8
-    assert len(calls) == 9
-
-
-def test_rank_space_canonicalises_and_compiles_once_per_slow_path_point(monkeypatch):
-    """The slow path builds one relation bundle per point: sp:4 canonicalises
-    its relations 18 times (46 when every analysis derived its own list)
-    and compiles relation lists 10 times (44)."""
+def _count_calls(monkeypatch, names):
+    """A counter of the calls of the named ``blueprint`` functions, each
+    replaced by a counting wrapper in every module that refers to it."""
     from blueweyl import blueprint
 
     calls = collections.Counter()
-
-    def counting(name):
+    for name in names:
         original = getattr(blueprint, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+        def wrapper(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("blueweyl") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
+    return calls
 
-    counting("_canonical_relations")
-    counting("_relation_forms")
+
+def test_rank_space_saturates_once_per_slow_path_point(monkeypatch):
+    """One saturation for the prime search, then one per slow-path point:
+    sp:4 sends 8 points to the slow path.  Every saturation is the one of a
+    relation bundle, so the count is taken on the private ``_saturate``."""
+    calls = _count_calls(monkeypatch, ["_saturate", "saturate_relations"])
     assert len(rank_space(catalog.sp(4).presentation)) == 8
-    assert calls["_canonical_relations"] <= 18 and calls["_relation_forms"] <= 10
+    assert calls["_saturate"] == 9 and calls["saturate_relations"] == 0
+
+
+def test_rank_space_canonicalises_and_compiles_once_per_slow_path_point(monkeypatch):
+    """The prime search and each slow-path point build one relation bundle,
+    and nothing else canonicalises: sp:4 canonicalises its relations 9
+    times (18 when the zero test and saturation each canonicalised again,
+    46 when every analysis derived its own list) and compiles relation
+    lists 10 times (44)."""
+    calls = _count_calls(monkeypatch, ["_canonical_relations", "_relation_forms"])
+    assert len(rank_space(catalog.sp(4).presentation)) == 8
+    assert calls["_canonical_relations"] == 9 and calls["_relation_forms"] <= 10
+
+
+def test_potential_characteristics_canonicalises_once(monkeypatch):
+    """On F1^2[T^(+-1)] all seven torsion probes run, and they read the
+    bundle of the classification: one canonicalisation (9 when every probe
+    canonicalised again) and one compiled relation list."""
+    calls = _count_calls(monkeypatch, ["_canonical_relations", "_relation_forms"])
+    chars = potential_characteristics(mk_free(1, inverted=[0], coeff_order=2))
+    assert chars.label == "all-but-1"
+    assert calls == {"_canonical_relations": 1, "_relation_forms": 1}
 
 
 def test_rank_space_of_torus():
