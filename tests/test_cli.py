@@ -287,6 +287,77 @@ def test_samples_must_be_positive(args):
     assert f"from 1 to {MAX_SAMPLES}" in " ".join(_build_parser().format_help().split())
 
 
+# argv values of --m, --seed, the verify suite and the oracle model that
+# argparse must refuse, with one of each run through the entry point
+BAD_ARGV = [
+    ["tits-points", "sl:2", "--m", "0"],
+    ["tits-points", "sl:2", "--m", "3"],
+    ["tits-points", "sl:2", "--m", "x"],
+    ["--seed", "x", "oracle", "psl2-adj"],
+    ["--seed", "1.5", "oracle", "psl2-adj"],
+    ["verify", "nope"],
+    ["verify", "Paper-Counts"],
+    ["oracle", "sl:2"],
+    ["oracle", "psl2"],
+]
+
+
+@pytest.mark.parametrize("args", BAD_ARGV, ids=[" ".join(a) for a in BAD_ARGV])
+def test_bad_argv_is_a_usage_error(args):
+    out = io.StringIO()
+    assert run(args, out=out) == EXIT_USAGE
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("args", [BAD_ARGV[1], BAD_ARGV[4], BAD_ARGV[5], BAD_ARGV[8]],
+                         ids=lambda a: " ".join(a))
+def test_bad_argv_exits_without_a_traceback(args):
+    result = subprocess.run([sys.executable, "-m", "blueweyl.cli", *args],
+                            capture_output=True, text=True)
+    assert result.returncode == EXIT_USAGE
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("seed", [-1, 10**30])
+def test_any_integer_seed_is_accepted_and_echoed(seed):
+    code, data = invoke_json(["--seed", str(seed), "--samples", "50", "oracle", "psl2-adj"])
+    assert code == EXIT_OK
+    assert data["ok"] is True and data["seed"] == seed
+
+
+SAMPLER_MODULES = ("blueweyl.verify", "blueweyl.patterns", "fractions")
+
+IMPORT_BOUNDARY_PROBE = f"""
+import io, json, sys
+from blueweyl.cli import run
+
+codes = [run(argv, out=io.StringIO()) for argv in (
+    ["spec", "sl:2"], ["rank-space", "sl:2"], ["weyl", "sl:2"],
+    ["tits-points", "sl:2", "--m", "2"], ["dot", "sl:2"],
+    ["points", "--model", "sl:2", "--semiring", "boolean", "--check", "[1, 0, 0, 1]"],
+    ["--samples", "0", "spec", "sl:2"])]
+before = [m for m in {SAMPLER_MODULES!r} if m in sys.modules]
+out = io.StringIO()
+code = run(["--samples", "50", "oracle", "psl2-adj"], out=out)
+after = [m for m in {SAMPLER_MODULES!r} if m in sys.modules]
+print(json.dumps({{"codes": codes, "before": before, "code": code,
+                  "ok": json.loads(out.getvalue())["ok"], "after": after}}))
+"""
+
+
+def test_only_oracle_and_verify_load_the_sampler():
+    """The verbs that sample nothing never import the sampler or the suites."""
+    result = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY_PROBE],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen["codes"] == [EXIT_OK] * 6 + [EXIT_USAGE]
+    assert seen["before"] == []
+    assert seen["code"] == EXIT_OK and seen["ok"] is True
+    assert seen["after"] == list(SAMPLER_MODULES)
+
+
 # stdout SHA-256 of queries that take at most about 1.5 s, as pinned in
 # perfbench/expected.json
 GOLDEN_OUTPUTS = [
