@@ -1,6 +1,7 @@
 """Prime enumeration, poset topology, residue fields, DOT export."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from blueweyl.spectrum import (
     PrimePoint,
     SpectrumPoset,
     _enumerate_masks,
+    _prime_leaders,
     _symmetry_group,
     brute_force_primes,
 )
@@ -258,12 +260,11 @@ def _leaves(B, symmetries):
     return _enumerate_masks(base, B.width, _mask(B.inverted), symmetries)
 
 
-def test_orbit_search_matches_brute_force_on_planted_symmetries():
-    """The symmetric search and orbit expansion equal the symmetry-free
-    oracle, and the lex-leader pruning drops leaves, so the test does not
-    pass with the pruning never firing."""
+def _planted_symmetry_cases():
+    """Seeded random presentations with a planted symmetry: the tensor
+    square of each narrow one with its halves swapped, and each one closed
+    under a random permutation."""
     rng = random.Random(6)
-    dropped = 0
     cases = []
     for _ in range(25):
         B = _random_presentation(rng)
@@ -271,12 +272,48 @@ def test_orbit_search_matches_brute_force_on_planted_symmetries():
             T = tensor(B, B)
             cases.append(dataclasses.replace(T, symmetries=(_swap_halves(B.width),)))
         cases.append(_with_planted_cycle(B, rng))
-    for B in cases:
+    return cases
+
+
+def test_orbit_search_matches_brute_force_on_planted_symmetries():
+    """The symmetric search and orbit expansion equal the symmetry-free
+    oracle, and the lex-leader pruning drops leaves, so the test does not
+    pass with the pruning never firing."""
+    dropped = 0
+    for B in _planted_symmetry_cases():
         fast = [p.vars for p in enumerate_primes(B)]
         assert fast == [p.vars for p in brute_force_primes(B)], B
         if fast:
             dropped += len(_leaves(B, ())) - len(_leaves(B, B.symmetries))
     assert dropped >= 1
+
+
+@pytest.mark.parametrize("selector,digest", [
+    ("sl:2", "3592df95a717e079bcff72d758301f7e5d216a74765cc1e3209b7619889c7d49"),
+    ("sl:3", "a823881db8dcb6801e4b4d6ef7340bcabf20ba8bb3242df873b68ed5cef038c8"),
+    ("sl:4", "677b784d0620e014c6d80b3fefc988e3556b8a0939906507814feaa05433e044"),
+    ("gl:3", "a823881db8dcb6801e4b4d6ef7340bcabf20ba8bb3242df873b68ed5cef038c8"),
+    ("sp:4", "e444c10c0ce2404ae67d0d5d57baea4c8eff230ac124c8761e8cd5a66587d677"),
+    ("so:4", "abb1e125715b56f0a792494cabb137ad3f58486dfb4486dfd326dde615eb05b4"),
+    ("o:4", "abb1e125715b56f0a792494cabb137ad3f58486dfb4486dfd326dde615eb05b4"),
+    ("so:5", "4659ce891a1a068768b99f653f9f54bd0256ecff4a2c1fba9c8136c57bef5d71"),
+    ("levi:3:2,1", "d0f19f7e7ed50f4989e7ad37d23785029fcbf3ef42cded102169d5aedb68c3e4"),
+    ("nstorus", "fad748aa45cceb7106caff3dd83175c7d1c0a42e88e9faec3b815e53725e65a3"),
+])
+def test_prime_leaders_are_pinned_on_the_ladder(selector, digest):
+    """The orbit leaders of the prime search, in the order the search finds
+    them: the search order and the member kept of each orbit are pinned."""
+    leaders = _prime_leaders(catalog.from_selector(selector).presentation)
+    assert hashlib.sha256(repr(leaders).encode("utf-8")).hexdigest() == digest
+
+
+def test_prime_leaders_are_pinned_on_planted_symmetries():
+    """The leaders of the planted-symmetry presentations, zero ones
+    included (they have none), in search order."""
+    rows = [_prime_leaders(B) for B in _planted_symmetry_cases()]
+    assert len(rows) == 39 and sum(not row for row in rows) == 16
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == "ec4a1bdc68f3299aaba89367d764624c32ee37fb561cca314c436a02234735da"
 
 
 def test_pruning_keeps_exactly_the_lex_least_member_of_each_orbit():
