@@ -202,20 +202,21 @@ class _TermBits(NamedTuple):
     bit.  ``hit[g]`` holds the bits of the terms whose support contains
     generator g, so the terms outside an ideal generated by the point mask
     p are ``terms & ~OR(hit[g] for g in p)``.  Constant terms are never hit
-    and are always outside.  ``low`` holds the lowest bit of every block and
-    ``guard`` every guard bit.
+    and are always outside.  ``low`` holds the lowest bit of every block,
+    ``guard`` every guard bit and ``lhs`` every lhs term bit.
     """
 
     hit: tuple[int, ...]
     terms: int
     low: int
     guard: int
+    lhs: int
     blocks: tuple[_Block, ...]
 
 
 def _term_bits(forms: Sequence[_RelationForm], width: int) -> _TermBits:
     hit = [0] * width
-    terms = low = guard = 0
+    terms = low = guard = lhs = 0
     blocks = []
     offset = 0
     for rel in forms:
@@ -227,10 +228,11 @@ def _term_bits(forms: Sequence[_RelationForm], width: int) -> _TermBits:
         terms |= ((1 << n) - 1) << offset
         low |= 1 << offset
         guard |= 1 << (offset + n)
+        lhs |= ((1 << len(rel.lhs)) - 1) << offset
         blocks.append(_Block(offset, (1 << n) - 1, (1 << len(rel.lhs)) - 1,
                              _mask(i for i, m in enumerate(rel.masks) if not m)))
         offset += n + 1
-    return _TermBits(tuple(hit), terms, low, guard, tuple(blocks))
+    return _TermBits(tuple(hit), terms, low, guard, lhs, tuple(blocks))
 
 
 def _outside_terms(layout: _TermBits, pmask: int) -> int:
@@ -255,6 +257,18 @@ def _outside_counts(layout: _TermBits, x: int) -> tuple[int, int]:
     """
     terms, guard = layout.terms, layout.guard
     return (x + terms) & guard, ((((x | guard) - layout.low) & x) + terms) & guard
+
+
+def _holds_in_b1(layout: _TermBits, x: int) -> bool:
+    """Whether every relation holds in B1 (where 1 + 1 == 1) at the 0/1
+    point whose nonzero terms are the term bits ``x``.
+
+    A sum is 1 in B1 exactly when one of its terms is, so a relation holds
+    when its lhs and its rhs both have a bit in ``x`` or both have none:
+    one carry into the guard bits per side compares every relation at once.
+    """
+    terms, guard = layout.terms, layout.guard
+    return ((x & layout.lhs) + terms) & guard == ((x & ~layout.lhs) + terms) & guard
 
 
 def _pair_shape(a: Sequence[_Term], b: Sequence[_Term]):
@@ -776,14 +790,47 @@ def _entailed(B: BlueprintPresentation, rels: _Relations, rel: Relation, budget:
 ZERO_TEST_BUDGET = 400
 
 
+def _point_certifies(B: BlueprintPresentation, rels: _Relations, zeros: int) -> bool:
+    """Whether the 0/1 point that sends the generators in ``zeros`` and the
+    killed ones to 0, and every other generator to 1, is a point of B in
+    B1 (for ``coeff_order`` 1), F2 or F3, where -1 goes to -1.
+
+    Such a point is a blueprint morphism to a nonzero semiring, so it
+    certifies 1 != 0.  It must send the inverted generators to units, and
+    it must satisfy a generating set: the kill relations hold because the
+    killed generators go to 0, and the rest are the canonical relations
+    ``rels.forms``.  B1 has no -1, so it certifies nothing for
+    ``coeff_order`` 2, whose 1 + (-1) == 0 holds in F2 and F3.
+    """
+    zeros |= _mask(rels.dead)
+    if zeros & _mask(B.inverted):
+        return False
+    # per relation, the values +-1 of the terms each side keeps
+    kept = [([1 - 2 * t.sign for t in form.lhs if not t.mask & zeros],
+             [1 - 2 * t.sign for t in form.rhs if not t.mask & zeros]) for form in rels.forms]
+    if B.coeff_order == 1 and all(bool(a) == bool(b) for a, b in kept):
+        return True
+    return any(all((sum(a) - sum(b)) % p == 0 for a, b in kept) for p in (2, 3))
+
+
 def is_zero_blueprint(B: BlueprintPresentation) -> bool:
-    """Detect (soundly, not completely) that 1 == 0 is derivable."""
+    """Detect (soundly, not completely) that 1 == 0 is derivable.
+
+    "Zero" comes only from :func:`_kills_a_unit` or a rewrite chain within
+    ``ZERO_TEST_BUDGET`` steps.  Before the rewrite search, the all-ones
+    point of :func:`_point_certifies` (killed generators to 0) is tried:
+    when it is a point in B1, F2 or F3 the answer is "not zero" at once.
+    """
     return _is_zero(B, _relations(B))
 
 
 def _is_zero(B: BlueprintPresentation, rels: _Relations) -> bool:
-    return _kills_a_unit(B, rels) or _entailed(B, rels, relation([B.one()], []),
-                                               ZERO_TEST_BUDGET) == "yes"
+    """:func:`is_zero_blueprint` over the bundle ``rels``."""
+    if _kills_a_unit(B, rels):
+        return True
+    if _point_certifies(B, rels, 0):
+        return False
+    return _entailed(B, rels, relation([B.one()], []), ZERO_TEST_BUDGET) == "yes"
 
 
 # ---------------------------------------------------------------------------

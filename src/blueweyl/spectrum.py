@@ -8,6 +8,11 @@ candidate ideal.  Enumeration is a branch-and-bound search over subsets
 against the whole saturated list, which, with the zero test, comes from
 one :func:`blueprint._relations` bundle per presentation.
 
+A zero blueprint has no primes, so the search runs before the zero test:
+no leaves mean no primes, and a leaf whose 0/1 point (its generators to 0,
+the rest to 1) satisfies every relation in B1, F2 or F3 is a morphism to a
+nonzero semiring, which proves "not zero" without the rewrite search.
+
 A point is a :class:`PrimePoint`, the tuple ``(size, gens)`` of its number
 of generators and their increasing tuple.  Its own order, by size and then
 lexicographically by index, is the spectrum order: every list of points
@@ -16,7 +21,9 @@ this module returns is sorted by it, and nothing sorts points by a key.
 The search and every other test of the criterion read the term-bit layout
 of :func:`blueprint._term_bits`: one integer holds, per relation, a bit for
 each term outside the candidate, and a few big-int operations flag every
-relation with at least one and with at least two such terms at once.
+relation with at least one and with at least two such terms at once.  A
+search node updates these flags from its parent's, and the B1 test of a
+leaf's point reads the same layout.
 
 A presentation's verified ``symmetries`` map the relation set onto itself,
 so they are blueprint automorphisms and the spectrum is a union of orbits
@@ -38,11 +45,13 @@ from typing import Iterable, Optional, Sequence
 
 from .blueprint import (
     BlueprintPresentation,
+    _holds_in_b1,
     _is_zero,
+    _kills_a_unit,
     _mask,
     _outside_counts,
     _outside_terms,
-    _RelationForm,
+    _point_certifies,
     _relations,
     _term_bits,
     _TermBits,
@@ -103,9 +112,10 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int]) -> bool:
     term outside would force that term into the ideal, and a constant term
     or an inverted generator can never get there.  A zero blueprint (1 == 0
     derivable) has no prime ideal, as :func:`enumerate_primes` and
-    :func:`brute_force_primes` report; the zero test runs only for a
-    candidate that passes the criterion.  Both read one
-    :func:`blueprint._relations` bundle of B.
+    :func:`brute_force_primes` report; for a candidate that passes the
+    criterion, its own 0/1 point (the candidate to 0, the rest to 1) is
+    tried as a certificate of "not zero" before the zero test.  All of it
+    reads one :func:`blueprint._relations` bundle of B.
     """
     cand = frozenset(vars)
     if cand & B.inverted:
@@ -113,9 +123,10 @@ def is_prime(B: BlueprintPresentation, vars: Iterable[int]) -> bool:
     if not cand <= set(range(B.width)):
         raise ValueError("unknown generator index")
     rels = _relations(B)
-    if not _criterion_holds(_term_bits(rels.saturated, B.width), _mask(cand)):
+    cmask = _mask(cand)
+    if not _criterion_holds(_term_bits(rels.saturated, B.width), cmask):
         return False
-    return not _is_zero(B, rels)
+    return _point_certifies(B, rels, cmask) or not _is_zero(B, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +181,31 @@ def _orbit(mask: int, tables: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     return orbit
 
 
-def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
+def _enumerate_masks(layout: _TermBits, inv_mask: int,
                      symmetries: Sequence[Sequence[int]] = ()) -> list[int]:
-    """The subsets passing the criterion on ``forms`` that are lex-leaders
-    under the group ``symmetries`` generate, by depth-first branch and
-    bound.
+    """The subsets passing the criterion on the relations of the term-bit
+    ``layout`` that are lex-leaders under the group ``symmetries``
+    generate, by depth-first branch and bound.
 
     Generators are decided one at a time, those in the most terms first; a
     branch dies as soon as some relation has every term decided and exactly
     one of them out.  A term is IN once it meets the chosen set, OUT once
     its support is fully among rejected or inverted generators.  Both are
-    read off the term-bit layout of :func:`blueprint._term_bits`: the terms
-    not IN are those outside ``inside``, the OR of ``hit[g]`` over the
-    chosen generators, and such a term is OUT once it lies in
-    ``settled[k]``, the terms whose support is among the inverted
-    generators and the first k generators of the order.  So a relation is
-    dead exactly when it has one term outside ``inside`` and no term
-    outside both ``inside`` and ``settled[k]``, and each node tests every
-    relation at once with a few big-int operations.
+    read off the term-bit layout of :func:`blueprint._term_bits`: a node
+    carries ``rest``, the terms no chosen generator hits, and ``one``, the
+    guard bits of the blocks with exactly one term in ``rest``.  A term of
+    ``rest`` is OUT once it lies in ``settled[k]``, the terms whose support
+    is among the inverted generators and the first k generators of the
+    order.  So a relation is dead exactly when its block is in ``one`` and
+    its sole term of ``rest`` is settled.
+
+    The node test is incremental; the parent is alive, so no block of its
+    ``one`` has a settled sole term.  The child where g = order[k] stays
+    out keeps ``rest`` and ``one``, and dies only when such a sole term is
+    among ``newly[k]``, the terms that deciding g settles: one carry into
+    the guard bits.  Every term of ``newly[k]`` contains g, so when g
+    joins, nothing changes unless ``hit[g]`` meets ``rest``; only then is
+    ``one`` recounted and the child's blocks tested in full.
 
     Symmetry breaking (the lex-leader predicate of Crawford, Ginsberg, Luks
     and Roy).  Read a subset x as the bit word of the generators in search
@@ -204,8 +222,8 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
     orbits, which needs the primes to form a union of orbits: each sigma
     must map the relations onto themselves, as the presentation checks.
     """
-    layout = _term_bits(forms, width)
     hit, terms, guard = layout.hit, layout.terms, layout.guard
+    width = len(hit)
     order = sorted((g for g in range(width) if not (inv_mask >> g) & 1),
                    key=lambda g: -hit[g].bit_count())
     position = {g: k for k, g in enumerate(order)}
@@ -224,17 +242,20 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
         waiting[chain[0][0]].append((ci, 0))
     norder = len(order)
     # settled[k]: the terms whose support lies among the inverted generators
-    # and order[:k]
+    # and order[:k]; newly[k]: the terms deciding order[k] settles
     settled = [terms] * (norder + 1)
     for k in range(norder - 1, -1, -1):
         settled[k] = settled[k + 1] & ~hit[order[k]]
+    newly = [settled[k + 1] & ~settled[k] for k in range(norder)]
 
-    def alive(inside: int, k: int) -> bool:
-        """No relation is dead once the first k generators of the order are
-        decided and the chosen ones hit the terms in ``inside``."""
-        rest = terms & ~inside
+    def exactly_one(rest: int) -> int:
         some, several = _outside_counts(layout, rest)
-        return not some & ~several & ~(((rest & ~settled[k]) + terms) & guard)
+        return some & ~several
+
+    def alive(rest: int, one: int, k: int) -> bool:
+        """No block of ``one`` has its sole term of ``rest`` settled once
+        the first k generators of the order are decided."""
+        return not one & ~(((rest & ~settled[k]) + terms) & guard)
 
     def lex_leader_so_far(level: int, x: int):
         """Advance the comparisons waiting at ``level`` on the decided bits
@@ -263,23 +284,40 @@ def _enumerate_masks(forms: Sequence[_RelationForm], width: int, inv_mask: int,
 
     results: list[int] = []
 
-    def decide(pos: int, x: int, inside: int):
+    def decide(pos: int, x: int, rest: int, one: int):
         if pos == norder:
             results.append(x)
             return
         g = order[pos]
-        symmetric = bool(waiting[pos])
-        # g joins the ideal, then g stays out
-        for child, child_inside in ((x | 1 << g, inside | hit[g]), (x, inside)):
-            if alive(child_inside, pos + 1):
-                moved = lex_leader_so_far(pos, child) if symmetric else ()
-                if moved is not None:
-                    decide(pos + 1, child, child_inside)
-                    for lvl in moved:
-                        waiting[lvl].pop()
+        symmetric = waiting[pos]
+        hit_g = hit[g]
+        # g joins the ideal; every term deciding g settles contains g, so
+        # the child is its parent's node unless g hits a term of rest
+        if hit_g & rest:
+            joined = rest & ~hit_g
+            joined_one = exactly_one(joined)
+            joins = alive(joined, joined_one, pos + 1)
+        else:
+            joined, joined_one, joins = rest, one, True
+        if joins:
+            child = x | 1 << g
+            moved = lex_leader_so_far(pos, child) if symmetric else ()
+            if moved is not None:
+                decide(pos + 1, child, joined, joined_one)
+                for lvl in moved:
+                    waiting[lvl].pop()
+        # g stays out; the child dies when a block of one has its sole term
+        # among the newly settled ones
+        if not ((rest & newly[pos]) + terms) & one:
+            moved = lex_leader_so_far(pos, x) if symmetric else ()
+            if moved is not None:
+                decide(pos + 1, x, rest, one)
+                for lvl in moved:
+                    waiting[lvl].pop()
 
-    if alive(0, 0):
-        decide(0, 0, 0)
+    one = exactly_one(terms)
+    if alive(terms, one, 0):
+        decide(0, 0, terms, one)
     return results
 
 
@@ -292,14 +330,30 @@ def _prime_leaders(B: BlueprintPresentation) -> list[int]:
     criterion, and the search prunes with the whole group, so distinct
     leaders have disjoint orbits.  Every member of a leader's orbit is prime
     because the criterion on the saturated relations is constant on orbits.
+
+    The search runs before the zero test.  A unit that
+    :func:`blueprint._kills_a_unit` finds killed means no search at all,
+    and no leaves mean no primes.  Otherwise each leaf's 0/1 point (its
+    generators to 0, the rest to 1) is tried as a certificate of "not
+    zero": in B1 on the search's own layout for ``coeff_order`` 1, in F2
+    and F3 by :func:`blueprint._point_certifies` otherwise.  Only when no
+    leaf certifies does the rewrite search of the zero test run.
     """
     if B.width > DEFAULT_GENERATOR_CAP:
         raise GeneratorCapExceeded(f"presentation has {B.width} generators, above "
                                    f"the enumeration cap {DEFAULT_GENERATOR_CAP}")
     rels = _relations(B)
-    if _is_zero(B, rels):
+    if _kills_a_unit(B, rels):
         return []
-    return _enumerate_masks(rels.saturated, B.width, _mask(B.inverted), B.symmetries)
+    layout = _term_bits(rels.saturated, B.width)
+    leaders = _enumerate_masks(layout, _mask(B.inverted), B.symmetries)
+    if not leaders:
+        return []
+    if B.coeff_order == 1:
+        certified = any(_holds_in_b1(layout, _outside_terms(layout, m)) for m in leaders)
+    else:
+        certified = any(_point_certifies(B, rels, m) for m in leaders)
+    return [] if not certified and _is_zero(B, rels) else leaders
 
 
 def _orbit_points(B: BlueprintPresentation, leaders: Iterable[int]) -> list[PrimePoint]:

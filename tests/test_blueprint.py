@@ -23,8 +23,13 @@ from blueweyl import (
 )
 from blueweyl.blueprint import (
     Monomial,
+    _holds_in_b1,
+    _outside_terms,
+    _point_certifies,
     _relation_forms,
+    _relations,
     _term_bits,
+    is_zero_blueprint,
     one_monomial,
     saturate_relations,
     smith_normal_form_with_transforms,
@@ -415,6 +420,135 @@ def test_entailment_uses_squared_sign_rule():
     B = B.with_relations([relation([B.monomial([1, 1]), B.one()], [])])
     target = relation([B.monomial([2, 2])], [B.one()])
     assert relation_entailed(B, target, budget=500) == "yes"
+
+
+# ---------------------------------------------------------------------------
+# the 0/1-point certificate of "not zero"
+# ---------------------------------------------------------------------------
+
+
+def _random_small_presentation(rng):
+    """Width <= 4, coefficient order 1 or 2, constant terms and empty sides."""
+    width = rng.randint(1, 4)
+    order = rng.choice((1, 2))
+    B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 1)),
+                coeff_order=order)
+    pool = [B.one(s) for s in range(order)] + [B.gen(g) for g in range(width)]
+    pool += [B.monomial([rng.randint(0, 1) for _ in range(width)], rng.randint(0, 1))
+             for _ in range(2)]
+
+    def side():
+        return [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+
+    return B.with_relations(relation(side(), side()) for _ in range(rng.randint(1, 3)))
+
+
+def _with_planted_zero(B, g):
+    """B with T_g == 1, T_g + 1 == 0 and 1 + 1 == 1, so that
+    1 == 1 + 1 == T_g + 1 == 0."""
+    return B.with_relations([relation([B.gen(g)], [B.one()]),
+                             relation([B.gen(g), B.one()], []),
+                             relation([B.one(), B.one()], [B.one()])])
+
+
+def _point_holds_term_by_term(B, zeros, semiring):
+    """Whether the 0/1 point sending the generators in ``zeros`` and the
+    killed ones to 0 and the rest to 1 satisfies B's own relations in
+    ``semiring`` ("B1", 2 or 3), read off the monomials: an oracle that
+    shares no code with the compiled certificate."""
+    zeros |= _mask_of(B.killed())
+    if zeros & _mask_of(B.inverted):
+        return False
+
+    def value(side):
+        kept = [(-1) ** t.sign for t in side.terms if not _mask_of(t.support()) & zeros]
+        return bool(kept) if semiring == "B1" else sum(kept) % semiring
+
+    rels = list(B.relations)
+    if B.coeff_order == 2:
+        rels.append(relation([B.one(), B.one(1)], []))
+    return all(value(r.lhs) == value(r.rhs) for r in rels)
+
+
+def _mask_of(gens):
+    return sum(1 << g for g in gens)
+
+
+def test_certificate_matches_the_point_evaluated_term_by_term():
+    """Every 0/1 point of seeded random presentations: the certificate
+    agrees with the point read off the monomials in B1, F2 and F3 (B1 only
+    for coefficient order 1), and the B1 test on the term-bit layout of
+    the saturated list agrees with B1 for every point that kills the
+    killed generators."""
+    rng = random.Random(18)
+    kinds = set()
+    for _ in range(60):
+        B = _random_small_presentation(rng)
+        rels = _relations(B)
+        layout = _term_bits(rels.saturated, B.width)
+        dead = _mask_of(rels.dead)
+        for zeros in range(1 << B.width):
+            b1 = B.coeff_order == 1 and _point_holds_term_by_term(B, zeros, "B1")
+            fields = [_point_holds_term_by_term(B, zeros, p) for p in (2, 3)]
+            assert _point_certifies(B, rels, zeros) == (b1 or any(fields)), (B, zeros)
+            if B.coeff_order == 1 and zeros & dead == dead and not zeros & _mask_of(B.inverted):
+                assert _holds_in_b1(layout, _outside_terms(layout, zeros)) == b1, (B, zeros)
+            kinds.add((B.coeff_order, b1, *fields))
+    # points holding in B1 only, in F2 only, in F3 only, and nowhere
+    assert {(1, True, False, False), (1, False, True, False), (2, False, False, True),
+            (1, False, False, False), (2, False, False, False)} <= kinds
+
+
+def test_a_certified_presentation_is_never_proved_zero():
+    """Seeded random presentations and the same ones with 1 == 0 planted:
+    whenever some 0/1 point certifies "not zero", the rewrite search finds
+    no 1 == 0 at budget 400 or 4,000.  No point certifies a planted zero
+    blueprint, and the zero test proves most of them zero, so the
+    certificate is tried where "zero" is the answer too."""
+    rng = random.Random(19)
+    certified = uncertified = proved = 0
+    orders = set()
+    for _ in range(16):
+        B = _random_small_presentation(rng)
+        planted = _with_planted_zero(B, rng.randrange(B.width))
+        for C in (B, planted):
+            rels = _relations(C)
+            one_is_zero = relation([C.one()], [])
+            if any(_point_certifies(C, rels, zeros) for zeros in range(1 << C.width)):
+                assert C is B
+                certified += 1
+                orders.add(C.coeff_order)
+                assert not is_zero_blueprint(C)
+                for budget in (400, 4000):
+                    assert relation_entailed(C, one_is_zero, budget) == "unknown", C
+            else:
+                uncertified += 1
+        proved += is_zero_blueprint(planted)
+    # 11 certified of both coefficient orders, 21 not, 15 planted proved zero
+    assert certified >= 10 and orders == {1, 2} and uncertified >= 20 and proved >= 15
+
+
+def test_f1_with_one_plus_one_zero_is_certified_through_f2_only():
+    # F1[T] with 1 + 1 == 0: the all-ones point holds in F2, not in B1 or F3
+    B = mk_free(1)
+    B = B.with_relations([relation([B.one(), B.one()], [])])
+    rels = _relations(B)
+    layout = _term_bits(rels.saturated, B.width)
+    assert not _holds_in_b1(layout, _outside_terms(layout, 0))
+    assert _point_certifies(B, rels, 0) and not is_zero_blueprint(B)
+    assert relation_entailed(B, relation([B.one()], []), budget=4000) == "unknown"
+
+
+def test_b1_never_certifies_a_coefficient_order_two_presentation():
+    # F1^2 with 1 + 1 == 1 holds at the all-ones point in B1, but B1 has no
+    # -1: indeed 1 == 1 + (1 + (-1)) == (1 + 1) + (-1) == 1 + (-1) == 0
+    B = mk_free(1, coeff_order=2)
+    B = B.with_relations([relation([B.one(), B.one()], [B.one()])])
+    rels = _relations(B)
+    layout = _term_bits(rels.saturated, B.width)
+    assert _holds_in_b1(layout, _outside_terms(layout, 0))
+    assert not any(_point_certifies(B, rels, zeros) for zeros in (0, 1))
+    assert is_zero_blueprint(B)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from blueweyl import catalog
 from blueweyl.blueprint import (
     _mask,
     _relation_forms,
+    _term_bits,
     mk_free,
     saturate_relations,
     simplify_presentation,
@@ -122,8 +123,8 @@ def test_symmetric_search_keeps_one_leaf_per_orbit(selector, leaves):
     # here the generating relations and the full saturated list have the same primes
     B = from_selector(selector).presentation
     for rounds in (0, 2):
-        forms = _relation_forms(saturate_relations(B, rounds=rounds))
-        assert len(_enumerate_masks(forms, B.width, _mask(B.inverted), B.symmetries)) == leaves
+        layout = _term_bits(_relation_forms(saturate_relations(B, rounds=rounds)), B.width)
+        assert len(_enumerate_masks(layout, _mask(B.inverted), B.symmetries)) == leaves
 
 
 def test_derived_models_carry_no_symmetries():

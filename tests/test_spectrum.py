@@ -30,7 +30,13 @@ from blueweyl.spectrum import (
     _symmetry_group,
     brute_force_primes,
 )
-from blueweyl.blueprint import _mask, _relation_forms, is_zero_blueprint, saturate_relations
+from blueweyl.blueprint import (
+    _mask,
+    _relation_forms,
+    _term_bits,
+    is_zero_blueprint,
+    saturate_relations,
+)
 from blueweyl import catalog
 
 
@@ -132,8 +138,8 @@ def test_enumerate_matches_brute_force_on_random_presentations():
         fast = [p.vars for p in enumerate_primes(B)]
         assert fast == [p.vars for p in brute_force_primes(B)], B
         if fast:
-            base = _relation_forms(saturate_relations(B, rounds=0))
-            removed += len(_enumerate_masks(base, B.width, _mask(B.inverted))) - len(fast)
+            base = _term_bits(_relation_forms(saturate_relations(B, rounds=0)), B.width)
+            removed += len(_enumerate_masks(base, _mask(B.inverted))) - len(fast)
     assert removed >= 1
 
 
@@ -256,8 +262,8 @@ def _with_planted_cycle(B, rng):
 
 
 def _leaves(B, symmetries):
-    base = _relation_forms(saturate_relations(B, rounds=0))
-    return _enumerate_masks(base, B.width, _mask(B.inverted), symmetries)
+    base = _term_bits(_relation_forms(saturate_relations(B, rounds=0)), B.width)
+    return _enumerate_masks(base, _mask(B.inverted), symmetries)
 
 
 def _planted_symmetry_cases():

@@ -608,6 +608,17 @@ def test_rank_space_canonicalises_and_compiles_once_per_slow_path_point(monkeypa
     assert calls["_canonical_relations"] == 9 and calls["_relation_forms"] <= 10
 
 
+def test_prime_leaders_of_so5_run_no_rewrite_search(monkeypatch):
+    """On so:5 a leaf's 0/1 point certifies "not zero" (the all-ones point
+    does not), so the prime search never runs the rewrite search of the
+    zero test, and the certificate reads the search's own layout: one
+    canonicalisation and one compiled relation list."""
+    calls = _count_calls(monkeypatch, ["_entailed", "_canonical_relations", "_relation_forms"])
+    assert len(_prime_leaders(catalog.so(5).presentation)) == 4094
+    assert calls["_entailed"] == 0
+    assert calls == {"_canonical_relations": 1, "_relation_forms": 1}
+
+
 def test_potential_characteristics_canonicalises_once(monkeypatch):
     """On F1^2[T^(+-1)] all seven torsion probes run, and they read the
     bundle of the classification: one canonicalisation (9 when every probe
