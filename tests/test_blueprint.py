@@ -451,6 +451,10 @@ def _with_planted_zero(B, g):
                              relation([B.one(), B.one()], [B.one()])])
 
 
+def _mask_of(gens):
+    return sum(1 << g for g in gens)
+
+
 def _point_holds_term_by_term(B, zeros, semiring):
     """Whether the 0/1 point sending the generators in ``zeros`` and the
     killed ones to 0 and the rest to 1 satisfies B's own relations in
@@ -468,10 +472,6 @@ def _point_holds_term_by_term(B, zeros, semiring):
     if B.coeff_order == 2:
         rels.append(relation([B.one(), B.one(1)], []))
     return all(value(r.lhs) == value(r.rhs) for r in rels)
-
-
-def _mask_of(gens):
-    return sum(1 << g for g in gens)
 
 
 def test_certificate_matches_the_point_evaluated_term_by_term():
