@@ -30,16 +30,21 @@ class Monomial:
     """A monomial (-1)^sign * prod(T_i^e_i), or the constant zero.
 
     ``exps`` is indexed by the generators of the owning presentation.  The
-    zero monomial carries sign 0 and an all-zero exponent vector.
+    zero monomial carries sign 0 and an all-zero exponent vector.  ``mask``
+    is the support as a bitmask (bit g set when ``exps[g]`` is non-zero), the
+    form the syntactic scans read; it takes no part in equality, hashing or
+    ``repr``.
     """
 
     sign: int
     exps: tuple[int, ...]
     zero: bool = False
+    mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.zero and (self.sign != 0 or any(self.exps)):
             raise ValueError("zero monomial must have trivial sign and exponents")
+        object.__setattr__(self, "mask", _mask(g for g, e in enumerate(self.exps) if e))
 
     @property
     def degree(self) -> int:
@@ -136,22 +141,22 @@ def relation(lhs: Iterable[Monomial], rhs: Iterable[Monomial]) -> Relation:
 
 
 # ---------------------------------------------------------------------------
-# Compiled relations
+# Relation scans
 # ---------------------------------------------------------------------------
 #
 # The syntactic scans over relations (the prime criterion, unit detection,
-# lattice rows) read terms as support bitmasks.  A relation list is compiled
-# once into this form, and every scan reads the compiled form.  The scans
-# that run once per spectrum point (the prime criterion and the pseudo-Hopf
-# fast scan) read the term-bit layout built from it, which answers "which
-# terms lie outside this ideal" for every relation in a few big-int steps.
+# lattice rows) read the terms of a Relation through their support masks
+# (``Monomial.mask``).  The scans that run once per spectrum point (the prime
+# criterion and the pseudo-Hopf fast scan) read the term-bit layout of
+# _term_bits instead, which answers "which terms lie outside this ideal" for
+# every relation in a few big-int steps.
 
 
 def _bare_generator(t: Monomial) -> Optional[int]:
     """The index g when t is +-T_g, else None."""
-    support = [g for g, e in enumerate(t.exps) if e]
-    if len(support) == 1 and t.exps[support[0]] == 1:
-        return support[0]
+    m = t.mask
+    if m and not m & (m - 1) and t.exps[m.bit_length() - 1] == 1:
+        return m.bit_length() - 1
     return None
 
 
@@ -162,32 +167,6 @@ def _mask(gens: Iterable[int]) -> int:
     return mask
 
 
-class _Term(NamedTuple):
-    mask: int               # support bitmask; 0 for constants
-    exps: tuple[int, ...]
-    sign: int
-    gen: Optional[int]      # _bare_generator of the term
-
-
-class _RelationForm(NamedTuple):
-    lhs: tuple[_Term, ...]
-    rhs: tuple[_Term, ...]
-    masks: tuple[int, ...]  # support masks of lhs + rhs
-
-
-def _term(t: Monomial) -> _Term:
-    return _Term(_mask(t.support()), t.exps, t.sign, _bare_generator(t))
-
-
-def _relation_forms(relations: Iterable[Relation]) -> tuple[_RelationForm, ...]:
-    out = []
-    for rel in relations:
-        lhs = tuple(map(_term, rel.lhs.terms))
-        rhs = tuple(map(_term, rel.rhs.terms))
-        out.append(_RelationForm(lhs, rhs, tuple(t.mask for t in lhs + rhs)))
-    return tuple(out)
-
-
 class _Block(NamedTuple):
     offset: int   # bit position of the relation's first term
     terms: int    # the relation's term bits, shifted down to bit 0
@@ -196,7 +175,7 @@ class _Block(NamedTuple):
 
 
 class _TermBits(NamedTuple):
-    """A compiled relation list with one bit per term.
+    """A relation list laid out with one bit per term.
 
     Relation i owns a block of bits: one per term, lhs first, then a guard
     bit.  ``hit[g]`` holds the bits of the terms whose support contains
@@ -214,14 +193,15 @@ class _TermBits(NamedTuple):
     blocks: tuple[_Block, ...]
 
 
-def _term_bits(forms: Sequence[_RelationForm], width: int) -> _TermBits:
+def _term_bits(relations: Sequence[Relation], width: int) -> _TermBits:
     hit = [0] * width
     terms = low = guard = lhs = 0
     blocks = []
     offset = 0
-    for rel in forms:
-        n = len(rel.masks)
-        for i, m in enumerate(rel.masks):
+    for rel in relations:
+        masks = [t.mask for t in rel.all_terms()]
+        n = len(masks)
+        for i, m in enumerate(masks):
             for g in range(width):
                 if m >> g & 1:
                     hit[g] |= 1 << (offset + i)
@@ -230,7 +210,7 @@ def _term_bits(forms: Sequence[_RelationForm], width: int) -> _TermBits:
         guard |= 1 << (offset + n)
         lhs |= ((1 << len(rel.lhs)) - 1) << offset
         blocks.append(_Block(offset, (1 << n) - 1, (1 << len(rel.lhs)) - 1,
-                             _mask(i for i, m in enumerate(rel.masks) if not m)))
+                             _mask(i for i, m in enumerate(masks) if not m)))
         offset += n + 1
     return _TermBits(tuple(hit), terms, low, guard, lhs, tuple(blocks))
 
@@ -271,7 +251,7 @@ def _holds_in_b1(layout: _TermBits, x: int) -> bool:
     return ((x & layout.lhs) + terms) & guard == ((x & ~layout.lhs) + terms) & guard
 
 
-def _pair_shape(a: Sequence[_Term], b: Sequence[_Term]):
+def _pair_shape(a: Sequence[Monomial], b: Sequence[Monomial]):
     """(t1, t2, 0) for a relation t1 == t2, (t1, t2, 1) for t1 + t2 == 0, else None."""
     if len(a) == 1 and len(b) == 1:
         return a[0], b[0], 0
@@ -301,10 +281,11 @@ def _unit_closure(pairs, units: int, dead: int) -> int:
     return units
 
 
-def _defined_generator(single: Sequence[_Term], rest: Sequence[_Term]) -> Optional[int]:
+def _defined_generator(single: Sequence[Monomial],
+                       rest: Sequence[Monomial]) -> Optional[int]:
     """g when ``single`` is the term T_g and ``rest`` is a sum of constants."""
     if len(single) == 1 and not single[0].sign and not any(t.mask for t in rest):
-        return single[0].gen
+        return _bare_generator(single[0])
     return None
 
 
@@ -463,8 +444,9 @@ def mk_free(n: int, inverted: Iterable[int] = (), coeff_order: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def _kill_terms(s: FormalSum, dead: frozenset[int]) -> FormalSum:
-    return formal_sum(t for t in s.terms if not (t.support() & dead))
+def _kill_terms(s: FormalSum, dead: int) -> FormalSum:
+    """``s`` without the terms that meet the generator mask ``dead``."""
+    return formal_sum(t for t in s.terms if not t.mask & dead)
 
 
 def quotient_by_vars(B: BlueprintPresentation, vars: Iterable[int]) -> BlueprintPresentation:
@@ -481,9 +463,10 @@ def quotient_by_vars(B: BlueprintPresentation, vars: Iterable[int]) -> Blueprint
     if not dead <= set(range(B.width)):
         raise ValueError("unknown generator index")
     rels = [relation([B.gen(i)], []) for i in sorted(dead)]
+    dmask = _mask(dead)
     for rel in B.relations:
-        rels.append(relation(_kill_terms(rel.lhs, dead).terms,
-                             _kill_terms(rel.rhs, dead).terms))
+        rels.append(relation(_kill_terms(rel.lhs, dmask).terms,
+                             _kill_terms(rel.rhs, dmask).terms))
     return make_presentation(B.generator_names, B.inverted, B.coeff_order, rels)
 
 
@@ -541,7 +524,7 @@ def tensor(B: BlueprintPresentation, C: BlueprintPresentation,
         for t in sorted(f1):
             m1, m2 = f1[t], f2[t]
             for img, amb in ((m1, B), (m2, C)):
-                if img.support() - amb.inverted or img.zero:
+                if img.mask & ~_mask(amb.inverted) or img.zero:
                     raise UnsupportedInput("base map image is not a unit monomial")
             rels.append(relation([_embed(m1, 0, width)], [_embed(m2, B.width, width)]))
     return make_presentation(names, inverted, m, rels)
@@ -555,10 +538,11 @@ def tensor(B: BlueprintPresentation, C: BlueprintPresentation,
 def _canonical_relations(B: BlueprintPresentation) -> tuple[frozenset[int], list[Relation]]:
     """Drop killed-monomial terms everywhere; absorb the kill relations."""
     dead = B.killed()
+    dmask = _mask(dead)
     rels = []
     seen = set()
     for rel in B.relations:
-        r = relation(_kill_terms(rel.lhs, dead).terms, _kill_terms(rel.rhs, dead).terms)
+        r = relation(_kill_terms(rel.lhs, dmask).terms, _kill_terms(rel.rhs, dmask).terms)
         if r.is_trivial():
             continue
         k = (r.lhs.key(), r.rhs.key())
@@ -603,6 +587,7 @@ def _saturate(B: BlueprintPresentation, dead: frozenset[int], canonical: list[Re
               rounds: int = 2) -> tuple[Relation, ...]:
     """:func:`saturate_relations` from the output of :func:`_canonical_relations`."""
     rels = [relation([B.gen(g)], []) for g in sorted(dead)] + canonical
+    dmask = _mask(dead)
     seen = {(r.lhs.key(), r.rhs.key()) for r in rels}
     for _ in range(rounds):
         new = []
@@ -613,7 +598,7 @@ def _saturate(B: BlueprintPresentation, dead: frozenset[int], canonical: list[Re
         for r in rels:
             for side, other in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
                 for side2, other2 in by_side.get(side.key(), ()):
-                    if all(t.support() & dead for t in other.terms + other2.terms):
+                    if all(t.mask & dmask for t in other.terms + other2.terms):
                         continue
                     cand = relation(other.terms, other2.terms)
                     if cand.is_trivial():
@@ -629,13 +614,12 @@ def _saturate(B: BlueprintPresentation, dead: frozenset[int], canonical: list[Re
 
 
 class _Relations(NamedTuple):
-    """A presentation's relations, canonicalised, saturated and compiled
-    once: the killed generators, the canonical relations of
-    :func:`_canonical_relations` with their compiled ``forms``, and the
-    compiled ``saturated`` list, of which ``forms`` is a slice by the prefix
-    guarantee.  None of it reads ``inverted``, so a quotient and its residue
-    field share one bundle.  It is built once per presentation and passed
-    as an argument, never kept.
+    """A presentation's relations, canonicalised and saturated once: the
+    killed generators, the canonical relations of
+    :func:`_canonical_relations`, and the ``saturated`` list, of which
+    ``relations`` is a slice by the prefix guarantee.  None of it reads
+    ``inverted``, so a quotient and its residue field share one bundle.  It
+    is built once per presentation and passed as an argument, never kept.
 
     Its readers: the prime criterion and its zero test (:mod:`spectrum`),
     the bounded entailment search and :func:`_kills_a_unit`, unit
@@ -645,14 +629,12 @@ class _Relations(NamedTuple):
 
     dead: frozenset[int]
     relations: list[Relation]
-    forms: tuple[_RelationForm, ...]
-    saturated: tuple[_RelationForm, ...]
+    saturated: tuple[Relation, ...]
 
 
 def _relations(B: BlueprintPresentation) -> _Relations:
     dead, rels = _canonical_relations(B)
-    saturated = _relation_forms(_saturate(B, dead, rels))
-    return _Relations(dead, rels, saturated[len(dead):len(dead) + len(rels)], saturated)
+    return _Relations(dead, rels, _saturate(B, dead, rels))
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +645,14 @@ def _relations(B: BlueprintPresentation) -> _Relations:
 def _kills_a_unit(B: BlueprintPresentation, rels: _Relations) -> bool:
     """Whether a unit is killed, or a canonical relation sets a monomial m
     over units to 0: then 1 == m * m^-1 == 0.  The units are the inverted
-    generators closed by :func:`_unit_closure` under the compiled canonical
-    relations of two terms, so T1 == T2 with T2 inverted makes T1 one."""
-    pairs = [_pair_shape(form.lhs, form.rhs) for form in rels.forms if len(form.masks) == 2]
+    generators closed by :func:`_unit_closure` under the canonical relations
+    of two terms, so T1 == T2 with T2 inverted makes T1 one."""
+    pairs = [_pair_shape(rel.lhs.terms, rel.rhs.terms)
+             for rel in rels.relations if len(rel.lhs) + len(rel.rhs) == 2]
     units = _unit_closure(pairs, _mask(B.inverted), 0)
     return bool(_mask(rels.dead) & units) or any(
-        len(form.masks) == 1 and not form.masks[0] & ~units for form in rels.forms)
+        len(terms) == 1 and not terms[0].mask & ~units
+        for terms in map(Relation.all_terms, rels.relations))
 
 
 def _rewrite_rules(B: BlueprintPresentation,
@@ -743,7 +727,7 @@ def _entailed(B: BlueprintPresentation, rels: _Relations, rel: Relation, budget:
               constant_states_only: bool = False) -> Literal["yes", "unknown"]:
     """The search of :func:`relation_entailed` over the bundle ``rels``, for
     a caller that has found :func:`_kills_a_unit` false."""
-    dead = rels.dead
+    dead = _mask(rels.dead)
     rules = _rewrite_rules(B, rels.relations)
     start = _kill_terms(rel.lhs, dead)
     target = _kill_terms(rel.rhs, dead)
@@ -760,13 +744,13 @@ def _entailed(B: BlueprintPresentation, rels: _Relations, rel: Relation, budget:
             for lhs_pat, rhs_pat in rules:
                 for c in _candidate_multipliers(s, target, lhs_pat, B):
                     part = [c.mul(t, B.coeff_order) for t in lhs_pat.terms]
-                    if any(p.support() & dead for p in part):
+                    if any(p.mask & dead for p in part):
                         continue
                     rest = _sum_minus(s, part)
                     if rest is None:
                         continue
                     add = [c.mul(t, B.coeff_order) for t in rhs_pat.terms]
-                    if any(p.support() & dead for p in add):
+                    if any(p.mask & dead for p in add):
                         continue
                     if constant_states_only and any(not p.is_constant() for p in add):
                         continue
@@ -799,15 +783,16 @@ def _point_certifies(B: BlueprintPresentation, rels: _Relations, zeros: int) -> 
     certifies 1 != 0.  It must send the inverted generators to units, and
     it must satisfy a generating set: the kill relations hold because the
     killed generators go to 0, and the rest are the canonical relations
-    ``rels.forms``.  B1 has no -1, so it certifies nothing for
+    ``rels.relations``.  B1 has no -1, so it certifies nothing for
     ``coeff_order`` 2, whose 1 + (-1) == 0 holds in F2 and F3.
     """
     zeros |= _mask(rels.dead)
     if zeros & _mask(B.inverted):
         return False
     # per relation, the values +-1 of the terms each side keeps
-    kept = [([1 - 2 * t.sign for t in form.lhs if not t.mask & zeros],
-             [1 - 2 * t.sign for t in form.rhs if not t.mask & zeros]) for form in rels.forms]
+    kept = [([1 - 2 * t.sign for t in rel.lhs.terms if not t.mask & zeros],
+             [1 - 2 * t.sign for t in rel.rhs.terms if not t.mask & zeros])
+            for rel in rels.relations]
     if B.coeff_order == 1 and all(bool(a) == bool(b) for a, b in kept):
         return True
     return any(all((sum(a) - sum(b)) % p == 0 for a, b in kept) for p in (2, 3))
@@ -845,9 +830,10 @@ def detect_units(B: BlueprintPresentation, rels: _Relations) -> frozenset[int]:
     identifies a monomial with a unit monomial (directly, or as the additive
     inverse of one via m1 + m2 == 0), every generator in its support becomes
     a unit.  Sound but conservative; ``rels`` is ``_relations(B)``, and its
-    compiled saturated list exposes transitivity consequences.
+    saturated list exposes transitivity consequences.
     """
-    pairs = [pair for form in rels.saturated if (pair := _pair_shape(form.lhs, form.rhs))]
+    pairs = [pair for rel in rels.saturated
+             if (pair := _pair_shape(rel.lhs.terms, rel.rhs.terms))]
     dead = _mask(rels.dead)
     units = _unit_closure(pairs, _mask(B.inverted), dead) & ~dead
     return frozenset(g for g in range(B.width) if units >> g & 1)
@@ -871,8 +857,8 @@ def unit_field(B: BlueprintPresentation) -> BlueprintPresentation:
 
     non_units = ~_mask(units)
     kept = []
-    for rel, form in zip(rels.relations, rels.forms):
-        if not any(m & non_units for m in form.masks):
+    for rel in rels.relations:
+        if not any(t.mask & non_units for t in rel.all_terms()):
             kept.append(relation([restrict(t) for t in rel.lhs.terms],
                                  [restrict(t) for t in rel.rhs.terms]))
     return make_presentation(names, range(len(cols)), B.coeff_order, kept)
@@ -909,7 +895,8 @@ def inverse_closure(B: BlueprintPresentation) -> ClosureResult:
     if stray:
         return ClosureResult(False, B, (f"generators outside the normal-form class: {stray}",))
     # every canonical term is now a unit monomial: an empty side means a sum of units == 0
-    if B.coeff_order == 1 and any(not (form.lhs and form.rhs) for form in rels.forms):
+    if B.coeff_order == 1 and any(not (rel.lhs.terms and rel.rhs.terms)
+                                  for rel in rels.relations):
         B = make_presentation(B.generator_names, B.inverted, 2, B.relations)
     return ClosureResult(True, B)
 
@@ -1084,12 +1071,13 @@ def _analyze_normal_form(B: BlueprintPresentation, rels: _Relations) -> NormalFo
     pairs = []
     problems: list[str] = []
     unit_mask = _mask(units)
-    for rel, form in zip(rels.relations, rels.forms):
-        pair = _pair_shape(form.lhs, form.rhs)
+    for rel in rels.relations:
+        lhs, rhs = rel.lhs.terms, rel.rhs.terms
+        pair = _pair_shape(lhs, rhs)
         if pair and not (pair[0].mask | pair[1].mask) & ~unit_mask:
             pairs.append(pair)
             continue
-        for single, rest in ((form.lhs, form.rhs), (form.rhs, form.lhs)):
+        for single, rest in ((lhs, rhs), (rhs, lhs)):
             g = _defined_generator(single, rest)
             # a unit defined as 0 means 1 == 0, which has no normal form
             if g is not None and g not in sum_defined and (rest or g not in units):
@@ -1239,7 +1227,8 @@ def _potential_characteristics(B: BlueprintPresentation,
     # torsion probes are pointless (and costly) unless some relation can
     # produce a constants-only sum
     probe_worthwhile = B.coeff_order == 2 or any(
-        form.masks and not any(form.masks) for form in rels.saturated)
+        terms and not any(t.mask for t in terms)
+        for terms in map(Relation.all_terms, rels.saturated))
     if probe_worthwhile:
         for n in range(1, MAX_TORSION + 1):
             if _entailed(B, rels, relation([B.one()] * n, []), TORSION_BUDGET,
@@ -1251,8 +1240,8 @@ def _potential_characteristics(B: BlueprintPresentation,
                      constant_states_only=True) == "yes":
             return CharacteristicClass("finite", included=frozenset({1}))
 
-    if all(len(form.masks) <= 1 or len(form.lhs) == len(form.rhs) == 1
-           for form in rels.forms):
+    if all(len(rel.lhs) + len(rel.rhs) <= 1 or len(rel.lhs) == len(rel.rhs) == 1
+           for rel in rels.relations):
         return INDEFINITE if B.coeff_order == 1 else ALL_BUT_1
 
     analysis = _analyze_normal_form(B, rels)
@@ -1307,6 +1296,7 @@ def simplify_presentation(B: BlueprintPresentation) -> BlueprintPresentation:
     current = B
     while True:
         dead = current.killed()
+        dmask = _mask(dead)
         ones = set()
         for rel in current.relations:
             for single, other in (rel.sides(), rel.sides()[::-1]):
@@ -1322,7 +1312,7 @@ def simplify_presentation(B: BlueprintPresentation) -> BlueprintPresentation:
         inverted = frozenset(keep.index(g) for g in current.inverted if g in keep)
 
         def project(t: Monomial) -> Monomial:
-            if t.zero or t.support() & dead:
+            if t.zero or t.mask & dmask:
                 return zero_monomial(len(keep))
             return Monomial(t.sign, tuple(t.exps[g] for g in keep))
 

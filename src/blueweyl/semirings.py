@@ -146,6 +146,11 @@ def identity_matrix(n: int, S: Semiring) -> PointMatrix:
 
 def _assignment(model: GroupModel, M: PointMatrix, S: Semiring,
                 aux: Optional[dict] = None) -> list:
+    if model.spectrum_override is not None:
+        # the presentation of a model given by its points carries no
+        # relations, so every matrix would pass
+        raise ValueError(f"{model.name} is given by its points, not by relations, "
+                         f"so its semiring points cannot be checked")
     B = model.presentation
     n = model.dimension
     if M.dimension != n:

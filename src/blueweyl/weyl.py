@@ -18,6 +18,7 @@ from .blueprint import (
     CharacteristicClass,
     Monomial,
     NormalFormBlueField,
+    Relation,
     _analyze_normal_form,
     _defined_generator,
     _lattice_rows,
@@ -25,8 +26,6 @@ from .blueprint import (
     _outside_terms,
     _pair_shape,
     _potential_characteristics,
-    _relation_forms,
-    _RelationForm,
     _relations,
     _term_bits,
     _TermBits,
@@ -132,7 +131,7 @@ def _rank_estimate(pairs, cols: Sequence[int]) -> int:
 # survive a bitmask scan.  Everything the scan reports about the remaining
 # points is an upper rank estimate of the same kind as in _classify_point.
 #
-# The scan reads the relations in the term-bit layout of
+# The scan reads B.relations in the term-bit layout of
 # blueprint._term_bits: one integer holds the terms outside the point, a
 # block per relation.  What a relation says about a point depends only on
 # its block, so the outcome per (relation index, block) is memoised for the
@@ -147,12 +146,12 @@ def _rank_estimate(pairs, cols: Sequence[int]) -> int:
 # and the column mask.
 
 
-def _relation_outcome(rel: _RelationForm, s: int):
+def _relation_outcome(rel: Relation, s: int):
     """(pair, 0) for a unit pair, (None, 1 << g) for T_g == sum of constants
     and (None, 0) for any other shape, when the terms ``s`` of ``rel``
     (block-local bits) are outside the point."""
-    a = [t for i, t in enumerate(rel.lhs) if s >> i & 1]
-    b = [t for i, t in enumerate(rel.rhs, len(rel.lhs)) if s >> i & 1]
+    a = [t for i, t in enumerate(rel.lhs.terms) if s >> i & 1]
+    b = [t for i, t in enumerate(rel.rhs.terms, len(rel.lhs)) if s >> i & 1]
     if len(a) + len(b) == 2:
         return _pair_shape(a, b), 0
     g = None
@@ -163,13 +162,12 @@ def _relation_outcome(rel: _RelationForm, s: int):
     return None, 0 if g is None else 1 << g
 
 
-def _fast_scan(B: BlueprintPresentation, forms: Sequence[_RelationForm],
-               layout: _TermBits, pmask: int, outcomes: dict,
-               ranks: dict) -> Optional[int]:
+def _fast_scan(B: BlueprintPresentation, layout: _TermBits, pmask: int,
+               outcomes: dict, ranks: dict) -> Optional[int]:
     """Rank estimate of the point ``pmask`` from a cheap scan, or None when
     the point needs the full classification.
 
-    ``layout`` is the term-bit layout of ``forms``; ``outcomes`` and
+    ``layout`` is the term-bit layout of ``B.relations``; ``outcomes`` and
     ``ranks`` are the memos described above, shared by the points of one
     presentation.
     """
@@ -196,7 +194,7 @@ def _fast_scan(B: BlueprintPresentation, forms: Sequence[_RelationForm],
         key = (ri, s)
         outcome = outcomes.get(key)
         if outcome is None:
-            outcome = outcomes[key] = _relation_outcome(forms[ri], s)
+            outcome = outcomes[key] = _relation_outcome(B.relations[ri], s)
         pair, definer = outcome
         if pair:
             pairs.append(pair)
@@ -223,12 +221,11 @@ def _fast_scan(B: BlueprintPresentation, forms: Sequence[_RelationForm],
 
 def _scanner(B: BlueprintPresentation):
     """:func:`_fast_scan` of ``B`` as a function of the point mask, with one
-    compiled relation list, term-bit layout and memo set for all points."""
-    forms = _relation_forms(B.relations)
-    layout = _term_bits(forms, B.width)
+    term-bit layout and memo set for all points."""
+    layout = _term_bits(B.relations, B.width)
     outcomes: dict = {}
     ranks: dict = {}
-    return lambda pmask: _fast_scan(B, forms, layout, pmask, outcomes, ranks)
+    return lambda pmask: _fast_scan(B, layout, pmask, outcomes, ranks)
 
 
 def pseudo_hopf_points(B: BlueprintPresentation,
@@ -392,18 +389,15 @@ def comultiplication(images: Sequence[Sequence[tuple[Monomial, Monomial]]]) -> C
     return Comultiplication(tuple(tuple(terms) for terms in images))
 
 
-def _survives(m: Monomial, vanishing: frozenset[int]) -> bool:
-    return not m.zero and not (m.support() & vanishing)
-
-
 def product_pattern(delta: Comultiplication, x_vars: frozenset[int],
                     y_vars: frozenset[int]) -> frozenset[int]:
-    """Vanishing pattern of the product of two vanishing patterns."""
-    dead = set()
-    for g, terms in enumerate(delta.images):
-        if not any(_survives(a, x_vars) and _survives(b, y_vars) for a, b in terms):
-            dead.add(g)
-    return frozenset(dead)
+    """Vanishing pattern of the product of two vanishing patterns: the
+    generators g none of whose image terms a (x) b survives, that is, has
+    both factors non-zero and a outside ``x_vars``, b outside ``y_vars``."""
+    xmask, ymask = _mask(x_vars), _mask(y_vars)
+    return frozenset(g for g, terms in enumerate(delta.images)
+                     if all(a.zero or b.zero or a.mask & xmask or b.mask & ymask
+                            for a, b in terms))
 
 
 @dataclass(frozen=True)
@@ -534,33 +528,32 @@ class TitsPoints:
 
 
 def tits_points(B: BlueprintPresentation, m: int,
-                points: Sequence[RankSpacePoint],
-                delta: Optional[Comultiplication] = None,
-                counit_zero: Optional[frozenset[int]] = None) -> TitsPoints:
+                points: Sequence[RankSpacePoint], delta: Comultiplication,
+                counit_zero: frozenset[int]) -> TitsPoints:
     """Count the F1^m-rational points of the rank space ``points``, m in {1, 2}.
 
     Each rank point contributes the lattice homomorphisms from its unit
     field to the group of m-th roots of unity that respect the sign
-    constraints.  When a comultiplication is given, the induced law is
-    returned restricted to the supporting rank points (and checked closed).
+    constraints.  The law that ``delta`` induces is returned restricted to
+    the supporting rank points (and checked closed), or None when no rank
+    point has an F1^m-point.
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
     pts = list(points)
     per_point = tuple(field_hom_count(p.field, m) for p in pts)
     monoid = None
-    if delta is not None and counit_zero is not None:
-        law = induced_weyl_law(B, delta, counit_zero, pts)
-        support = [i for i, c in enumerate(per_point) if c]
-        if support:
-            if not law.submonoid_closed(support):
-                raise ValueError(
-                    f"F1^{m}-points do not form a submonoid of the Weyl monoid")
-            remap = {old: new for new, old in enumerate(support)}
-            sub_table = tuple(tuple(remap[law.table[i][j]] for j in support)
-                              for i in support)
-            monoid = WeylMonoid(tuple(pts[i] for i in support), sub_table,
-                                remap[law.identity])
+    law = induced_weyl_law(B, delta, counit_zero, pts)
+    support = [i for i, c in enumerate(per_point) if c]
+    if support:
+        if not law.submonoid_closed(support):
+            raise ValueError(
+                f"F1^{m}-points do not form a submonoid of the Weyl monoid")
+        remap = {old: new for new, old in enumerate(support)}
+        sub_table = tuple(tuple(remap[law.table[i][j]] for j in support)
+                          for i in support)
+        monoid = WeylMonoid(tuple(pts[i] for i in support), sub_table,
+                            remap[law.identity])
     return TitsPoints(sum(per_point), per_point, monoid)
 
 

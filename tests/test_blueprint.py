@@ -26,13 +26,13 @@ from blueweyl.blueprint import (
     _holds_in_b1,
     _outside_terms,
     _point_certifies,
-    _relation_forms,
     _relations,
     _term_bits,
     is_zero_blueprint,
     one_monomial,
     saturate_relations,
     smith_normal_form_with_transforms,
+    zero_monomial,
 )
 from blueweyl.spectrum import (
     _criterion_holds,
@@ -74,6 +74,23 @@ def test_mk_free_f12():
 def test_mk_free_rejects_negative():
     with pytest.raises(ValueError):
         mk_free(-1)
+
+
+def test_monomial_mask_is_its_support():
+    """``Monomial.mask`` has bit g set exactly when ``exps[g]`` is non-zero,
+    negative exponents and the zero monomial included, and it takes no part
+    in equality, hashing or ``repr``."""
+    rng = random.Random(19)
+    monomials = [zero_monomial(5), one_monomial(3, sign=1), Monomial(0, ())]
+    for _ in range(300):
+        width = rng.randint(0, 30)
+        exps = tuple(rng.choice([0, 0, 0, 1, 2, -1, -3]) for _ in range(width))
+        monomials.append(Monomial(rng.randint(0, 1), exps))
+    for t in monomials:
+        assert t.mask == _mask_of(t.support()), t
+        twin = Monomial(t.sign, t.exps, t.zero)
+        assert twin == t and hash(twin) == hash(t)
+    assert repr(Monomial(1, (0, -2))) == "Monomial(sign=1, exps=(0, -2), zero=False)"
 
 
 def test_quotient_by_diagonal_vanishing():
@@ -174,8 +191,8 @@ def test_skipped_killed_relations_change_no_prime_verdict():
         extra += [relation([B.gen(i)], s.terms) for i in dead for s in vanishing]
         extra = [rel for rel in extra if not rel.is_trivial()]
         skipped += sum(rel not in relations for rel in extra)
-        layout = _term_bits(_relation_forms(relations), B.width)
-        layout_extra = _term_bits(_relation_forms(relations + tuple(extra)), B.width)
+        layout = _term_bits(relations, B.width)
+        layout_extra = _term_bits(relations + tuple(extra), B.width)
         for bits in range(1 << B.width):
             verdict = _criterion_holds(layout, bits)
             assert verdict == _criterion_holds(layout_extra, bits), (B, bits)

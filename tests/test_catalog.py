@@ -10,7 +10,6 @@ import pytest
 from blueweyl import catalog
 from blueweyl.blueprint import (
     _mask,
-    _relation_forms,
     _term_bits,
     mk_free,
     saturate_relations,
@@ -123,7 +122,7 @@ def test_symmetric_search_keeps_one_leaf_per_orbit(selector, leaves):
     # here the generating relations and the full saturated list have the same primes
     B = from_selector(selector).presentation
     for rounds in (0, 2):
-        layout = _term_bits(_relation_forms(saturate_relations(B, rounds=rounds)), B.width)
+        layout = _term_bits(saturate_relations(B, rounds=rounds), B.width)
         assert len(_enumerate_masks(layout, _mask(B.inverted), B.symmetries)) == leaves
 
 

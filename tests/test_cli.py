@@ -117,6 +117,20 @@ def test_points_verb_rejects_malformed_input(model, semiring, check, aux):
     assert data["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("model,semiring,check", [
+    ("psl2-adj", "tropical", "[0, 0, 0, 0, 0, 0, 0, 0, 0]"),
+    ("psl2-adj", "boolean", "[1, 0, 0, 0, 1, 0, 0, 0, 1]"),
+    ("psl2-conj", "naturals", "[" + ", ".join(["0"] * 16) + "]"),
+])
+def test_points_verb_refuses_a_model_given_by_its_points(model, semiring, check):
+    # the psl2 models ship their points without relations, so a check
+    # would accept every matrix, the zero matrix included
+    code, data = invoke_json(["points", "--model", model, "--semiring", semiring,
+                              "--check", check])
+    assert code == EXIT_COMPUTATION
+    assert data["error"] == "ValueError" and model in data["message"]
+
+
 def test_dot_verb():
     code, text = invoke(["dot", "sl:2"])
     assert code == EXIT_OK

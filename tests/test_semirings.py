@@ -151,3 +151,9 @@ def test_hom_count_refuses_large_enumeration():
         hom_count(catalog.sl(2), integers_mod(2), bound=5)
     with pytest.raises(ValueError):
         hom_count(catalog.sl(2), TROPICAL)
+
+
+def test_hom_count_refuses_a_model_given_by_its_points():
+    # psl2-adj has no relations to evaluate, so every matrix would count
+    with pytest.raises(ValueError, match="psl2-adj"):
+        hom_count(catalog.psl2_adjoint(), BOOLEAN)

@@ -32,7 +32,6 @@ from blueweyl.spectrum import (
 )
 from blueweyl.blueprint import (
     _mask,
-    _relation_forms,
     _term_bits,
     is_zero_blueprint,
     saturate_relations,
@@ -138,7 +137,7 @@ def test_enumerate_matches_brute_force_on_random_presentations():
         fast = [p.vars for p in enumerate_primes(B)]
         assert fast == [p.vars for p in brute_force_primes(B)], B
         if fast:
-            base = _term_bits(_relation_forms(saturate_relations(B, rounds=0)), B.width)
+            base = _term_bits(saturate_relations(B, rounds=0), B.width)
             removed += len(_enumerate_masks(base, _mask(B.inverted))) - len(fast)
     assert removed >= 1
 
@@ -262,7 +261,7 @@ def _with_planted_cycle(B, rng):
 
 
 def _leaves(B, symmetries):
-    base = _term_bits(_relation_forms(saturate_relations(B, rounds=0)), B.width)
+    base = _term_bits(saturate_relations(B, rounds=0), B.width)
     return _enumerate_masks(base, _mask(B.inverted), symmetries)
 
 

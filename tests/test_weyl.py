@@ -30,13 +30,13 @@ from blueweyl.blueprint import (
     NormalFormBlueField,
     _lattice_rows,
     _mask,
-    _relation_forms,
     _relations,
     _term_bits,
     is_zero_blueprint,
     localize,
     quotient_by_vars,
     saturate_relations,
+    zero_monomial,
 )
 from blueweyl import catalog
 from blueweyl.spectrum import (
@@ -48,7 +48,13 @@ from blueweyl.spectrum import (
     residue_presentation,
 )
 from blueweyl.verify import count_homs_to_f1m, extended_weyl_sign_oracle
-from blueweyl.weyl import RankSpacePoint, _classify_point, _fast_scan, _scanner
+from blueweyl.weyl import (
+    RankSpacePoint,
+    _classify_point,
+    _fast_scan,
+    _scanner,
+    product_pattern,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +357,11 @@ def test_fast_scan_memo_matches_a_fresh_scan():
         B = B.with_relations(
             relation(rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(1, 3)))
             for _ in range(rng.randint(1, 4)))
-        forms = _relation_forms(B.relations)
-        layout = _term_bits(forms, B.width)
+        layout = _term_bits(B.relations, B.width)
         outcomes, ranks = {}, {}
         for pmask in range(1 << width):
-            shared = _fast_scan(B, forms, layout, pmask, outcomes, ranks)
-            assert shared == _fast_scan(B, forms, layout, pmask, {}, {}), (B, pmask)
+            shared = _fast_scan(B, layout, pmask, outcomes, ranks)
+            assert shared == _fast_scan(B, layout, pmask, {}, {}), (B, pmask)
             estimates += shared is not None
     assert estimates >= 500  # 804 with seed 3
 
@@ -374,7 +379,7 @@ def test_fast_scan_runs_once_per_orbit(monkeypatch):
     original = weyl._fast_scan
 
     def counting(*args):
-        calls.append(args[3])
+        calls.append(args[2])
         return original(*args)
 
     monkeypatch.setattr(weyl, "_fast_scan", counting)
@@ -601,32 +606,34 @@ def test_rank_space_canonicalises_and_compiles_once_per_slow_path_point(monkeypa
     """The prime search and each slow-path point build one relation bundle,
     and nothing else canonicalises: sp:4 canonicalises its relations 9
     times (18 when the zero test and saturation each canonicalised again,
-    46 when every analysis derived its own list) and compiles relation
-    lists 10 times (44)."""
-    calls = _count_calls(monkeypatch, ["_canonical_relations", "_relation_forms"])
+    46 when every analysis derived its own list).  Term-bit layouts are
+    built twice, once for the search and once for the fast scan; the
+    slow path reads the relations themselves."""
+    calls = _count_calls(monkeypatch, ["_canonical_relations", "_term_bits"])
     assert len(rank_space(catalog.sp(4).presentation)) == 8
-    assert calls["_canonical_relations"] == 9 and calls["_relation_forms"] <= 10
+    assert calls == {"_canonical_relations": 9, "_term_bits": 2}
 
 
 def test_prime_leaders_of_so5_run_no_rewrite_search(monkeypatch):
     """On so:5 a leaf's 0/1 point certifies "not zero" (the all-ones point
     does not), so the prime search never runs the rewrite search of the
     zero test, and the certificate reads the search's own layout: one
-    canonicalisation and one compiled relation list."""
-    calls = _count_calls(monkeypatch, ["_entailed", "_canonical_relations", "_relation_forms"])
+    canonicalisation and one term-bit layout."""
+    calls = _count_calls(monkeypatch, ["_entailed", "_canonical_relations", "_term_bits"])
     assert len(_prime_leaders(catalog.so(5).presentation)) == 4094
     assert calls["_entailed"] == 0
-    assert calls == {"_canonical_relations": 1, "_relation_forms": 1}
+    assert calls == {"_canonical_relations": 1, "_term_bits": 1}
 
 
 def test_potential_characteristics_canonicalises_once(monkeypatch):
     """On F1^2[T^(+-1)] all seven torsion probes run, and they read the
     bundle of the classification: one canonicalisation (9 when every probe
-    canonicalised again) and one compiled relation list."""
-    calls = _count_calls(monkeypatch, ["_canonical_relations", "_relation_forms"])
+    canonicalised again) and no term-bit layout, since the probes read the
+    relations themselves."""
+    calls = _count_calls(monkeypatch, ["_canonical_relations", "_term_bits"])
     chars = potential_characteristics(mk_free(1, inverted=[0], coeff_order=2))
     assert chars.label == "all-but-1"
-    assert calls == {"_canonical_relations": 1, "_relation_forms": 1}
+    assert calls["_canonical_relations"] == 1 and calls["_term_bits"] == 0
 
 
 def test_rank_space_of_torus():
@@ -689,6 +696,54 @@ def test_law_does_not_descend_for_broken_comultiplication():
     ])
     with pytest.raises(LawDoesNotDescend):
         induced_weyl_law(B, broken, model.counit_zero, model.rank_points())
+
+
+def _pattern_by_support(delta, x_vars, y_vars):
+    """The vanishing pattern of a product read off ``Monomial.support()``:
+    the oracle for ``product_pattern``, which reads support masks.  A term
+    a (x) b survives when neither factor is the zero monomial and a misses
+    ``x_vars``, b misses ``y_vars``."""
+    def alive(m, vanishing):
+        return not m.zero and not (m.support() & vanishing)
+
+    return frozenset(g for g, terms in enumerate(delta.images)
+                     if not any(alive(a, x_vars) and alive(b, y_vars) for a, b in terms))
+
+
+@pytest.mark.parametrize("model", [
+    catalog.sl(3), catalog.sp(4), catalog.so(4), catalog.o(4), catalog.gl(3),
+    catalog.nonstandard_torus(),
+    # negative exponents in the images, and the generator e_g1 twisting both
+    catalog.semidirect(2, catalog.GroupTable.cyclic(2),
+                       {"g0": [[1, 0], [0, 1]], "g1": [[0, -1], [-1, 0]]}),
+], ids=lambda m: m.name)
+def test_product_pattern_matches_the_support_oracle(model):
+    """On every pair of rank points, and on 200 seeded pairs of generator
+    subsets, the mask test of ``product_pattern`` agrees with the oracle."""
+    delta, width = model.comult, model.presentation.width
+    patterns = [p.point.vars for p in model.rank_points()]
+    assert patterns
+    rng = random.Random(19)
+    pairs = [(x, y) for x in patterns for y in patterns]
+    pairs += [tuple(frozenset(g for g in range(width) if rng.random() < 0.3)
+                    for _ in range(2)) for _ in range(200)]
+    for x, y in pairs:
+        assert product_pattern(delta, x, y) == _pattern_by_support(delta, x, y), (x, y)
+
+
+def test_product_pattern_drops_zero_monomials():
+    """The broken comultiplication of sl:2 with a zero factor added to each
+    image: a term with a zero factor never survives, whatever the patterns."""
+    B = catalog.sl(2).presentation
+    zero = zero_monomial(B.width)
+    delta = comultiplication([
+        [(B.gen(g), B.gen(g)), (zero, B.one()), (B.one(), zero)] for g in range(4)
+    ])
+    subsets = [frozenset(g for g in range(4) if bits >> g & 1) for bits in range(16)]
+    for x in subsets:
+        for y in subsets:
+            expected = _pattern_by_support(delta, x, y)
+            assert product_pattern(delta, x, y) == expected == x | y, (x, y)
 
 
 def test_counit_must_be_a_rank_point():
