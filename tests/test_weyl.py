@@ -710,16 +710,17 @@ def _pattern_by_support(delta, x_vars, y_vars):
                      if not any(alive(a, x_vars) and alive(b, y_vars) for a, b in terms))
 
 
-@pytest.mark.parametrize("model", [
-    catalog.sl(3), catalog.sp(4), catalog.so(4), catalog.o(4), catalog.gl(3),
-    catalog.nonstandard_torus(),
-    # negative exponents in the images, and the generator e_g1 twisting both
-    catalog.semidirect(2, catalog.GroupTable.cyclic(2),
-                       {"g0": [[1, 0], [0, 1]], "g1": [[0, -1], [-1, 0]]}),
-], ids=lambda m: m.name)
-def test_product_pattern_matches_the_support_oracle(model):
+MASK_LAW_MODELS = {s: LADDER[s] for s in ("sl:3", "sp:4", "so:4", "o:4", "gl:3", "nstorus")}
+# g1 acts by T1 -> T2^-1, T2 -> T1^-1, so the images carry negative exponents
+MASK_LAW_MODELS["semidirect"] = lambda: catalog.semidirect(
+    2, catalog.GroupTable.cyclic(2), {"g0": [[1, 0], [0, 1]], "g1": [[0, -1], [-1, 0]]})
+
+
+@pytest.mark.parametrize("name", sorted(MASK_LAW_MODELS))
+def test_product_pattern_matches_the_support_oracle(name):
     """On every pair of rank points, and on 200 seeded pairs of generator
     subsets, the mask test of ``product_pattern`` agrees with the oracle."""
+    model = MASK_LAW_MODELS[name]()
     delta, width = model.comult, model.presentation.width
     patterns = [p.point.vars for p in model.rank_points()]
     assert patterns
