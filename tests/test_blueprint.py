@@ -1,6 +1,7 @@
 """Core blueprint operations: presentations, tensor products, entailment,
 unit fields, inverse closure, Smith normal form, characteristics."""
 
+import hashlib
 import random
 
 import pytest
@@ -23,10 +24,12 @@ from blueweyl import (
 )
 from blueweyl.blueprint import (
     Monomial,
+    _canonical_relations,
     _holds_in_b1,
     _outside_terms,
     _point_certifies,
     _relations,
+    _saturate,
     _term_bits,
     is_zero_blueprint,
     one_monomial,
@@ -198,6 +201,62 @@ def test_skipped_killed_relations_change_no_prime_verdict():
             assert verdict == _criterion_holds(layout_extra, bits), (B, bits)
             primes += verdict and is_prime(B, [g for g in range(B.width) if bits >> g & 1])
     assert skipped >= 100 and primes >= 20
+
+
+def _reference_saturate(B, dead, canonical, rounds=2):
+    """Bounded transitivity saturation with every candidate built by
+    ``relation()``, which re-sorts both sides: the oracle of
+    :func:`blueprint._saturate`."""
+    rels = [relation([B.gen(g)], []) for g in sorted(dead)] + canonical
+    dmask = _mask_of(dead)
+    seen = {(r.lhs.key(), r.rhs.key()) for r in rels}
+    for _ in range(rounds):
+        new = []
+        by_side = {}
+        for r in rels:
+            by_side.setdefault(r.lhs.key(), []).append((r.lhs, r.rhs))
+            by_side.setdefault(r.rhs.key(), []).append((r.rhs, r.lhs))
+        for r in rels:
+            for side, other in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
+                for side2, other2 in by_side.get(side.key(), ()):
+                    if all(t.mask & dmask for t in other.terms + other2.terms):
+                        continue
+                    cand = relation(other.terms, other2.terms)
+                    if cand.is_trivial():
+                        continue
+                    k = (cand.lhs.key(), cand.rhs.key())
+                    if k not in seen:
+                        seen.add(k)
+                        new.append(cand)
+        if not new:
+            break
+        rels.extend(new)
+    return tuple(rels)
+
+
+SATURATION_LADDER = ("sl:2", "sl:3", "sl:4", "gl:3", "sp:4", "so:4", "o:4", "so:5",
+                     "levi:3:2,1", "nstorus")
+
+
+def test_saturation_is_pinned_and_matches_the_reference():
+    """The saturated lists of the ladder models and of 40 seeded
+    presentations with killed generators (coefficient order 2 included),
+    as the ordered pairs of side keys, order of the list included; each
+    list equals the reference saturation's on the same inputs."""
+    rng = random.Random(20)
+    presentations = [catalog.from_selector(s).presentation for s in SATURATION_LADDER]
+    presentations += [_random_presentation_with_kills(rng) for _ in range(40)]
+    assert any(B.coeff_order == 2 for B in presentations)
+    rows = []
+    for B in presentations:
+        dead, canonical = _canonical_relations(B)
+        saturated = _saturate(B, dead, canonical)
+        assert saturated == _reference_saturate(B, dead, list(canonical)), B
+        assert saturated == saturate_relations(B)
+        rows.append([(r.lhs.key(), r.rhs.key()) for r in saturated])
+    assert [len(row) for row in rows[:len(SATURATION_LADDER)]] == [1, 1, 1, 1, 7, 39, 39, 85, 5, 1]
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == "69338d1b78e4631e463467bccb2d8fbb38139a8ff8b2795abcf775563433936f"
 
 
 def test_localize_marks_inverted():
