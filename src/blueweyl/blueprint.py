@@ -32,27 +32,29 @@ class Monomial:
     ``exps`` is indexed by the generators of the owning presentation.  The
     zero monomial carries sign 0 and an all-zero exponent vector.  ``mask``
     is the support as a bitmask (bit g set when ``exps[g]`` is non-zero), the
-    form the syntactic scans read; it takes no part in equality, hashing or
-    ``repr``.
+    form the syntactic scans read.  ``sort_key`` is the value of :meth:`key`,
+    computed once.  Neither takes part in equality, hashing or ``repr``.
     """
 
     sign: int
     exps: tuple[int, ...]
     zero: bool = False
     mask: int = field(init=False, compare=False, repr=False)
+    sort_key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.zero and (self.sign != 0 or any(self.exps)):
             raise ValueError("zero monomial must have trivial sign and exponents")
         object.__setattr__(self, "mask", _mask(g for g, e in enumerate(self.exps) if e))
+        # graded lexicographic on exponent vectors, sign exponent last
+        object.__setattr__(self, "sort_key", (sum(self.exps), self.exps, self.sign))
 
     @property
     def degree(self) -> int:
-        return sum(self.exps)
+        return self.sort_key[0]
 
     def key(self):
-        # graded lexicographic on exponent vectors, sign exponent last
-        return (self.degree, self.exps, self.sign)
+        return self.sort_key
 
     def is_one(self) -> bool:
         return not self.zero and self.sign == 0 and not any(self.exps)
@@ -96,22 +98,36 @@ def generator_monomial(width: int, index: int) -> Monomial:
 
 @dataclass(frozen=True)
 class FormalSum:
-    """A multiset of non-zero monomials; the empty sum denotes 0."""
+    """A multiset of non-zero monomials; the empty sum denotes 0.
+
+    ``sort_key`` is the value of :meth:`key`, the tuple of the terms' keys,
+    computed once; it takes no part in equality, hashing or ``repr``.
+    """
 
     terms: tuple[Monomial, ...]
+    sort_key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(t.zero for t in self.terms):
             raise ValueError("formal sums may not carry the zero monomial")
+        object.__setattr__(self, "sort_key", tuple(t.sort_key for t in self.terms))
 
     def key(self):
-        return tuple(t.key() for t in self.terms)
+        return self.sort_key
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
 def formal_sum(terms: Iterable[Monomial]) -> FormalSum:
+    """The canonical sum of ``terms``: zero monomials dropped, the rest
+    sorted by :meth:`Monomial.key`.
+
+    Every ``FormalSum`` in this package is canonical: it is built here, or
+    by :func:`_kill_terms` from a subsequence of a canonical sum's terms,
+    which is still sorted.  So code that holds a sum compares it by its key
+    and never sorts it again.
+    """
     kept = sorted((t for t in terms if not t.zero), key=Monomial.key)
     return FormalSum(tuple(kept))
 
@@ -134,10 +150,20 @@ class Relation:
 
 
 def relation(lhs: Iterable[Monomial], rhs: Iterable[Monomial]) -> Relation:
-    a, b = formal_sum(lhs), formal_sum(rhs)
-    if b.key() < a.key():
-        a, b = b, a
-    return Relation(a, b)
+    """The relation lhs == rhs between the canonical sums of the two term
+    lists.
+
+    Every ``Relation`` in this package is built here or by
+    :func:`_ordered`, from two canonical sums, so its lhs key is never
+    greater than its rhs key.
+    """
+    return _ordered(formal_sum(lhs), formal_sum(rhs))
+
+
+def _ordered(a: FormalSum, b: FormalSum) -> Relation:
+    """The relation a == b between two canonical sums, lex-smaller side
+    first."""
+    return Relation(b, a) if b.sort_key < a.sort_key else Relation(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +471,10 @@ def mk_free(n: int, inverted: Iterable[int] = (), coeff_order: int = 1,
 
 
 def _kill_terms(s: FormalSum, dead: int) -> FormalSum:
-    """``s`` without the terms that meet the generator mask ``dead``."""
-    return formal_sum(t for t in s.terms if not t.mask & dead)
+    """``s`` without the terms that meet the generator mask ``dead``; the
+    terms left keep their order, so the sum stays canonical."""
+    kept = tuple(t for t in s.terms if not t.mask & dead)
+    return s if len(kept) == len(s.terms) else FormalSum(kept)
 
 
 def quotient_by_vars(B: BlueprintPresentation, vars: Iterable[int]) -> BlueprintPresentation:
@@ -465,8 +493,7 @@ def quotient_by_vars(B: BlueprintPresentation, vars: Iterable[int]) -> Blueprint
     rels = [relation([B.gen(i)], []) for i in sorted(dead)]
     dmask = _mask(dead)
     for rel in B.relations:
-        rels.append(relation(_kill_terms(rel.lhs, dmask).terms,
-                             _kill_terms(rel.rhs, dmask).terms))
+        rels.append(_ordered(_kill_terms(rel.lhs, dmask), _kill_terms(rel.rhs, dmask)))
     return make_presentation(B.generator_names, B.inverted, B.coeff_order, rels)
 
 
@@ -542,10 +569,10 @@ def _canonical_relations(B: BlueprintPresentation) -> tuple[frozenset[int], list
     rels = []
     seen = set()
     for rel in B.relations:
-        r = relation(_kill_terms(rel.lhs, dmask).terms, _kill_terms(rel.rhs, dmask).terms)
+        r = _ordered(_kill_terms(rel.lhs, dmask), _kill_terms(rel.rhs, dmask))
         if r.is_trivial():
             continue
-        k = (r.lhs.key(), r.rhs.key())
+        k = (r.lhs.sort_key, r.rhs.sort_key)
         if k not in seen:
             seen.add(k)
             rels.append(r)
@@ -561,6 +588,11 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
     of rounds.  The result still generates the same pre-addition; it just
     exposes a few derived relations to syntactic checks such as the prime
     criterion.
+
+    A candidate ``a == b`` from ``s == a`` and ``s == b`` pairs two sides
+    of the list, which are canonical sums, so it is tested for triviality
+    and deduplicated on its ordered pair of side keys without sorting
+    anything again, and a ``Relation`` is built only for a candidate kept.
 
     Guarantee: the kill relations come first, then the canonical relations,
     then the transitivity consequences, which are only appended.  So
@@ -588,25 +620,27 @@ def _saturate(B: BlueprintPresentation, dead: frozenset[int], canonical: list[Re
     """:func:`saturate_relations` from the output of :func:`_canonical_relations`."""
     rels = [relation([B.gen(g)], []) for g in sorted(dead)] + canonical
     dmask = _mask(dead)
-    seen = {(r.lhs.key(), r.rhs.key()) for r in rels}
+    seen = {(r.lhs.sort_key, r.rhs.sort_key) for r in rels}
     for _ in range(rounds):
         new = []
-        by_side: dict[tuple, list[tuple[FormalSum, FormalSum]]] = {}
+        # the sums each side is equated to
+        by_side: dict[tuple, list[FormalSum]] = {}
         for r in rels:
-            by_side.setdefault(r.lhs.key(), []).append((r.lhs, r.rhs))
-            by_side.setdefault(r.rhs.key(), []).append((r.rhs, r.lhs))
+            by_side.setdefault(r.lhs.sort_key, []).append(r.rhs)
+            by_side.setdefault(r.rhs.sort_key, []).append(r.lhs)
         for r in rels:
             for side, other in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
-                for side2, other2 in by_side.get(side.key(), ()):
-                    if all(t.mask & dmask for t in other.terms + other2.terms):
+                a = other.sort_key
+                for other2 in by_side[side.sort_key]:
+                    # the candidate other == other2 pairs two canonical sums
+                    b = other2.sort_key
+                    if a == b:
                         continue
-                    cand = relation(other.terms, other2.terms)
-                    if cand.is_trivial():
+                    k = (a, b) if a < b else (b, a)
+                    if k in seen or all(t.mask & dmask for t in other.terms + other2.terms):
                         continue
-                    k = (cand.lhs.key(), cand.rhs.key())
-                    if k not in seen:
-                        seen.add(k)
-                        new.append(cand)
+                    seen.add(k)
+                    new.append(_ordered(other, other2))
         if not new:
             break
         rels.extend(new)

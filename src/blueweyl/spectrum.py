@@ -205,7 +205,11 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     among ``newly[k]``, the terms that deciding g settles: one carry into
     the guard bits.  Every term of ``newly[k]`` contains g, so when g
     joins, nothing changes unless ``hit[g]`` meets ``rest``; only then is
-    ``one`` recounted and the child's blocks tested in full.
+    ``one`` recounted and the child's blocks tested in full.  Both steps
+    are written out in ``decide`` with no call: the recount is the carries
+    of :func:`blueprint._outside_counts`, and the full test is one carry of
+    the terms of ``rest`` not yet settled into the guard bits.  The tables
+    the node test reads are indexed by the search position k, not by g.
 
     Symmetry breaking (the lex-leader predicate of Crawford, Ginsberg, Luks
     and Roy).  Read a subset x as the bit word of the generators in search
@@ -247,15 +251,12 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     for k in range(norder - 1, -1, -1):
         settled[k] = settled[k + 1] & ~hit[order[k]]
     newly = [settled[k + 1] & ~settled[k] for k in range(norder)]
-
-    def exactly_one(rest: int) -> int:
-        some, several = _outside_counts(layout, rest)
-        return some & ~several
-
-    def alive(rest: int, one: int, k: int) -> bool:
-        """No block of ``one`` has its sole term of ``rest`` settled once
-        the first k generators of the order are decided."""
-        return not one & ~(((rest & ~settled[k]) + terms) & guard)
+    # unsettled[k]: the terms not yet settled once order[:k] is decided;
+    # hits[k] and bits[k]: hit[g] and the bit of g for g = order[k]
+    unsettled = [terms & ~settled_k for settled_k in settled]
+    hits = [hit[g] for g in order]
+    bits = [1 << g for g in order]
+    low = layout.low
 
     def lex_leader_so_far(level: int, x: int):
         """Advance the comparisons waiting at ``level`` on the decided bits
@@ -288,19 +289,20 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
         if pos == norder:
             results.append(x)
             return
-        g = order[pos]
         symmetric = waiting[pos]
-        hit_g = hit[g]
+        hit_g = hits[pos]
         # g joins the ideal; every term deciding g settles contains g, so
-        # the child is its parent's node unless g hits a term of rest
+        # the child is its parent's node unless g hits a term of rest.  Then
+        # joined_one is "some and not several" of _outside_counts, and the
+        # child dies when a block of joined_one has its sole term settled
         if hit_g & rest:
             joined = rest & ~hit_g
-            joined_one = exactly_one(joined)
-            joins = alive(joined, joined_one, pos + 1)
+            joined_one = (joined + terms) & ~((((joined | guard) - low) & joined) + terms) & guard
+            joins = not joined_one & ~((joined & unsettled[pos + 1]) + terms)
         else:
             joined, joined_one, joins = rest, one, True
         if joins:
-            child = x | 1 << g
+            child = x | bits[pos]
             moved = lex_leader_so_far(pos, child) if symmetric else ()
             if moved is not None:
                 decide(pos + 1, child, joined, joined_one)
@@ -315,8 +317,9 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
                 for lvl in moved:
                     waiting[lvl].pop()
 
-    one = exactly_one(terms)
-    if alive(terms, one, 0):
+    some, several = _outside_counts(layout, terms)
+    one = some & ~several
+    if not one & ~(unsettled[0] + terms):
         decide(0, 0, terms, one)
     return results
 

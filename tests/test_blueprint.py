@@ -23,14 +23,17 @@ from blueweyl import (
     unit_field,
 )
 from blueweyl.blueprint import (
+    FormalSum,
     Monomial,
     _canonical_relations,
     _holds_in_b1,
+    _kill_terms,
     _outside_terms,
     _point_certifies,
     _relations,
     _saturate,
     _term_bits,
+    formal_sum,
     is_zero_blueprint,
     one_monomial,
     saturate_relations,
@@ -94,6 +97,34 @@ def test_monomial_mask_is_its_support():
         twin = Monomial(t.sign, t.exps, t.zero)
         assert twin == t and hash(twin) == hash(t)
     assert repr(Monomial(1, (0, -2))) == "Monomial(sign=1, exps=(0, -2), zero=False)"
+
+
+def test_stored_sort_keys_match_their_definition():
+    """``Monomial.key()`` is (degree, exps, sign) and ``FormalSum.key()``
+    the tuple of its terms' keys, on seeded monomials with negative
+    exponents over F1^2, the zero monomial and sums cut by
+    ``_kill_terms``; the stored keys take no part in equality, hashing or
+    ``repr``."""
+    rng = random.Random(20)
+    sums = []
+    for _ in range(200):
+        B = mk_free(rng.randint(0, 6), coeff_order=2)
+        pool = [B.monomial([rng.choice([0, 0, 1, 2, -1]) for _ in range(B.width)],
+                           rng.randint(0, 1)) for _ in range(4)]
+        terms = [rng.choice(pool + [zero_monomial(B.width)]) for _ in range(rng.randint(0, 5))]
+        s = formal_sum(terms)
+        sums += [s, _kill_terms(s, rng.getrandbits(B.width))]
+        for t in terms:
+            assert t.key() == (sum(t.exps), t.exps, t.sign), t
+            assert t.degree == sum(t.exps)
+    for s in sums:
+        assert s.key() == tuple(t.key() for t in s.terms), s
+        assert list(s.terms) == sorted(s.terms, key=lambda t: (sum(t.exps), t.exps, t.sign))
+        twin = FormalSum(tuple(Monomial(t.sign, t.exps) for t in s.terms))
+        assert twin == s and hash(twin) == hash(s)
+    assert len({s.key() for s in sums}) > 100
+    assert repr(formal_sum([Monomial(1, (0, -2)), zero_monomial(2)])) == (
+        "FormalSum(terms=(Monomial(sign=1, exps=(0, -2), zero=False),))")
 
 
 def test_quotient_by_diagonal_vanishing():

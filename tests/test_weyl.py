@@ -625,6 +625,16 @@ def test_prime_leaders_of_so5_run_no_rewrite_search(monkeypatch):
     assert calls == {"_canonical_relations": 1, "_term_bits": 1}
 
 
+def test_saturation_of_so5_builds_only_the_relations_it_keeps(monkeypatch):
+    """so:5 saturates its 16 canonical relations to 85 without one call of
+    ``relation()`` (2,072 when every candidate was built with it): one
+    ``Relation`` per relation kept, each built from two canonical sides."""
+    B = catalog.so(5).presentation
+    calls = _count_calls(monkeypatch, ["relation", "_ordered"])
+    assert len(saturate_relations(B)) == 85
+    assert calls == {"_ordered": 85}
+
+
 def test_potential_characteristics_canonicalises_once(monkeypatch):
     """On F1^2[T^(+-1)] all seven torsion probes run, and they read the
     bundle of the classification: one canonicalisation (9 when every probe
