@@ -226,7 +226,7 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     orbits, which needs the primes to form a union of orbits: each sigma
     must map the relations onto themselves, as the presentation checks.
     """
-    hit, terms, guard = layout.hit, layout.terms, layout.guard
+    hit, terms, guard, low = layout.hit, layout.terms, layout.guard, layout.low
     width = len(hit)
     order = sorted((g for g in range(width) if not (inv_mask >> g) & 1),
                    key=lambda g: -hit[g].bit_count())
@@ -256,7 +256,6 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     unsettled = [terms & ~settled_k for settled_k in settled]
     hits = [hit[g] for g in order]
     bits = [1 << g for g in order]
-    low = layout.low
 
     def lex_leader_so_far(level: int, x: int):
         """Advance the comparisons waiting at ``level`` on the decided bits
