@@ -23,28 +23,22 @@ from .blueprint import (
     make_presentation,
     mk_free,
     potential_characteristics,
-    presentation_from_json,
-    presentation_to_json,
     quotient_by_vars,
-    reduce_presentation,
     relation,
     relation_entailed,
     simplify_presentation,
     smith_normal_form,
     tensor,
-    unit_field,
 )
 from .spectrum import (
     GeneratorCapExceeded,
     PrimePoint,
     SpectrumPoset,
     brute_force_primes,
-    closed_subscheme,
     enumerate_primes,
     export_dot,
     is_prime,
     poset,
-    residue_field,
     spectrum_to_json,
 )
 from .weyl import (

@@ -853,7 +853,7 @@ def _is_zero(B: BlueprintPresentation, rels: _Relations) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Unit detection and unit fields
+# Unit detection
 # ---------------------------------------------------------------------------
 
 
@@ -871,31 +871,6 @@ def detect_units(B: BlueprintPresentation, rels: _Relations) -> frozenset[int]:
     dead = _mask(rels.dead)
     units = _unit_closure(pairs, _mask(B.inverted), dead) & ~dead
     return frozenset(g for g in range(B.width) if units >> g & 1)
-
-
-def unit_field(B: BlueprintPresentation) -> BlueprintPresentation:
-    """The unit field: detected units with the restricted relations.
-
-    The result keeps only the detected unit generators (all inverted) and
-    the relations all of whose terms are unit monomials or absent.  Unit
-    detection is conservative, so the result can be smaller than the true
-    unit field; catalog inputs are covered exactly.
-    """
-    rels = _relations(B)
-    units = detect_units(B, rels)
-    cols = sorted(units)
-    names = tuple(B.generator_names[g] for g in cols)
-
-    def restrict(m: Monomial) -> Monomial:
-        return Monomial(m.sign, tuple(m.exps[g] for g in cols))
-
-    non_units = ~_mask(units)
-    kept = []
-    for rel in rels.relations:
-        if not any(t.mask & non_units for t in rel.all_terms()):
-            kept.append(relation([restrict(t) for t in rel.lhs.terms],
-                                 [restrict(t) for t in rel.rhs.terms]))
-    return make_presentation(names, range(len(cols)), B.coeff_order, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -942,37 +917,22 @@ def inverse_closure(B: BlueprintPresentation) -> ClosureResult:
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Elementary divisors d1 | d2 | ... and the rank of an integer matrix."""
-    divisors, _, _, rank = smith_normal_form_with_transforms(rows)
-    return divisors, rank
-
-
-def smith_normal_form_with_transforms(rows: Sequence[Sequence[int]]
-                                      ) -> tuple[list[int], list[list[int]], list[list[int]], int]:
-    """Smith normal form with unimodular transforms U, V: U*M*V is diagonal."""
     m = [list(map(int, r)) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
 
     def add_row(src, dst, q):
         m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     def add_col(src, dst, q):
         for r in m:
-            r[dst] += q * r[src]
-        for r in V:
             r[dst] += q * r[src]
 
     t = 0
@@ -1019,10 +979,9 @@ def smith_normal_form_with_transforms(rows: Sequence[Sequence[int]]
             continue
         if m[t][t] < 0:
             m[t] = [-a for a in m[t]]
-            U[t] = [-a for a in U[t]]
         t += 1
     divisors = [m[i][i] for i in range(min(nrows, ncols)) if m[i][i]]
-    return divisors, U, V, len(divisors)
+    return divisors, len(divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -1295,26 +1254,6 @@ def _potential_characteristics(B: BlueprintPresentation,
 
 
 # ---------------------------------------------------------------------------
-# Reduction
-# ---------------------------------------------------------------------------
-
-
-def reduce_presentation(B: BlueprintPresentation,
-                        primes: Sequence[frozenset[int]]) -> BlueprintPresentation:
-    """Quotient by the nilradical: the intersection of all prime ideals.
-
-    The caller supplies the prime points (as generator subsets) to avoid a
-    cyclic dependency on the spectrum module.  An empty prime list means
-    the zero blueprint, returned as the presentation with 1 == 0.
-    """
-    primes = list(primes)
-    if not primes:
-        return B.with_relations([relation([B.one()], [])])
-    nil = frozenset.intersection(*primes)
-    return quotient_by_vars(B, nil)
-
-
-# ---------------------------------------------------------------------------
 # Presentation simplification
 # ---------------------------------------------------------------------------
 
@@ -1359,7 +1298,7 @@ def simplify_presentation(B: BlueprintPresentation) -> BlueprintPresentation:
 
 
 # ---------------------------------------------------------------------------
-# Rendering and JSON
+# Rendering
 # ---------------------------------------------------------------------------
 
 
@@ -1387,38 +1326,3 @@ def render_sum(B: BlueprintPresentation, s: FormalSum) -> str:
 
 def render_relation(B: BlueprintPresentation, rel: Relation) -> str:
     return f"{render_sum(B, rel.lhs)} == {render_sum(B, rel.rhs)}"
-
-
-def presentation_to_json(B: BlueprintPresentation) -> dict:
-    return {
-        "generators": list(B.generator_names),
-        "inverted": sorted(B.name_of(i) for i in B.inverted),
-        "coeff_order": B.coeff_order,
-        "relations": [
-            {"lhs": [[t.sign, list(t.exps)] for t in rel.lhs.terms],
-             "rhs": [[t.sign, list(t.exps)] for t in rel.rhs.terms]}
-            for rel in B.relations
-        ],
-    }
-
-
-def presentation_from_json(data: dict) -> BlueprintPresentation:
-    names = tuple(data["generators"])
-    inverted = [names.index(n) for n in data.get("inverted", [])]
-    m = int(data.get("coeff_order", 1))
-    width = len(names)
-
-    def term(sign, exps) -> Monomial:
-        sign = int(sign) % 2
-        if sign and m == 1:
-            raise ValueError("a term with sign bit 1 needs coeff_order 2")
-        return Monomial(sign, tuple(map(int, exps)))
-
-    rels = []
-    for entry in data.get("relations", []):
-        lhs = [term(s, e) for s, e in entry["lhs"]]
-        rhs = [term(s, e) for s, e in entry["rhs"]]
-        if any(len(t.exps) != width for t in lhs + rhs):
-            raise ValueError("exponent vector width does not match the generators")
-        rels.append(relation(lhs, rhs))
-    return make_presentation(names, inverted, m, rels)

@@ -505,6 +505,8 @@ class GroupTable:
                                f"is 1..{DEFAULT_GENERATOR_CAP}")
         if not all(isinstance(name, str) for name in self.elements):
             raise CatalogError("element names must be strings")
+        if len(set(self.elements)) != n:
+            raise CatalogError("element names must be unique")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise CatalogError("malformed multiplication table")
         if any(v not in range(n) for r in self.table for v in r):
@@ -572,7 +574,9 @@ def semidirect(r: int, table: GroupTable,
     """Split torus of rank r twisted by a finite group acting by integer matrices.
 
     ``exps[g]`` is the r x r integer matrix A(g) describing the action on
-    torus characters.  The model carries the Tits-Weyl flag exactly when
+    torus characters.  The comultiplication is coassociative and counital
+    exactly when A is an action, A(identity) = I and A(g*h) = A(g)A(h); other
+    matrices are refused.  The model carries the Tits-Weyl flag exactly when
     A(g) differs from the identity for every g != identity.
     """
     k = len(table.elements)
@@ -591,6 +595,16 @@ def semidirect(r: int, table: GroupTable,
             raise CatalogError(f"exponent matrix for {name} is not {r}x{r}")
         mats[name] = mat
     ident = [[int(i == j) for j in range(r)] for i in range(r)]
+    if mats[table.elements[table.identity]] != ident:
+        raise CatalogError("exponent matrices are not an action: A(identity) != I")
+    for g, a in enumerate(table.elements):
+        for h, b in enumerate(table.elements):
+            ab = table.elements[table.table[g][h]]
+            product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mats[b])]
+                       for row in mats[a]]
+            if product != mats[ab]:
+                raise CatalogError(f"exponent matrices are not an action: "
+                                   f"A({a})A({b}) != A({ab})")
     names = tuple(f"T{i + 1}" for i in range(r)) + \
         tuple(f"e_{name}" for name in table.elements)
     width = r + k
@@ -851,10 +865,6 @@ def psl2_adjoint() -> GroupModel:
     )
 
 
-def adjoint_char2_point_names() -> list[str]:
-    return [name for name, (_, char2) in ADJOINT_POINT_TABLE.items() if char2]
-
-
 # ---------------------------------------------------------------------------
 # Products of models
 # ---------------------------------------------------------------------------
@@ -975,7 +985,10 @@ def _required(data: dict, key: str):
 
 def _table_from_json(data: dict) -> GroupTable:
     try:
-        elements = tuple(_required(data, "elements"))
+        elements = _required(data, "elements")
+        if not isinstance(elements, list):
+            raise TypeError("elements is not a list of names")
+        elements = tuple(elements)
         table = tuple(tuple(int(v) for v in row) for row in _required(data, "table"))
         identity = int(data.get("identity", 0))
     except _SHAPE_ERRORS as err:

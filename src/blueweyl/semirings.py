@@ -155,6 +155,9 @@ def _assignment(model: GroupModel, M: PointMatrix, S: Semiring,
     n = model.dimension
     if M.dimension != n:
         raise ValueError(f"expected a {n}x{n} matrix for {model.name}")
+    stray = [name for name in aux or () if name not in model.aux_names]
+    if stray:
+        raise ValueError(f"{model.name} has no auxiliary generators {stray}")
     values = list(M.entries)
     for name in model.aux_names:
         if aux is None or name not in aux:

@@ -55,10 +55,8 @@ from .blueprint import (
     _relations,
     _term_bits,
     _TermBits,
-    analyze_normal_form,
     quotient_by_vars,
     localize,
-    reduce_presentation,
 )
 
 DEFAULT_GENERATOR_CAP = 26
@@ -504,28 +502,8 @@ def spectrum_to_json(P: SpectrumPoset) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Residue fields and closed subschemes
+# Residue presentations
 # ---------------------------------------------------------------------------
-
-
-def closed_subscheme(B: BlueprintPresentation, p: PrimePoint) -> BlueprintPresentation:
-    """The reduced closed subscheme supported on the closure of p."""
-    quotient = quotient_by_vars(B, p.gens)
-    primes = [q.vars for q in enumerate_primes(quotient)]
-    return reduce_presentation(quotient, primes)
-
-
-def residue_field(B: BlueprintPresentation, p: PrimePoint):
-    """Localize at the complement of p, quotient by p, and normalize.
-
-    Returns a :class:`NormalFormBlueField` when the result is a twisted
-    lattice blue field, else the raw presentation (flagged by type).
-    """
-    raw = residue_presentation(B, p)
-    analysis = analyze_normal_form(raw)
-    if analysis.ok:
-        return analysis.field
-    return raw
 
 
 def residue_presentation(B: BlueprintPresentation, p: PrimePoint) -> BlueprintPresentation:

@@ -1,7 +1,9 @@
 """Core blueprint operations: presentations, tensor products, entailment,
-unit fields, inverse closure, Smith normal form, characteristics."""
+units, inverse closure, Smith normal form, characteristics."""
 
 import hashlib
+import itertools
+import math
 import random
 
 import pytest
@@ -11,16 +13,12 @@ from blueweyl import (
     localize,
     mk_free,
     potential_characteristics,
-    presentation_from_json,
-    presentation_to_json,
     quotient_by_vars,
-    reduce_presentation,
     relation,
     relation_entailed,
     simplify_presentation,
     smith_normal_form,
     tensor,
-    unit_field,
 )
 from blueweyl.blueprint import (
     FormalSum,
@@ -37,7 +35,6 @@ from blueweyl.blueprint import (
     is_zero_blueprint,
     one_monomial,
     saturate_relations,
-    smith_normal_form_with_transforms,
     zero_monomial,
 )
 from blueweyl.spectrum import (
@@ -375,14 +372,8 @@ def _relabel_key(B, perm):
 
 
 # ---------------------------------------------------------------------------
-# unit fields
+# units
 # ---------------------------------------------------------------------------
-
-
-def test_unit_field_of_sl2_is_f1():
-    U = unit_field(sl2_presentation())
-    assert U.width == 0
-    assert not U.relations
 
 
 def test_sl2_unit_oracle_degree_four():
@@ -402,27 +393,6 @@ def test_sl2_unit_oracle_degree_four():
                     values = [w[0] ** a * w[1] ** b * w[2] ** c * w[3] ** d
                               for w in witnesses]
                     assert any(v not in (1, -1) for v in values)
-
-
-def test_unit_field_of_torus_is_itself():
-    B = mk_free(1, inverted=[0])
-    assert unit_field(B).canonical_key() == B.canonical_key()
-
-
-def test_unit_field_of_odd_residue_is_whole_field():
-    sl2 = catalog.sl(2)
-    from blueweyl.spectrum import residue_presentation, PrimePoint
-
-    kappa = residue_presentation(sl2.presentation, PrimePoint({0, 3}))
-    U = unit_field(kappa)
-    assert set(U.generator_names) == {"T2", "T3"}
-    assert len(U.relations) == 1
-
-
-def test_unit_field_idempotent():
-    for B in (sl2_presentation(), mk_free(2, inverted=[0])):
-        U = unit_field(B)
-        assert unit_field(U).canonical_key() == U.canonical_key()
 
 
 # ---------------------------------------------------------------------------
@@ -679,24 +649,26 @@ def test_snf_torsion():
 
 
 def test_snf_divisibility_chain_and_reconstruction():
+    """The divisors against the determinantal divisors, which share no code
+    with the elimination: d1*...*dk is the gcd of all k x k minors, and the
+    rank is the largest k with a non-zero minor."""
     rng = random.Random(20259)
     for _ in range(20):
         rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
-        divisors, U, V, rank = smith_normal_form_with_transforms(rows)
+        divisors, rank = smith_normal_form(rows)
         for d1, d2 in zip(divisors, divisors[1:]):
             assert d2 % d1 == 0
-        # U * M * V is the diagonal of the divisors
-        prod = _matmul(_matmul(U, rows), V)
-        for i in range(5):
-            for j in range(5):
-                expect = divisors[i] if i == j and i < len(divisors) else 0
-                assert prod[i][j] == expect
-        assert abs(_det(U)) == 1 and abs(_det(V)) == 1
-
-
-def _matmul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
-             for j in range(len(B[0]))] for i in range(len(A))]
+        product = 1
+        for k in range(1, 6):
+            minors = [_det([[rows[i][j] for j in cols] for i in chosen])
+                      for chosen in itertools.combinations(range(5), k)
+                      for cols in itertools.combinations(range(5), k)]
+            if k <= rank:
+                product *= divisors[k - 1]
+                assert math.gcd(*minors) == product
+            else:
+                assert not any(minors)
+        assert all(d > 0 for d in divisors)
 
 
 def _det(M):
@@ -760,23 +732,14 @@ def test_characteristics_of_tensor_refines_intersection():
 # ---------------------------------------------------------------------------
 
 
-def test_reduce_of_reduced_presentation_unchanged():
-    B = sl2_presentation()
-    primes = [p.vars for p in enumerate_primes(B)]
-    assert reduce_presentation(B, primes) == B
-
-
 def test_reduce_kills_nilpotent_generator():
     # T^2 == 0 forces T into every prime; the reduction kills T
     B = mk_free(1)
     B = B.with_relations([relation([B.monomial([2])], [])])
     primes = [p.vars for p in enumerate_primes(B)]
     assert primes == [frozenset({0})]
-    R = reduce_presentation(B, primes)
-    assert 0 in R.killed()
-    # brute-force nilpotency scan: T, T^2, T^3, T^4 all nilpotent mod T^2
-    for k in range(1, 5):
-        assert 2 * ((k + 1) // 2) >= 2  # T^k * T^(2 - k mod 2) lands in (T^2)
+    # the reduction is the quotient by the intersection of the primes
+    assert 0 in quotient_by_vars(B, frozenset.intersection(*primes)).killed()
 
 
 def test_killed_needs_a_bare_generator():
@@ -786,34 +749,9 @@ def test_killed_needs_a_bare_generator():
     assert B.killed() == frozenset()
 
 
-def test_reduce_empty_prime_set_gives_zero():
-    from blueweyl.blueprint import is_zero_blueprint
-
-    B = mk_free(0)
-    Z = reduce_presentation(B, [])
-    assert is_zero_blueprint(Z)
-
-
 # ---------------------------------------------------------------------------
-# JSON round trip and simplification
+# simplification
 # ---------------------------------------------------------------------------
-
-
-def test_presentation_json_roundtrip():
-    B = catalog.sl(2).presentation
-    data = presentation_to_json(B)
-    C = presentation_from_json(data)
-    assert C == B
-
-
-def test_presentation_json_rejects_sign_without_minus_one():
-    data = {"generators": ["T"], "coeff_order": 1,
-            "relations": [{"lhs": [[1, [1]]], "rhs": [[0, [0]]]}]}
-    with pytest.raises(ValueError):
-        presentation_from_json(data)
-    data["coeff_order"] = 2
-    (rel,) = presentation_from_json(data).relations
-    assert sorted(t.sign for t in rel.all_terms()) == [0, 1]
 
 
 def test_simplify_unit_definitions():

@@ -263,6 +263,21 @@ def test_semidirect_rejects_bad_matrices():
         catalog.semidirect(2, GroupTable.cyclic(2), {"g0": [[1]], "g1": [[1]]})
 
 
+def test_semidirect_needs_an_action():
+    # S3 permuting the coordinates of a rank-3 torus: A(s)A(t) = A(s*t) with
+    # (s*t)(i) = t(s(i)); the transposed table presents the opposite group,
+    # of which the same matrices are no action
+    perms = list(itertools.permutations(range(3)))
+    names = tuple("".join(map(str, s)) for s in perms)
+    exps = {name: [[int(j == s[i]) for j in range(3)] for i in range(3)]
+            for name, s in zip(names, perms)}
+    table = tuple(tuple(perms.index(tuple(t[s[i]] for i in range(3))) for t in perms)
+                  for s in perms)
+    assert catalog.semidirect(3, GroupTable(names, table, 0), exps).expected["tits_weyl"]
+    with pytest.raises(CatalogError, match="not an action"):
+        catalog.semidirect(3, GroupTable(names, tuple(zip(*table)), 0), exps)
+
+
 def test_group_table_validation():
     with pytest.raises(CatalogError):
         GroupTable(("a", "b"), ((0, 1), (1, 1)), 0)
@@ -352,7 +367,7 @@ def test_psl2_adjoint_model():
 def test_psl2_adjoint_point_table_consistency():
     names = set(catalog.ADJOINT_POINT_TABLE)
     assert len(names) == 13
-    primed = set(catalog.adjoint_char2_point_names())
+    primed = {name for name, (_, char2) in catalog.ADJOINT_POINT_TABLE.items() if char2}
     assert primed == {"x1'", "x2'", "x3'", "x4'", "eta'"}
 
 

@@ -109,6 +109,8 @@ def test_points_verb_missing_aux_is_an_error():
     pytest.param("sl:2", "boolean", "[" * 5000 + "]" * 5000, None, id="check-nested-5000"),
     pytest.param("gl:2", "boolean", "[1, 0, 0, 1]", "[" * 5000 + "]" * 5000,
                  id="aux-nested-5000"),
+    ("sl:2", "boolean", "[1, 0, 0, 1]", '{"d": 1}'),  # sl:2 has no auxiliary generator
+    ("gl:2", "boolean", "[1, 0, 0, 1]", '{"d": 1, "e": 1}'),  # e is not one of gl:2
 ])
 def test_points_verb_rejects_malformed_input(model, semiring, check, aux):
     argv = ["points", "--model", model, "--semiring", semiring, "--check", check]
@@ -191,6 +193,10 @@ def test_budget_flag_is_gone():
     ("const", {"elements": ["e", 5], "table": [[0, 1], [1, 0]]}),  # non-string name
     ("semidirect", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "rank": 1,
                     "exps": {"e": [1], "a": [[-1]]}}),  # matrix row not a list
+    ("const", {"elements": ["e", "e"], "table": [[0, 1], [1, 0]]}),  # repeated name
+    ("const", {"elements": "ab", "table": [[0, 1], [1, 0]]}),  # a string, not a list
+    ("semidirect", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "rank": 1,
+                    "exps": {"e": [[1]], "a": [[2]]}}),  # A(a)A(a) != A(e): no action
 ])
 def test_bad_model_file_is_a_catalog_error(tmp_path, verb, content):
     path = tmp_path / "model.json"
@@ -253,11 +259,12 @@ def test_oversized_model_is_refused_before_it_is_built(tmp_path, verb, content):
 
 # per key of a model file, values that make any file holding them malformed
 BAD_MODEL_VALUES = {
-    "elements": [5, None, 1.5, ["e", 5], [["e"]], [None]],
+    "elements": [5, None, 1.5, ["e", 5], [["e"]], [None], ["e", "e"], "ab"],
     "table": [3, None, "x", [0, 1], [[0, 1], [1, -1]], [[0, "x"], [1, 0]], [[None]]],
     "identity": [-1, None, [0], "x", {"e": 0}],
     "rank": [None, [1], "x", -1, {"r": 1}],
-    "exps": [1, None, "x", [[1]], {"e": [1], "a": [1]}, {"e": [["x"]], "a": [["x"]]}],
+    "exps": [1, None, "x", [[1]], {"e": [1], "a": [1]}, {"e": [["x"]], "a": [["x"]]},
+             {"e": [[1]], "a": [[2]]}],
 }
 
 

@@ -1,4 +1,4 @@
-"""Prime enumeration, poset topology, residue fields, DOT export."""
+"""Prime enumeration, poset topology, residue presentations, DOT export."""
 
 import dataclasses
 import hashlib
@@ -8,7 +8,7 @@ import pytest
 
 from blueweyl import (
     NormalFormBlueField,
-    closed_subscheme,
+    analyze_normal_form,
     enumerate_primes,
     export_dot,
     is_prime,
@@ -17,7 +17,6 @@ from blueweyl import (
     poset,
     quotient_by_vars,
     relation,
-    residue_field,
     spectrum_to_json,
     tensor,
 )
@@ -29,6 +28,7 @@ from blueweyl.spectrum import (
     _prime_leaders,
     _symmetry_group,
     brute_force_primes,
+    residue_presentation,
 )
 from blueweyl.blueprint import (
     _mask,
@@ -551,17 +551,22 @@ def test_spectrum_json():
 # ---------------------------------------------------------------------------
 
 
+def _residue_field(B, p):
+    # the path the rank space classifies a point by
+    analysis = analyze_normal_form(residue_presentation(B, p))
+    assert analysis.ok and isinstance(analysis.field, NormalFormBlueField)
+    return analysis.field
+
+
 def test_residue_field_even_point():
-    nf = residue_field(sl2(), PrimePoint({1, 2}))
-    assert isinstance(nf, NormalFormBlueField)
+    nf = _residue_field(sl2(), PrimePoint({1, 2}))
     assert nf.epsilon == 1
     assert nf.rank == 1
     assert nf.lattice in (((1, 1),), ((-1, -1),))
 
 
 def test_residue_field_odd_point():
-    nf = residue_field(sl2(), PrimePoint({0, 3}))
-    assert isinstance(nf, NormalFormBlueField)
+    nf = _residue_field(sl2(), PrimePoint({0, 3}))
     assert nf.epsilon == 2
     assert nf.rank == 1
     assert nf.row_signs == (1,)
@@ -569,36 +574,35 @@ def test_residue_field_odd_point():
 
 def test_residue_field_of_torus_at_generic_point():
     B = mk_free(1, inverted=[0])
-    nf = residue_field(B, PrimePoint(set()))
-    assert isinstance(nf, NormalFormBlueField)
+    nf = _residue_field(B, PrimePoint(set()))
     assert nf.epsilon == 1 and nf.rank == 1
+
+
+def _is_reduced(quotient, killed):
+    # the reduction is the quotient by the intersection of the primes
+    return frozenset.intersection(*(q.vars for q in enumerate_primes(quotient))) == killed
+
+
+# at {T2, T3} the quotients of sl2 and gl2 are reduced, so each is the
+# closed subscheme of the point
 
 
 def test_closed_subscheme_diagonal_chart():
     B = sl2()
-    sub = closed_subscheme(B, PrimePoint({1, 2}))
-    assert {1, 2} <= sub.killed()
+    sub = quotient_by_vars(B, PrimePoint({1, 2}).gens)
+    assert {1, 2} <= sub.killed() and _is_reduced(sub, {1, 2})
     kept = [r for r in sub.relations
             if r.all_terms() and all(not (t.support() & {1, 2})
                                      for t in r.all_terms())]
     assert len(kept) == 1
 
 
-def test_closed_subscheme_generic_point_is_reduction():
-    B = sl2()
-    sub = closed_subscheme(B, PrimePoint(set()))
-    assert sub.canonical_key() == B.canonical_key()
-
-
 def test_closed_subscheme_gl2_diagonal_chart_with_witnesses():
-    """The diagonal chart of the invertible 2x2 model: d*T1*T4 == 1.
-
-    Cross-checked on integral diagonal matrices: the product of the diagonal
-    with the inverse determinant is one.
-    """
+    """The diagonal chart of the invertible 2x2 model: d*T1*T4 == 1."""
     model = catalog.gl(2)
     p = PrimePoint({1, 2})  # T2 = T3 = 0
-    sub = closed_subscheme(model.presentation, p)
+    sub = quotient_by_vars(model.presentation, p.gens)
+    assert _is_reduced(sub, {1, 2})
     kept = [r for r in sub.relations
             if r.all_terms() and all(not (t.support() & {1, 2})
                                      for t in r.all_terms())]
@@ -606,8 +610,3 @@ def test_closed_subscheme_gl2_diagonal_chart_with_witnesses():
     (rel,) = kept
     exps = sorted(t.exps for t in rel.all_terms())
     assert exps == [(0, 0, 0, 0, 0), (1, 0, 0, 1, 1)]
-    from fractions import Fraction
-
-    for a, b in ((1, 1), (2, 3), (-1, 5)):
-        d = Fraction(1, a * b)
-        assert d * a * b == 1
