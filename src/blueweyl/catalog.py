@@ -47,8 +47,19 @@ class CatalogError(Exception):
     pass
 
 
-# what a JSON value of the wrong shape raises where a number or a list is read
-_SHAPE_ERRORS = (TypeError, ValueError, OverflowError)
+def _is_integer(value) -> bool:
+    """An integer as JSON gives it: a number with no fraction or exponent.
+    Strings, floats and true/false are not read as integers."""
+    return type(value) is int
+
+
+def _integer_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
+    """``value`` read by shape as a list of rows of integers (tuples are
+    taken too), else a CatalogError naming ``what``."""
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(map(_is_integer, row)) for row in value):
+        raise CatalogError(f"{what} is not a list of integer rows")
+    return tuple(tuple(row) for row in value)
 
 
 @dataclass(frozen=True)
@@ -580,17 +591,18 @@ def semidirect(r: int, table: GroupTable,
     A(g) differs from the identity for every g != identity.
     """
     k = len(table.elements)
+    if not _is_integer(r):
+        raise CatalogError(f"semidirect rank {r!r} is not an integer")
     if not 0 <= r <= DEFAULT_GENERATOR_CAP - k:
         raise CatalogError(f"semidirect rank {r} with {k} elements: supported "
                            f"range is 0..{DEFAULT_GENERATOR_CAP - k}")
+    if not isinstance(exps, dict):
+        raise CatalogError("exponent matrices are not a mapping of element names")
     mats = {}
     for name in table.elements:
-        try:
-            mat = [list(map(int, row)) for row in exps[name]]
-        except KeyError:
-            raise CatalogError(f"missing exponent matrix for {name}") from None
-        except _SHAPE_ERRORS as err:
-            raise CatalogError(f"malformed exponent matrix for {name}: {err}") from None
+        if name not in exps:
+            raise CatalogError(f"missing exponent matrix for {name}")
+        mat = [list(row) for row in _integer_rows(exps[name], f"exponent matrix for {name}")]
         if len(mat) != r or any(len(row) != r for row in mat):
             raise CatalogError(f"exponent matrix for {name} is not {r}x{r}")
         mats[name] = mat
@@ -906,7 +918,7 @@ def model_product(G: GroupModel, H: GroupModel) -> GroupModel:
 # ---------------------------------------------------------------------------
 
 
-def from_selector(selector: str, files: Optional[dict] = None) -> GroupModel:
+def from_selector(selector: str) -> GroupModel:
     """Resolve a model selector such as sl:3, torus:2, or psl2-adj."""
     parts = selector.split(":")
     head = parts[0]
@@ -946,32 +958,24 @@ def from_selector(selector: str, files: Optional[dict] = None) -> GroupModel:
     if head == "levi" and len(parts) == 3:
         return levi(number(parts[1]), flag())
     if head == "const" and len(parts) == 2:
-        data = _load_table_file(parts[1], files)
-        return constant_group(_table_from_json(data))
+        return constant_group(_table_from_json(_load_table_file(parts[1])))
     if head == "semidirect" and len(parts) == 2:
-        data = _load_table_file(parts[1], files)
+        data = _load_table_file(parts[1])
         table = _table_from_json(data)
-        try:
-            rank = int(_required(data, "rank"))
-        except _SHAPE_ERRORS as err:
-            raise CatalogError(f"malformed rank: {err}") from None
-        return semidirect(rank, table, _required(data, "exps"))
+        return semidirect(_required(data, "rank"), table, _required(data, "exps"))
     raise CatalogError(f"unknown model selector: {selector}")
 
 
-def _load_table_file(path: str, files: Optional[dict]) -> dict:
+def _load_table_file(path: str) -> dict:
     import json
 
-    if files is not None and path in files:
-        data = files[path]
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as err:
-            raise CatalogError(f"cannot read model file {path}: {err.strerror}") from None
-        except (ValueError, RecursionError) as err:  # not UTF-8, or not JSON
-            raise CatalogError(f"model file {path} is not UTF-8 JSON: {err}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as err:
+        raise CatalogError(f"cannot read model file {path}: {err.strerror}") from None
+    except (ValueError, RecursionError) as err:  # not UTF-8, or not JSON
+        raise CatalogError(f"model file {path} is not UTF-8 JSON: {err}") from None
     if not isinstance(data, dict):
         raise CatalogError(f"model file {path} does not hold a JSON object")
     return data
@@ -984,13 +988,13 @@ def _required(data: dict, key: str):
 
 
 def _table_from_json(data: dict) -> GroupTable:
-    try:
-        elements = _required(data, "elements")
-        if not isinstance(elements, list):
-            raise TypeError("elements is not a list of names")
-        elements = tuple(elements)
-        table = tuple(tuple(int(v) for v in row) for row in _required(data, "table"))
-        identity = int(data.get("identity", 0))
-    except _SHAPE_ERRORS as err:
-        raise CatalogError(f"malformed group table: {err}") from None
-    return GroupTable(elements, table, identity)
+    """The group table of a model file, read by shape: ``elements`` a list,
+    ``table`` a list of lists of integers and ``identity`` an integer."""
+    elements = _required(data, "elements")
+    if not isinstance(elements, list):
+        raise CatalogError("malformed group table: elements is not a list of names")
+    table = _integer_rows(_required(data, "table"), "malformed group table: table")
+    identity = data.get("identity", 0)
+    if not _is_integer(identity):
+        raise CatalogError("malformed group table: identity is not an integer")
+    return GroupTable(tuple(elements), table, identity)

@@ -25,6 +25,17 @@ relation with at least one and with at least two such terms at once.  A
 search node updates these flags from its parent's, and the B1 test of a
 leaf's point reads the same layout.
 
+Before a node branches, it looks ahead by forced joins (unit propagation,
+as in Davis-Putnam-Logemann-Loveland).  When a relation has exactly one
+term outside the ideal so far and that term has exactly one undecided
+generator, that generator must join: otherwise the term settles outside
+and the relation keeps exactly one outside term in every leaf below.  The
+node joins every forced generator at once, recounts, repeats, and is
+dropped when a relation is left with exactly one outside term that is
+settled.  This is exact, since it drops only subtrees holding no subset
+that passes the criterion, so the leaves and their order do not change;
+on so:5 the search visits 35,235 nodes instead of 111,169.
+
 A presentation's verified ``symmetries`` map the relation set onto itself,
 so they are blueprint automorphisms and the spectrum is a union of orbits
 of the group they generate.  The search then keeps only the lex-least
@@ -41,7 +52,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .blueprint import (
     BlueprintPresentation,
@@ -179,6 +190,89 @@ def _orbit(mask: int, tables: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     return orbit
 
 
+class _SearchTables(NamedTuple):
+    """The tables of the prime search over a term-bit layout, indexed by the
+    search position k, with ``order[k]`` the generator decided at k.
+
+    A term is settled at k when its support lies among the inverted
+    generators and ``order[:k]``.  ``unsettled[k]`` holds the terms not
+    settled at k, and ``newly[k]`` the terms deciding ``order[k]`` settles,
+    so the last generator of each term of ``newly[k]`` in the order is
+    ``order[k]``.  ``single[k]`` holds the terms with exactly one generator
+    among ``order[k:]``.  ``hits[k]`` and ``bits[k]`` are ``hit[g]`` and the
+    bit of g for g = ``order[k]``.
+    """
+
+    order: list[int]
+    unsettled: list[int]
+    newly: list[int]
+    single: list[int]
+    hits: list[int]
+    bits: list[int]
+
+
+def _search_tables(layout: _TermBits, inv_mask: int) -> _SearchTables:
+    """The search order, generators in the most terms first, and the tables
+    the node test and the look-ahead of :func:`_enumerate_masks` read."""
+    hit, terms = layout.hit, layout.terms
+    order = sorted((g for g in range(len(hit)) if not (inv_mask >> g) & 1),
+                   key=lambda g: -hit[g].bit_count())
+    norder = len(order)
+    hits = [hit[g] for g in order]
+    settled = [terms] * (norder + 1)
+    for k in range(norder - 1, -1, -1):
+        settled[k] = settled[k + 1] & ~hits[k]
+    newly = [settled[k + 1] & ~settled[k] for k in range(norder)]
+    unsettled = [terms & ~settled_k for settled_k in settled]
+    # once and twice: the terms with at least one and at least two
+    # generators among order[k:]
+    single = [0] * (norder + 1)
+    once = twice = 0
+    for k in range(norder - 1, -1, -1):
+        twice |= once & hits[k]
+        once |= hits[k]
+        single[k] = once & ~twice
+    return _SearchTables(order, unsettled, newly, single, hits,
+                         [1 << g for g in order])
+
+
+def _forced_joins_refute(layout: _TermBits, tables: _SearchTables, pos: int,
+                         rest: int, one: int) -> bool:
+    """Whether the search node at position ``pos`` with ``rest`` and ``one``
+    has no leaf below it that passes the criterion, by forced joins.
+
+    A block of ``one`` has exactly one term t outside the ideal so far.  When
+    t has exactly one undecided generator h (t lies in ``single[pos]``), every
+    leaf below that keeps t outside has this block with exactly one outside
+    term, so h joins in every passing leaf below.  The look-ahead joins all
+    such generators at once, recounts the blocks, and refutes the node when
+    a block is left with exactly one outside term and that term is settled;
+    otherwise it repeats until no generator is forced.  Each forced join
+    removes the sole term that forced it from ``rest``, so this ends, and the
+    terms of ``rest`` keep the undecided generators they had, so
+    ``single[pos]`` and ``unsettled[pos]`` still apply.  The forced generator
+    of a term of ``single[pos]`` is its last one in the search order: the
+    ``order[j]`` with the term in ``newly[j]``.
+    """
+    terms, guard, low = layout.terms, layout.guard, layout.low
+    single, unsettled = tables.single[pos], tables.unsettled[pos]
+    newly, hits = tables.newly, tables.hits
+    while True:
+        sole = rest & single
+        forcing = (sole + terms) & guard & one
+        if not forcing:
+            return False
+        joined = 0
+        for j in range(pos, len(newly)):
+            term = sole & newly[j]
+            if term and (term + terms) & forcing:
+                joined |= hits[j]
+        rest &= ~joined
+        one = (rest + terms) & ~((((rest | guard) - low) & rest) + terms) & guard
+        if one & ~((rest & unsettled) + terms):
+            return True
+
+
 def _enumerate_masks(layout: _TermBits, inv_mask: int,
                      symmetries: Sequence[Sequence[int]] = ()) -> list[int]:
     """The subsets passing the criterion on the relations of the term-bit
@@ -192,10 +286,11 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     read off the term-bit layout of :func:`blueprint._term_bits`: a node
     carries ``rest``, the terms no chosen generator hits, and ``one``, the
     guard bits of the blocks with exactly one term in ``rest``.  A term of
-    ``rest`` is OUT once it lies in ``settled[k]``, the terms whose support
-    is among the inverted generators and the first k generators of the
-    order.  So a relation is dead exactly when its block is in ``one`` and
-    its sole term of ``rest`` is settled.
+    ``rest`` is OUT once it is settled at k, its support among the inverted
+    generators and the first k generators of the order.  So a relation is
+    dead exactly when its block is in ``one`` and its sole term of ``rest``
+    is settled.  The tables are those of :func:`_search_tables`, indexed by
+    the search position k, not by g.
 
     The node test is incremental; the parent is alive, so no block of its
     ``one`` has a settled sole term.  The child where g = order[k] stays
@@ -206,8 +301,18 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     ``one`` recounted and the child's blocks tested in full.  Both steps
     are written out in ``decide`` with no call: the recount is the carries
     of :func:`blueprint._outside_counts`, and the full test is one carry of
-    the terms of ``rest`` not yet settled into the guard bits.  The tables
-    the node test reads are indexed by the search position k, not by g.
+    the terms of ``rest`` not yet settled into the guard bits.
+
+    Forced joins (unit propagation, as in Davis-Putnam-Logemann-Loveland).
+    Before a node branches, a block of ``one`` whose sole term has exactly
+    one undecided generator forces that generator into every passing leaf
+    below; :func:`_forced_joins_refute` joins the forced generators, recounts
+    and drops the node when a block is then left with a settled sole term.
+    The rule is exact: it only drops subtrees that hold no subset passing
+    the criterion, so the leaves and their order are those of the search
+    without it.  A node pays one carry, ``single[k]`` against ``one``, unless
+    some block forces a join.  On so:5 the search visits 35,235 nodes for
+    4,094 leaves (111,169 without the look-ahead).
 
     Symmetry breaking (the lex-leader predicate of Crawford, Ginsberg, Luks
     and Roy).  Read a subset x as the bit word of the generators in search
@@ -224,15 +329,14 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     orbits, which needs the primes to form a union of orbits: each sigma
     must map the relations onto themselves, as the presentation checks.
     """
-    hit, terms, guard, low = layout.hit, layout.terms, layout.guard, layout.low
-    width = len(hit)
-    order = sorted((g for g in range(width) if not (inv_mask >> g) & 1),
-                   key=lambda g: -hit[g].bit_count())
+    terms, guard, low = layout.terms, layout.guard, layout.low
+    tables = _search_tables(layout, inv_mask)
+    order = tables.order
     position = {g: k for k, g in enumerate(order)}
     # per group element, the comparisons that are not trivially equal:
     # (level at which both bits are decided, bit of x, bit of x.sigma)
     chains = []
-    for sigma in _symmetry_group(symmetries, width)[1:]:
+    for sigma in _symmetry_group(symmetries, len(layout.hit))[1:]:
         chain = [(max(k, position[sigma[g]]), 1 << g, 1 << sigma[g])
                  for k, g in enumerate(order) if sigma[g] != g]
         if chain:
@@ -243,17 +347,8 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     for ci, chain in enumerate(chains):
         waiting[chain[0][0]].append((ci, 0))
     norder = len(order)
-    # settled[k]: the terms whose support lies among the inverted generators
-    # and order[:k]; newly[k]: the terms deciding order[k] settles
-    settled = [terms] * (norder + 1)
-    for k in range(norder - 1, -1, -1):
-        settled[k] = settled[k + 1] & ~hit[order[k]]
-    newly = [settled[k + 1] & ~settled[k] for k in range(norder)]
-    # unsettled[k]: the terms not yet settled once order[:k] is decided;
-    # hits[k] and bits[k]: hit[g] and the bit of g for g = order[k]
-    unsettled = [terms & ~settled_k for settled_k in settled]
-    hits = [hit[g] for g in order]
-    bits = [1 << g for g in order]
+    newly, unsettled, single = tables.newly, tables.unsettled, tables.single
+    hits, bits = tables.hits, tables.bits
 
     def lex_leader_so_far(level: int, x: int):
         """Advance the comparisons waiting at ``level`` on the decided bits
@@ -285,6 +380,11 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     def decide(pos: int, x: int, rest: int, one: int):
         if pos == norder:
             results.append(x)
+            return
+        # the look-ahead runs only when a block of one has its sole term
+        # left with a single undecided generator
+        if ((rest & single[pos]) + terms) & guard & one and \
+                _forced_joins_refute(layout, tables, pos, rest, one):
             return
         symmetric = waiting[pos]
         hit_g = hits[pos]

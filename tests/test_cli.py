@@ -197,6 +197,14 @@ def test_budget_flag_is_gone():
     ("const", {"elements": "ab", "table": [[0, 1], [1, 0]]}),  # a string, not a list
     ("semidirect", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "rank": 1,
                     "exps": {"e": [[1]], "a": [[2]]}}),  # A(a)A(a) != A(e): no action
+    # values of the wrong shape, not coerced to integers
+    ("const", {"elements": ["e", "a"], "table": ["01", "10"]}),  # rows are strings
+    ("const", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "identity": "0"}),
+    ("const", {"elements": ["e", "a"], "table": [[0, 1.5], [1, 0]]}),  # a fraction
+    ("semidirect", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "rank": "1",
+                    "exps": {"e": [[1]], "a": [[-1]]}}),  # rank is a string
+    ("semidirect", {"elements": ["e", "a"], "table": [[0, 1], [1, 0]], "rank": 1,
+                    "exps": {"e": ["1"], "a": [[-1]]}}),  # matrix row is a string
 ])
 def test_bad_model_file_is_a_catalog_error(tmp_path, verb, content):
     path = tmp_path / "model.json"
@@ -260,11 +268,12 @@ def test_oversized_model_is_refused_before_it_is_built(tmp_path, verb, content):
 # per key of a model file, values that make any file holding them malformed
 BAD_MODEL_VALUES = {
     "elements": [5, None, 1.5, ["e", 5], [["e"]], [None], ["e", "e"], "ab"],
-    "table": [3, None, "x", [0, 1], [[0, 1], [1, -1]], [[0, "x"], [1, 0]], [[None]]],
-    "identity": [-1, None, [0], "x", {"e": 0}],
-    "rank": [None, [1], "x", -1, {"r": 1}],
+    "table": [3, None, "x", [0, 1], [[0, 1], [1, -1]], [[0, "x"], [1, 0]], [[None]],
+              ["01", "10"], [[0, 1.0], [1, 0]]],
+    "identity": [-1, None, [0], "x", {"e": 0}, "0"],
+    "rank": [None, [1], "x", -1, {"r": 1}, "1"],
     "exps": [1, None, "x", [[1]], {"e": [1], "a": [1]}, {"e": [["x"]], "a": [["x"]]},
-             {"e": [[1]], "a": [[2]]}],
+             {"e": [[1]], "a": [[2]]}, {"e": ["1"], "a": ["1"]}],
 }
 
 

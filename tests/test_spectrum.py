@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -20,18 +21,23 @@ from blueweyl import (
     spectrum_to_json,
     tensor,
 )
+from blueweyl import spectrum
 from blueweyl.spectrum import (
     GeneratorCapExceeded,
     PrimePoint,
     SpectrumPoset,
     _enumerate_masks,
+    _forced_joins_refute,
     _prime_leaders,
+    _search_tables,
     _symmetry_group,
     brute_force_primes,
     residue_presentation,
 )
 from blueweyl.blueprint import (
     _mask,
+    _outside_counts,
+    _relations,
     _term_bits,
     is_zero_blueprint,
     saturate_relations,
@@ -319,6 +325,120 @@ def test_prime_leaders_are_pinned_on_planted_symmetries():
     assert len(rows) == 39 and sum(not row for row in rows) == 16
     digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
     assert digest == "ec4a1bdc68f3299aaba89367d764624c32ee37fb561cca314c436a02234735da"
+
+
+def _leaders_by_oracle(B):
+    """The orbit leaders the prime search must find, read off
+    ``brute_force_primes`` with neither the chain walk nor the look-ahead.
+
+    The search order puts the generators in the most terms of the saturated
+    relations first, ties by index; the terms are counted from the
+    relations' own monomials.  Each orbit under ``_symmetry_group`` keeps
+    its member with the least word of bits in that order, and the leaders
+    come in depth-first order: by word, with 1 before 0.
+    """
+    count = [0] * B.width
+    for rel in saturate_relations(B):
+        for t in rel.all_terms():
+            for g in t.support():
+                count[g] += 1
+    order = sorted((g for g in range(B.width) if g not in B.inverted), key=lambda g: -count[g])
+    group = _symmetry_group(B.symmetries, B.width)
+
+    def word(m):
+        return tuple(m >> g & 1 for g in order)
+
+    leaders = set()
+    for p in brute_force_primes(B):
+        orbit = [sum(1 << sigma[g] for g in p.gens) for sigma in group]
+        leaders.add(min(orbit, key=word))
+    return sorted(leaders, key=word, reverse=True)
+
+
+def test_prime_leaders_match_the_orbit_oracle():
+    """The leaves, in order, on the planted-symmetry presentations and on
+    sl:3 and gl:3, whose coordinate symmetries generate 36 elements."""
+    cases = _planted_symmetry_cases() + [catalog.sl(3).presentation,
+                                         catalog.gl(3).presentation]
+    nonempty = 0
+    for B in cases:
+        leaders = _prime_leaders(B)
+        assert leaders == _leaders_by_oracle(B), B
+        nonempty += bool(leaders)
+    assert nonempty == 25
+
+
+def _forced_join_presentation():
+    """Generators a, b, f1, f2, h in that search order, where a == h and
+    h == b make h join whenever a does, and the rest only pad the order."""
+    B = mk_free(5, names=["a", "b", "f1", "f2", "h"])
+    a, b, f1, f2, h = (B.gen(g) for g in range(5))
+    return B.with_relations([
+        relation([a], [h]),
+        relation([h], [b]),
+        relation([a.mul(f1, 1)], [a.mul(f2, 1)]),
+        relation([b.mul(f1, 1)], [b.mul(f2, 1)]),
+        relation([a.mul(f1, 1).mul(f2, 1)], [b.mul(f1, 1).mul(f2, 1)]),
+    ])
+
+
+def test_a_forced_join_refutes_a_node_two_levels_early():
+    """With a joined and b out, a == h leaves h as the sole outside term, so
+    h must join, and then h == b has the settled b as its sole outside term.
+    The look-ahead drops the node at position 2, though the node test finds
+    it alive and h is decided only at position 4."""
+    B = _forced_join_presentation()
+    layout = _term_bits(saturate_relations(B, rounds=0), B.width)
+    tables = _search_tables(layout, 0)
+    assert tables.order == [0, 1, 2, 3, 4]
+    pos, rest = 2, layout.terms & ~layout.hit[0]
+    some, several = _outside_counts(layout, rest)
+    one = some & ~several
+    # alive for the node test: no block of one has a settled sole term
+    assert one and not one & ~((rest & tables.unsettled[pos]) + layout.terms)
+    assert _forced_joins_refute(layout, tables, pos, rest, one)
+    # with b joined as well, h == b holds and nothing is refuted
+    rest &= ~layout.hit[1]
+    some, several = _outside_counts(layout, rest)
+    assert not _forced_joins_refute(layout, tables, pos, rest, some & ~several)
+    # the subtree it drops holds no prime
+    assert [p.vars for p in enumerate_primes(B)] == [p.vars for p in brute_force_primes(B)]
+
+
+def _search_work(B, monkeypatch, look_ahead=True):
+    """The leaves, the nodes ``decide`` visits and the nodes the look-ahead
+    refutes in the search of the saturated relations of B."""
+    refute, refuted = spectrum._forced_joins_refute, []
+
+    def counting_refute(*args):
+        result = look_ahead and refute(*args)
+        refuted.append(result)
+        return result
+
+    monkeypatch.setattr(spectrum, "_forced_joins_refute", counting_refute)
+    layout = _term_bits(_relations(B).saturated, B.width)
+    nodes = [0]
+
+    def count_nodes(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "decide":
+            nodes[0] += 1
+
+    sys.setprofile(count_nodes)
+    try:
+        leaves = _enumerate_masks(layout, _mask(B.inverted), B.symmetries)
+    finally:
+        sys.setprofile(None)
+    return leaves, nodes[0], sum(refuted)
+
+
+def test_the_look_ahead_cuts_the_so5_search(monkeypatch):
+    """On so:5 the look-ahead refutes 4,433 nodes and the search visits
+    35,235; without it the leaves are the same and it visits 111,169."""
+    B = catalog.so(5).presentation
+    leaves, nodes, refuted = _search_work(B, monkeypatch)
+    assert (len(leaves), nodes, refuted) == (4094, 35235, 4433)
+    plain, plain_nodes, _ = _search_work(B, monkeypatch, look_ahead=False)
+    assert plain == leaves and plain_nodes == 111169
 
 
 def test_pruning_keeps_exactly_the_lex_least_member_of_each_orbit():
