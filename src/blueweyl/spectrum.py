@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .blueprint import (
     BlueprintPresentation,
@@ -190,30 +190,20 @@ def _orbit(mask: int, tables: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     return orbit
 
 
-class _SearchTables(NamedTuple):
-    """The tables of the prime search over a term-bit layout, indexed by the
-    search position k, with ``order[k]`` the generator decided at k.
+def _search_tables(layout: _TermBits, inv_mask: int):
+    """The search order and the tables the node test and the look-ahead of
+    :func:`_enumerate_masks` read, ``(order, unsettled, newly, single,
+    hits)``, each indexed by the search position k.
 
-    A term is settled at k when its support lies among the inverted
-    generators and ``order[:k]``.  ``unsettled[k]`` holds the terms not
-    settled at k, and ``newly[k]`` the terms deciding ``order[k]`` settles,
-    so the last generator of each term of ``newly[k]`` in the order is
-    ``order[k]``.  ``single[k]`` holds the terms with exactly one generator
-    among ``order[k:]``.  ``hits[k]`` and ``bits[k]`` are ``hit[g]`` and the
-    bit of g for g = ``order[k]``.
+    ``order`` lists the non-inverted generators, those in the most terms
+    first, and ``order[k]`` is decided at k.  A term is settled at k when
+    its support lies among the inverted generators and ``order[:k]``.
+    ``unsettled[k]`` holds the terms not settled at k, and ``newly[k]`` the
+    terms deciding ``order[k]`` settles, so the last generator of each term
+    of ``newly[k]`` in the order is ``order[k]``.  ``single[k]`` holds the
+    terms with exactly one generator among ``order[k:]``, and ``hits[k]`` is
+    ``hit[g]`` for g = ``order[k]``.
     """
-
-    order: list[int]
-    unsettled: list[int]
-    newly: list[int]
-    single: list[int]
-    hits: list[int]
-    bits: list[int]
-
-
-def _search_tables(layout: _TermBits, inv_mask: int) -> _SearchTables:
-    """The search order, generators in the most terms first, and the tables
-    the node test and the look-ahead of :func:`_enumerate_masks` read."""
     hit, terms = layout.hit, layout.terms
     order = sorted((g for g in range(len(hit)) if not (inv_mask >> g) & 1),
                    key=lambda g: -hit[g].bit_count())
@@ -232,31 +222,30 @@ def _search_tables(layout: _TermBits, inv_mask: int) -> _SearchTables:
         twice |= once & hits[k]
         once |= hits[k]
         single[k] = once & ~twice
-    return _SearchTables(order, unsettled, newly, single, hits,
-                         [1 << g for g in order])
+    return order, unsettled, newly, single, hits
 
 
-def _forced_joins_refute(layout: _TermBits, tables: _SearchTables, pos: int,
-                         rest: int, one: int) -> bool:
+def _forced_joins_refute(layout: _TermBits, newly: Sequence[int], hits: Sequence[int],
+                         pos: int, single: int, unsettled: int, rest: int, one: int) -> bool:
     """Whether the search node at position ``pos`` with ``rest`` and ``one``
     has no leaf below it that passes the criterion, by forced joins.
+    ``newly`` and ``hits`` are the tables of :func:`_search_tables`, and
+    ``single`` and ``unsettled`` its entries at ``pos``.
 
     A block of ``one`` has exactly one term t outside the ideal so far.  When
-    t has exactly one undecided generator h (t lies in ``single[pos]``), every
+    t has exactly one undecided generator h (t lies in ``single``), every
     leaf below that keeps t outside has this block with exactly one outside
     term, so h joins in every passing leaf below.  The look-ahead joins all
     such generators at once, recounts the blocks, and refutes the node when
     a block is left with exactly one outside term and that term is settled;
     otherwise it repeats until no generator is forced.  Each forced join
     removes the sole term that forced it from ``rest``, so this ends, and the
-    terms of ``rest`` keep the undecided generators they had, so
-    ``single[pos]`` and ``unsettled[pos]`` still apply.  The forced generator
-    of a term of ``single[pos]`` is its last one in the search order: the
-    ``order[j]`` with the term in ``newly[j]``.
+    terms of ``rest`` keep the undecided generators they had, so ``single``
+    and ``unsettled`` still apply.  The forced generator of a term of
+    ``single`` is its last one in the search order: the ``order[j]`` with
+    the term in ``newly[j]``.
     """
     terms, guard, low = layout.terms, layout.guard, layout.low
-    single, unsettled = tables.single[pos], tables.unsettled[pos]
-    newly, hits = tables.newly, tables.hits
     while True:
         sole = rest & single
         forcing = (sole + terms) & guard & one
@@ -330,8 +319,7 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     must map the relations onto themselves, as the presentation checks.
     """
     terms, guard, low = layout.terms, layout.guard, layout.low
-    tables = _search_tables(layout, inv_mask)
-    order = tables.order
+    order, unsettled, newly, single, hits = _search_tables(layout, inv_mask)
     position = {g: k for k, g in enumerate(order)}
     # per group element, the comparisons that are not trivially equal:
     # (level at which both bits are decided, bit of x, bit of x.sigma)
@@ -347,8 +335,7 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
     for ci, chain in enumerate(chains):
         waiting[chain[0][0]].append((ci, 0))
     norder = len(order)
-    newly, unsettled, single = tables.newly, tables.unsettled, tables.single
-    hits, bits = tables.hits, tables.bits
+    bits = [1 << g for g in order]
 
     def lex_leader_so_far(level: int, x: int):
         """Advance the comparisons waiting at ``level`` on the decided bits
@@ -384,7 +371,8 @@ def _enumerate_masks(layout: _TermBits, inv_mask: int,
         # the look-ahead runs only when a block of one has its sole term
         # left with a single undecided generator
         if ((rest & single[pos]) + terms) & guard & one and \
-                _forced_joins_refute(layout, tables, pos, rest, one):
+                _forced_joins_refute(layout, newly, hits, pos, single[pos],
+                                     unsettled[pos], rest, one):
             return
         symmetric = waiting[pos]
         hit_g = hits[pos]

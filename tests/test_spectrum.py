@@ -389,18 +389,19 @@ def test_a_forced_join_refutes_a_node_two_levels_early():
     it alive and h is decided only at position 4."""
     B = _forced_join_presentation()
     layout = _term_bits(saturate_relations(B, rounds=0), B.width)
-    tables = _search_tables(layout, 0)
-    assert tables.order == [0, 1, 2, 3, 4]
+    order, unsettled, newly, single, hits = _search_tables(layout, 0)
+    assert order == [0, 1, 2, 3, 4]
     pos, rest = 2, layout.terms & ~layout.hit[0]
     some, several = _outside_counts(layout, rest)
     one = some & ~several
     # alive for the node test: no block of one has a settled sole term
-    assert one and not one & ~((rest & tables.unsettled[pos]) + layout.terms)
-    assert _forced_joins_refute(layout, tables, pos, rest, one)
+    assert one and not one & ~((rest & unsettled[pos]) + layout.terms)
+    at_pos = (newly, hits, pos, single[pos], unsettled[pos])
+    assert _forced_joins_refute(layout, *at_pos, rest, one)
     # with b joined as well, h == b holds and nothing is refuted
     rest &= ~layout.hit[1]
     some, several = _outside_counts(layout, rest)
-    assert not _forced_joins_refute(layout, tables, pos, rest, some & ~several)
+    assert not _forced_joins_refute(layout, *at_pos, rest, some & ~several)
     # the subtree it drops holds no prime
     assert [p.vars for p in enumerate_primes(B)] == [p.vars for p in brute_force_primes(B)]
 
@@ -408,10 +409,10 @@ def test_a_forced_join_refutes_a_node_two_levels_early():
 def _search_work(B, monkeypatch, look_ahead=True):
     """The leaves, the nodes ``decide`` visits and the nodes the look-ahead
     refutes in the search of the saturated relations of B."""
-    refute, refuted = spectrum._forced_joins_refute, []
+    refuted = []
 
     def counting_refute(*args):
-        result = look_ahead and refute(*args)
+        result = look_ahead and _forced_joins_refute(*args)
         refuted.append(result)
         return result
 
