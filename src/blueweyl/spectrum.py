@@ -511,9 +511,6 @@ class SpectrumPoset:
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be distinct")
 
-    def index(self, p: PrimePoint) -> int:
-        return self.points.index(p)
-
     def leq(self, i: int, j: int) -> bool:
         """points[i] specializes to points[j]: inclusion of ideals."""
         return self.points[i].vars <= self.points[j].vars

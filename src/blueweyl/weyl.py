@@ -237,9 +237,8 @@ def pseudo_hopf_points(B: BlueprintPresentation,
     characteristics are definitively not pseudo-Hopf and are dropped.
     Points that the fast scan leaves undetermined are reported unknown with
     its upper rank estimate; the rest take the full classification, so a
-    certified point prints its own lattice.  :func:`rank_space` reads the
-    same reports one orbit at a time, and falls back to this list of every
-    point where it cannot.
+    certified point prints its own lattice.  :func:`rank_space` builds the
+    same reports one orbit at a time, and only for the orbits it needs.
     """
     scan = _scanner(B)
     reports = []
@@ -282,86 +281,67 @@ class RankSpacePoint:
 def rank_space(B: BlueprintPresentation) -> list[RankSpacePoint]:
     """Minimal-rank certified pseudo-Hopf points per connected component,
     sorted.  Raises :class:`RankSpaceUndecidable` when an unknown-status
-    point could sit at or below the minimal rank of its component.
+    point could sit at or below the minimal rank of its component, listing
+    every such point of the first component that has one.
 
-    The prime search runs once.  When ``(0)`` is prime it lies below every
-    point, so the spectrum is one component, and :func:`_rank_space_by_orbits`
-    decides it from the orbit leaders.  In every other case (``(0)`` not
-    prime, no certified point, or an unknown estimate at or below the
-    minimal rank) the leaders are expanded into the whole spectrum and
-    :func:`_rank_space_of_spectrum` scans it point by point, so an error
-    lists every offending point.
+    The prime search runs once, and the fast scan once per ``B.symmetries``
+    orbit leader.  Its answer is constant on orbits, since each symmetry
+    maps the relation set onto itself and so permutes the relations the
+    scan reads along with the generators.  Only the orbits it sends to the
+    slow path are expanded there, and each member is classified once.  A
+    scanned orbit is expanded into unknown reports only where it could
+    matter: always when the spectrum falls into several components, and in
+    one component only if its estimate reaches the minimal certified rank
+    or nothing is certified.  The spectrum is one component when it has a
+    least point (:func:`_has_least_point`); otherwise the components of the
+    whole spectrum decide which points compete.
     """
     leaders = _prime_leaders(B)
-    if 0 in leaders:
-        ranked = _rank_space_by_orbits(B, leaders)
-        if ranked is not None:
-            return ranked
-    return _rank_space_of_spectrum(B, SpectrumPoset(tuple(_orbit_points(B, leaders))))
-
-
-def _rank_space_by_orbits(B: BlueprintPresentation,
-                          leaders: Sequence[int]) -> Optional[list[RankSpacePoint]]:
-    """The rank space of a connected spectrum from its ``B.symmetries``
-    orbit ``leaders``, or None when the orbits do not decide it.
-
-    The fast scan runs once per leader.  Its answer is constant on orbits,
-    since each symmetry maps the relation set onto itself and so permutes
-    the relations the scan reads along with the generators.  Only the
-    orbits it sends to the slow path are expanded, and every member there
-    is classified on its own.  The minimal certified rank decides the rank
-    space when every unknown estimate, of the scan or of the slow path,
-    lies above it; otherwise the answer is None.
-    """
     scan = _scanner(B)
-    slow: list[int] = []
-    estimates: list[int] = []
+    by_estimate: dict[Optional[int], list[int]] = {}
     for leader in leaders:
-        estimate = scan(leader)
-        if estimate is None:
-            slow.append(leader)
-        else:
-            estimates.append(estimate)
-    reports = [_classify_point(B, p) for p in _orbit_points(B, slow)]
-    certified = [r for r in reports if r.status == "certified"]
-    if not certified:
-        return None
-    minimal = min(r.rank for r in certified)
-    estimates += [r.rank for r in reports if r.status == "unknown"]
-    if any(estimate <= minimal for estimate in estimates):
-        return None
-    return [RankSpacePoint(r.point, r.field, r.rank) for r in certified if r.rank == minimal]
+        by_estimate.setdefault(scan(leader), []).append(leader)
+    points = _orbit_points(B, by_estimate.pop(None, []))
+    reports = [r for r in (_classify_point(B, p) for p in points) if r.status != "rejected"]
+    connected = _has_least_point(B, leaders)
+    bound = min((r.rank for r in reports if r.status == "certified"), default=None)
+    for estimate, group in by_estimate.items():
+        if connected and bound is not None and estimate > bound:
+            continue
+        members = _orbit_points(B, group)
+        points += members
+        reports += [PseudoHopfReport(p, estimate, "unknown",
+                                     diagnostics=("mask-level scan only",)) for p in members]
+    reports.sort(key=lambda r: r.point)
 
-
-def _rank_space_of_spectrum(B: BlueprintPresentation,
-                            spec: SpectrumPoset) -> list[RankSpacePoint]:
-    """The rank space from the reports of every point of ``spec``, the
-    spectrum of ``B``, split into connected components."""
-    reports = pseudo_hopf_points(B, spec.points)
-    comps = spec.components()
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_of[spec.points[i]] = ci
-
-    by_comp: dict[int, list[PseudoHopfReport]] = {}
-    for r in reports:
-        by_comp.setdefault(comp_of[r.point], []).append(r)
-
-    minimal: dict[int, int] = {}
-    for ci in sorted(by_comp):
-        rs = by_comp[ci]
-        certified = [r for r in rs if r.status == "certified"]
-        if not certified:
-            offenders = [r for r in rs if r.status == "unknown"]
-            raise RankSpaceUndecidable(B, offenders or rs)
-        minimal[ci] = min(r.rank for r in certified)
-        offenders = [r for r in rs if r.status == "unknown" and r.rank <= minimal[ci]]
+    components = [reports]
+    if not connected:
+        spec = SpectrumPoset(tuple(sorted(points)))
+        comps = spec.components()
+        comp_of = {spec.points[i]: ci for ci, comp in enumerate(comps) for i in comp}
+        components = [[] for _ in comps]
+        for r in reports:
+            components[comp_of[r.point]].append(r)
+    ranked = []
+    for rs in components:
+        least = min((r.rank for r in rs if r.status == "certified"), default=None)
+        offenders = [r for r in rs if r.status == "unknown"
+                     and (least is None or r.rank <= least)]
         if offenders:
             raise RankSpaceUndecidable(B, offenders)
-    # the reports follow the sorted points, so the rank points come sorted
-    return [RankSpacePoint(r.point, r.field, r.rank) for r in reports
-            if r.status == "certified" and r.rank == minimal[comp_of[r.point]]]
+        ranked += [RankSpacePoint(r.point, r.field, r.rank) for r in rs
+                   if r.status == "certified" and r.rank == least]
+    return sorted(ranked, key=lambda r: r.point)
+
+
+def _has_least_point(B: BlueprintPresentation, leaders: Sequence[int]) -> bool:
+    """Whether the spectrum has a least point, which makes it one component:
+    a leader fixed by every symmetry that lies inside every leader, and so
+    inside every member of every orbit."""
+    least = min(leaders, key=int.bit_count, default=0)
+    gens = [g for g in range(B.width) if least >> g & 1]
+    return bool(leaders) and all(m & least == least for m in leaders) and \
+        all(sum(1 << sigma[g] for g in gens) == least for sigma in B.symmetries)
 
 
 # ---------------------------------------------------------------------------

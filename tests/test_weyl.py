@@ -415,13 +415,17 @@ def test_fast_scan_is_constant_on_planted_orbits():
     assert scanned >= 10
 
 
-def _random_tensor_square(rng):
+def _random_presentation(rng):
     width = rng.randint(1, 3)
     B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 1)))
     pool = [B.one()] + [B.gen(g) for g in range(width)]
-    B = B.with_relations(
+    return B.with_relations(
         relation(rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(1, 2)))
         for _ in range(rng.randint(1, 2)))
+
+
+def _random_tensor_square(rng):
+    B = _random_presentation(rng)
     return tensor(B, B)
 
 
@@ -464,43 +468,121 @@ def _outcome(compute, B):
 
 LADDER = {selector: (lambda s=selector: catalog.from_selector(s))
           for selector in ("sl:2", "sl:3", "sl:4", "gl:3", "sp:4", "so:4", "o:4",
-                           "nstorus", "levi:3:2,1", "psl2-adj", "psl2-conj")}
-LADDER["const:cyclic-3"] = lambda: catalog.constant_group(catalog.GroupTable.cyclic(3))
+                           "nstorus", "levi:3:2,1", "parabolic:3:1,1,1",
+                           "unipotent:3:1,1,1", "psl2-adj", "psl2-conj")}
+for n in (2, 3):
+    LADDER[f"const:cyclic-{n}"] = \
+        lambda n=n: catalog.constant_group(catalog.GroupTable.cyclic(n))
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
-def test_rank_space_matches_every_point_on_the_ladder(name):
+def test_rank_space_matches_every_point_on_the_ladder(name, monkeypatch):
+    """rank_space gives the every-point answer, and runs the pairwise scan
+    of SpectrumPoset.components only where the spectrum has no least
+    point: on the constant groups, not on levi, parabolic or unipotent,
+    whose least point is not (0)."""
     B = LADDER[name]().presentation
-    assert rank_space(B) == _rank_space_over_every_point(B)
+    expected = _rank_space_over_every_point(B)
+    calls = []
+    original = SpectrumPoset.components
+
+    def counting(self):
+        calls.append(len(self.points))
+        return original(self)
+
+    monkeypatch.setattr(SpectrumPoset, "components", counting)
+    assert rank_space(B) == expected
+    assert len(calls) == name.startswith("const:")
+
+
+def _branch(B, outcome):
+    """Which case of rank_space ``B`` exercises, read off its spectrum:
+    whether it is empty, has a least point and which, or has none, so the
+    components of the whole spectrum decide."""
+    points = enumerate_primes(B)
+    if not points:
+        return "empty spectrum"
+    if isinstance(outcome, tuple):
+        return "undecidable"
+    if not all(points[0].vars <= p.vars for p in points):
+        return "no least point"
+    return "least point (0)" if not points[0].size else "other least point"
 
 
 def test_rank_space_matches_every_point_on_planted_orbits():
-    """Tensor squares with the swap of their two copies: rank_space with and
-    without the swap gives the rank points, or the offenders, that the
-    whole-spectrum algorithm gives, whichever path it takes."""
-    from blueweyl import weyl
-
+    """Tensor squares with the swap of their two copies, and tensor
+    products of the constant group Z/2 with a random presentation, with
+    the swap of its two idempotents: rank_space with and without the
+    symmetry gives the rank points, or the offenders, that the
+    whole-spectrum algorithm gives, whichever branch it takes."""
+    cases = []
     rng = random.Random(7)
-    paths = collections.Counter()
     for _ in range(60):
         T = _random_tensor_square(rng)
         width = T.width // 2
-        S = dataclasses.replace(T, symmetries=(tuple(range(width, 2 * width))
-                                               + tuple(range(width)),))
+        cases.append((T, tuple(range(width, 2 * width)) + tuple(range(width))))
+    z2 = catalog.constant_group(catalog.GroupTable.cyclic(2)).presentation
+    rng = random.Random(11)
+    for _ in range(60):
+        T = tensor(z2, _random_presentation(rng))
+        cases.append((T, (1, 0) + tuple(range(2, T.width))))
+    branches = collections.Counter()
+    for T, sigma in cases:
         expected = _outcome(_rank_space_over_every_point, T)
-        assert _outcome(rank_space, S) == expected, T
+        assert _outcome(rank_space, dataclasses.replace(T, symmetries=(sigma,))) == expected, T
         assert _outcome(rank_space, T) == expected, T
-        leaders = _prime_leaders(S)
-        if 0 not in leaders:
-            paths["(0) not prime"] += 1
-        elif weyl._rank_space_by_orbits(S, leaders) is None:
-            paths["undecided by orbits"] += 1
-        else:
-            paths["orbits"] += 1
-        paths["undecidable"] += isinstance(expected, tuple)
-    # 30, 23, 7 and 7 with seed 7
-    assert paths["orbits"] >= 20 and paths["(0) not prime"] >= 15, paths
-    assert paths["undecided by orbits"] >= 5 and paths["undecidable"] >= 5, paths
+        branches[_branch(T, expected)] += 1
+    # 30, 11, 34 and 22 with seeds 7 and 11, and 23 empty spectra
+    assert branches["least point (0)"] >= 20 and branches["other least point"] >= 8, branches
+    assert branches["no least point"] >= 25 and branches["undecidable"] >= 15, branches
+
+
+def _random_presentation_with_monomials(rng):
+    width = rng.randint(2, 4)
+    B = mk_free(width, inverted=rng.sample(range(width), rng.randint(0, 2)))
+    pool = [B.one()] + [B.gen(g) for g in range(width)]
+    pool += [B.monomial([rng.randint(0, 1) for _ in range(width)]) for _ in range(2)]
+    return B.with_relations(
+        relation(rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 3)))
+
+
+# the first six seeds whose presentation has a spectrum with a least point
+# and a point the fast scan leaves unknown at the minimal certified rank
+AT_MINIMAL_SEEDS = (226, 234, 350, 668, 682, 683)
+
+
+@pytest.mark.parametrize("seed", AT_MINIMAL_SEEDS)
+def test_a_scan_estimate_at_the_minimal_rank_is_an_offender(seed):
+    """In one component, rank_space expands a scanned orbit whose estimate
+    equals the minimal certified rank, and lists its points as offenders,
+    as the every-point algorithm does."""
+    B = _random_presentation_with_monomials(random.Random(seed))
+    expected = _outcome(_rank_space_over_every_point, B)
+    assert _outcome(rank_space, B) == expected
+    assert _branch(B, None) in ("least point (0)", "other least point")
+    minimal = min(r.rank for r in pseudo_hopf_points(B, enumerate_primes(B))
+                  if r.status == "certified")
+    assert isinstance(expected, tuple)
+    assert any(r.diagnostics == ("mask-level scan only",) and r.rank == minimal
+               for r in expected[1])
+
+
+def test_undecidable_lists_the_first_component_only():
+    """Z/2 (x) (U + V == 1 among units) with the swap of the idempotents:
+    the spectrum is two points, (e_g0) and (e_g1), in one orbit and in two
+    components, each unknown at the scan's estimate.  The offenders are
+    those of the first component, as the whole-spectrum algorithm gives,
+    though the orbit's leader lies inside every leader."""
+    z2 = catalog.constant_group(catalog.GroupTable.cyclic(2)).presentation
+    R = mk_free(2, inverted=[0, 1])
+    R = R.with_relations([relation([R.gen(0), R.gen(1)], [R.one()])])
+    T = tensor(z2, R)
+    S = dataclasses.replace(T, symmetries=((1, 0, 2, 3),))
+    expected = _outcome(_rank_space_over_every_point, T)
+    assert [r.point.gens for r in expected[1]] == [(0,)]
+    assert _outcome(rank_space, S) == expected == _outcome(rank_space, T)
+    assert len(_prime_leaders(S)) == 1
 
 
 def test_rank_space_of_so5_from_orbit_leaders():
