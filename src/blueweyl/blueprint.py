@@ -731,20 +731,16 @@ def _candidate_multipliers(s: FormalSum, target: FormalSum, pattern: FormalSum,
 
 
 def relation_entailed(B: BlueprintPresentation, rel: Relation,
-                      budget: int = 10_000,
-                      constant_states_only: bool = False) -> Literal["yes", "unknown"]:
+                      budget: int = 10_000) -> Literal["yes", "unknown"]:
     """Decide, within a step budget, whether a relation is derivable.
 
     The answer "yes" is sound: it is produced only when a chain of
     pre-addition rewrites (multiply a relation by a monomial, add relations,
     transitivity) transforms one side into the other.  "unknown" makes no
     claim.  The search is breadth-first over canonical formal sums, so the
-    verdict is monotone in ``budget``.  With ``constant_states_only`` the
-    search never leaves sums of constants, which keeps the state space tiny
-    for torsion probes (at the cost of missing derivations that pass
-    through non-constant sums).  When :func:`_kills_a_unit` holds, 1 == 0
-    and every relation is derivable, so the answer is "yes" without a search.
-    The search rewrites with the canonical relations of B's
+    verdict is monotone in ``budget``.  When :func:`_kills_a_unit` holds,
+    1 == 0 and every relation is derivable, so the answer is "yes" without
+    a search.  The search rewrites with the canonical relations of B's
     :func:`_relations` bundle; :func:`is_zero_blueprint` and the torsion
     probes of :func:`potential_characteristics` read a bundle they already
     hold through :func:`_entailed`.
@@ -754,13 +750,18 @@ def relation_entailed(B: BlueprintPresentation, rel: Relation,
     rels = _relations(B)
     if _kills_a_unit(B, rels):
         return "yes"
-    return _entailed(B, rels, rel, budget, constant_states_only)
+    return _entailed(B, rels, rel, budget)
 
 
 def _entailed(B: BlueprintPresentation, rels: _Relations, rel: Relation, budget: int,
               constant_states_only: bool = False) -> Literal["yes", "unknown"]:
     """The search of :func:`relation_entailed` over the bundle ``rels``, for
-    a caller that has found :func:`_kills_a_unit` false."""
+    a caller that has found :func:`_kills_a_unit` false.
+
+    With ``constant_states_only`` the search never leaves sums of
+    constants, which keeps the state space tiny for the torsion probes (at
+    the cost of missing derivations that pass through non-constant sums).
+    """
     dead = _mask(rels.dead)
     rules = _rewrite_rules(B, rels.relations)
     start = _kill_terms(rel.lhs, dead)

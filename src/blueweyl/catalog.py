@@ -24,12 +24,14 @@ from .blueprint import (
     BlueprintPresentation,
     Monomial,
     NormalFormBlueField,
+    _embed,
     _relation_images,
     _symmetry_violation,
     make_presentation,
     mk_free,
     one_monomial,
     relation,
+    tensor,
 )
 from .spectrum import DEFAULT_GENERATOR_CAP, PrimePoint, enumerate_primes, is_prime
 from .weyl import (
@@ -282,32 +284,46 @@ def _with_coordinate_symmetries(B: BlueprintPresentation, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Special and general linear groups
+# Matrix models: special and general linear, symplectic, orthogonal groups
 # ---------------------------------------------------------------------------
 
 
 MODEL_CAP = 6
 
 
+def _matrix_model(name: str, n: int, rels, moves, expected: dict,
+                  inverse_det: bool = False) -> GroupModel:
+    """The model with the relations ``rels`` on the n x n matrix entries,
+    plus the inverse determinant ``d`` with ``inverse_det``.
+
+    It carries the row/column ``moves`` and the transpose as symmetries
+    (see :func:`_with_coordinate_symmetries`), the matrix comultiplication
+    and the diagonal counit; ``d`` maps to d' (x) d'' and stays alive.
+    """
+    aux = ("d",) if inverse_det else ()
+    width = n * n + len(aux)
+    aux_gens = range(n * n, width)
+    B = make_presentation(_entry_names(n) + list(aux), (), 1, rels)
+    return GroupModel(
+        name=name,
+        presentation=_with_coordinate_symmetries(B, n, moves),
+        comult=_matrix_comult(n, width, extra_diag=aux_gens),
+        counit_zero=_diagonal_counit(n, width, keep=aux_gens),
+        dimension=n,
+        aux_names=aux,
+        expected=expected,
+    )
+
+
 def sl(n: int) -> GroupModel:
     """The determinant-one matrix model on n^2 coordinates."""
     if not 2 <= n <= MODEL_CAP:
         raise CatalogError(f"sl({n}): supported range is 2..{MODEL_CAP}")
-    width = n * n
-    B = make_presentation(_entry_names(n), (), 1, [determinant_relation(n, width)])
-    B = _with_coordinate_symmetries(B, n, _row_column_moves(_adjacent_swaps(n), True))
-    model = GroupModel(
-        name=f"sl:{n}",
-        presentation=B,
-        comult=_matrix_comult(n, width),
-        counit_zero=_diagonal_counit(n, width),
-        dimension=n,
-        expected={"rank": n - 1, "weyl_order": math.factorial(n),
-                  "weyl_type": f"A{n - 1}",
-                  "tits_f1": math.factorial(n) // 2,
-                  "tits_f12": 2 ** (n - 1) * math.factorial(n)},
-    )
-    return model
+    return _matrix_model(
+        f"sl:{n}", n, [determinant_relation(n, n * n)],
+        _row_column_moves(_adjacent_swaps(n), True),
+        {"rank": n - 1, "weyl_order": math.factorial(n), "weyl_type": f"A{n - 1}",
+         "tits_f1": math.factorial(n) // 2, "tits_f12": 2 ** (n - 1) * math.factorial(n)})
 
 
 def gl(n: int) -> GroupModel:
@@ -318,27 +334,13 @@ def gl(n: int) -> GroupModel:
     """
     if not 1 <= n <= MODEL_CAP:
         raise CatalogError(f"gl({n}): supported range is 1..{MODEL_CAP}")
-    width = n * n + 1
-    d = width - 1
-    B = make_presentation(_entry_names(n) + ["d"], (), 1,
-                          [determinant_relation(n, width, extra=[d])])
-    B = _with_coordinate_symmetries(B, n, _row_column_moves(_adjacent_swaps(n), True))
-    return GroupModel(
-        name=f"gl:{n}",
-        presentation=B,
-        comult=_matrix_comult(n, width, extra_diag=[d]),
-        counit_zero=_diagonal_counit(n, width, keep=[d]),
-        dimension=n,
-        aux_names=("d",),
-        expected={"rank": n, "weyl_order": math.factorial(n),
-                  "weyl_type": f"A{n - 1}" if n > 1 else "trivial",
-                  "tits_f12": 2 ** n * math.factorial(n)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Symplectic groups
-# ---------------------------------------------------------------------------
+    return _matrix_model(
+        f"gl:{n}", n, [determinant_relation(n, n * n + 1, extra=[n * n])],
+        _row_column_moves(_adjacent_swaps(n), True),
+        {"rank": n, "weyl_order": math.factorial(n),
+         "weyl_type": f"A{n - 1}" if n > 1 else "trivial",
+         "tits_f12": 2 ** n * math.factorial(n)},
+        inverse_det=True)
 
 
 def sp(dim: int) -> GroupModel:
@@ -351,8 +353,7 @@ def sp(dim: int) -> GroupModel:
         raise CatalogError(f"sp({dim}): even dimension in 2..{MODEL_CAP} required")
     n = dim // 2
     width = dim * dim + 1
-    d = width - 1
-    rels = [determinant_relation(dim, width, extra=[d])]
+    rels = [determinant_relation(dim, width, extra=[width - 1])]
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
             lhs = [_mono(width, [_eidx(dim, i, l), _eidx(dim, j, dim + 1 - l)])
@@ -362,27 +363,14 @@ def sp(dim: int) -> GroupModel:
             if j == dim + 1 - i:
                 rhs.append(one_monomial(width))
             rels.append(relation(lhs, rhs))
-    B = make_presentation(_entry_names(dim) + ["d"], (), 1, rels)
     # pair permutations keep the form; the reversal negates it, so it must
     # act on both sides at once
     reversal = tuple(reversed(range(dim)))
-    B = _with_coordinate_symmetries(
-        B, dim, _row_column_moves(_pair_swaps(dim), True) + [(reversal, reversal)])
-    weyl_order = 2 ** n * math.factorial(n)
-    return GroupModel(
-        name=f"sp:{dim}",
-        presentation=B,
-        comult=_matrix_comult(dim, width, extra_diag=[d]),
-        counit_zero=_diagonal_counit(dim, width, keep=[d]),
-        dimension=dim,
-        aux_names=("d",),
-        expected={"rank": n, "weyl_order": weyl_order, "weyl_type": f"C{n}"},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Orthogonal and special orthogonal groups
-# ---------------------------------------------------------------------------
+    return _matrix_model(
+        f"sp:{dim}", dim, rels,
+        _row_column_moves(_pair_swaps(dim), True) + [(reversal, reversal)],
+        {"rank": n, "weyl_order": 2 ** n * math.factorial(n), "weyl_type": f"C{n}"},
+        inverse_det=True)
 
 
 def _orthogonal_relations(n: int, width: int) -> list:
@@ -421,20 +409,10 @@ def o(n: int) -> GroupModel:
     if n % 2 or not 2 <= n <= MODEL_CAP:
         raise CatalogError(f"o({n}): even dimension in 2..{MODEL_CAP} required")
     m = n // 2
-    width = n * n
-    rels = _orthogonal_relations(n, width)
-    B = make_presentation(_entry_names(n), (), 1, rels)
-    B = _with_coordinate_symmetries(
-        B, n, _row_column_moves(_pair_swaps(n) + [_inner_flip(n)], False))
-    return GroupModel(
-        name=f"o:{n}",
-        presentation=B,
-        comult=_matrix_comult(n, width),
-        counit_zero=_diagonal_counit(n, width),
-        dimension=n,
-        expected={"rank": m, "weyl_order": 2 ** m * math.factorial(m),
-                  "weyl_type": f"B{m}"},
-    )
+    return _matrix_model(
+        f"o:{n}", n, _orthogonal_relations(n, n * n),
+        _row_column_moves(_pair_swaps(n) + [_inner_flip(n)], False),
+        {"rank": m, "weyl_order": 2 ** m * math.factorial(m), "weyl_type": f"B{m}"})
 
 
 def so(n: int) -> GroupModel:
@@ -448,34 +426,23 @@ def so(n: int) -> GroupModel:
     if not 2 <= n <= MODEL_CAP:
         raise CatalogError(f"so({n}): dimension in 2..{MODEL_CAP} required")
     m = n // 2
-    width = n * n
-    rels = _orthogonal_relations(n, width)
-    if n % 2 == 1:
-        rels.append(determinant_relation(n, width))
-        weyl_order = 2 ** m * math.factorial(m)
-        weyl_type = f"B{m}"
-        sign_filter = None
+    odd = n % 2 == 1
+    rels = _orthogonal_relations(n, n * n)
+    if odd:
+        rels.append(determinant_relation(n, n * n))
+        expected = {"rank": m, "weyl_order": 2 ** m * math.factorial(m), "weyl_type": f"B{m}"}
     else:
-        weyl_order = 2 ** (m - 1) * math.factorial(m)
-        weyl_type = f"D{m}"
-        sign_filter = True
-    B = make_presentation(_entry_names(n), (), 1, rels)
-    B = _with_coordinate_symmetries(
-        B, n, _row_column_moves(_pair_swaps(n) + [_inner_flip(n)], n % 2 == 1))
-    model = GroupModel(
-        name=f"so:{n}",
-        presentation=B,
-        comult=_matrix_comult(n, width),
-        counit_zero=_diagonal_counit(n, width),
-        dimension=n,
-        expected={"rank": m, "weyl_order": weyl_order, "weyl_type": weyl_type},
-    )
-    if sign_filter:
-        def keep(p: PrimePoint, _model=model) -> bool:
-            sigma = perm_of_pattern(_model, p)
-            return sigma is not None and _perm_sign(sigma) == 1
-        model = dataclasses.replace(model, rank_point_filter=keep)
-    return model
+        expected = {"rank": m, "weyl_order": 2 ** (m - 1) * math.factorial(m),
+                    "weyl_type": f"D{m}"}
+    model = _matrix_model(f"so:{n}", n, rels,
+                          _row_column_moves(_pair_swaps(n) + [_inner_flip(n)], odd), expected)
+    if odd:
+        return model
+
+    def keep(p: PrimePoint) -> bool:
+        sigma = perm_of_pattern(model, p)
+        return sigma is not None and _perm_sign(sigma) == 1
+    return dataclasses.replace(model, rank_point_filter=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -559,25 +526,10 @@ def _constant_relations(B: BlueprintPresentation, offsets: Sequence[int]):
 
 
 def constant_group(table: GroupTable) -> GroupModel:
-    """The constant group scheme: one idempotent coordinate per element."""
-    k = len(table.elements)
-    names = tuple(f"e_{name}" for name in table.elements)
-    base = mk_free(k, names=names)
-    B = make_presentation(names, (), 1, _constant_relations(base, range(k)))
-    images: list[list[tuple[Monomial, Monomial]]] = [[] for _ in range(k)]
-    for g1 in range(k):
-        for g2 in range(k):
-            h = table.table[g1][g2]
-            images[h].append((B.gen(g1), B.gen(g2)))
-    counit = frozenset(g for g in range(k) if g != table.identity)
-    return GroupModel(
-        name=f"const:{'+'.join(table.elements)}",
-        presentation=B,
-        comult=comultiplication(images),
-        counit_zero=counit,
-        expected={"rank": 0, "weyl_order": k,
-                  "tits_weyl": k == 1},
-    )
+    """The constant group scheme: one idempotent coordinate per element,
+    the semidirect product with the torus of rank 0."""
+    model = semidirect(0, table, dict.fromkeys(table.elements, []))
+    return dataclasses.replace(model, name=f"const:{'+'.join(table.elements)}")
 
 
 def semidirect(r: int, table: GroupTable,
@@ -680,11 +632,35 @@ def nonstandard_torus() -> GroupModel:
 # ---------------------------------------------------------------------------
 
 
-def _block_of(flag: Sequence[int]) -> list[int]:
-    blocks = []
-    for b, size in enumerate(flag):
-        blocks.extend([b] * size)
-    return blocks
+def _flag_model(kind: str, n: int, flag: Sequence[int], extra, expected) -> GroupModel:
+    """The subgroup ``kind`` of gl(n) for a composition ``flag`` of n.
+
+    Its relations are gl's determinant relation, the kills of the entries
+    below the diagonal blocks, then ``g == value`` for each pair of
+    ``extra(blocks)``, where ``blocks[i - 1]`` is the block of row i.  It
+    has gl's comultiplication and counit and no symmetries, and
+    ``expected(blocks)`` is its metadata.
+    """
+    if sum(flag) != n or any(s <= 0 for s in flag):
+        raise CatalogError(f"flag {flag} is not a composition of {n}")
+    # n has gl's range: the determinant relation has n! terms
+    if not 1 <= n <= MODEL_CAP:
+        raise CatalogError(f"gl({n}): supported range is 1..{MODEL_CAP}")
+    width = n * n + 1
+    blocks = [b for b, size in enumerate(flag) for _ in range(size)]
+    kills = [(g, 0) for g, (i, j) in _entry_pairs(n).items() if blocks[i - 1] > blocks[j - 1]]
+    rels = [determinant_relation(n, width, extra=[width - 1])]
+    rels += [relation([_mono(width, [g])], [one_monomial(width)] * value)
+             for g, value in kills + extra(blocks)]
+    return GroupModel(
+        name=f"{kind}:{n}:{','.join(map(str, flag))}",
+        presentation=make_presentation(_entry_names(n) + ["d"], (), 1, rels),
+        comult=_matrix_comult(n, width, extra_diag=[width - 1]),
+        counit_zero=_diagonal_counit(n, width, keep=[width - 1]),
+        dimension=n,
+        aux_names=("d",),
+        expected=expected(blocks),
+    )
 
 
 def standard_parabolic(n: int, flag: Sequence[int]) -> GroupModel:
@@ -692,28 +668,8 @@ def standard_parabolic(n: int, flag: Sequence[int]) -> GroupModel:
 
     Entries strictly below the block-diagonal structure are killed.
     """
-    if sum(flag) != n or any(s <= 0 for s in flag):
-        raise CatalogError(f"flag {flag} is not a composition of {n}")
-    ambient = gl(n)
-    blocks = _block_of(flag)
-    dead = [_eidx(n, i, j)
-            for i in range(1, n + 1) for j in range(1, n + 1)
-            if blocks[i - 1] > blocks[j - 1]]
-    rels = list(ambient.presentation.relations)
-    rels.extend(relation([ambient.presentation.gen(g)], []) for g in dead)
-    B = make_presentation(ambient.presentation.generator_names, (), 1, rels)
-    weyl_order = 1
-    for s in flag:
-        weyl_order *= math.factorial(s)
-    return GroupModel(
-        name=f"parabolic:{n}:{','.join(map(str, flag))}",
-        presentation=B,
-        comult=ambient.comult,
-        counit_zero=ambient.counit_zero,
-        dimension=n,
-        aux_names=("d",),
-        expected={"rank": n, "weyl_order": weyl_order},
-    )
+    return _flag_model("parabolic", n, flag, lambda blocks: [], lambda blocks: {
+        "rank": n, "weyl_order": math.prod(map(math.factorial, flag))})
 
 
 def unipotent_radical(n: int, flag: Sequence[int]) -> GroupModel:
@@ -723,58 +679,23 @@ def unipotent_radical(n: int, flag: Sequence[int]) -> GroupModel:
     the identity pattern: diagonal entries and d are set to 1, remaining
     block entries below the strict upper part are killed.
     """
-    parent = standard_parabolic(n, flag)
-    P = parent.presentation
-    width = P.width
-    d = width - 1
-    blocks = _block_of(flag)
-    rels = list(P.relations)
-    one = one_monomial(width)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            g = _eidx(n, i, j)
-            if i == j:
-                rels.append(relation([P.gen(g)], [one]))
-            elif blocks[i - 1] == blocks[j - 1]:
-                rels.append(relation([P.gen(g)], []))
-    rels.append(relation([P.gen(d)], [one]))
-    B = make_presentation(P.generator_names, (), 1, rels)
-    free_positions = sum(1 for i in range(1, n + 1) for j in range(1, n + 1)
-                         if blocks[i - 1] < blocks[j - 1])
-    return GroupModel(
-        name=f"unipotent:{n}:{','.join(map(str, flag))}",
-        presentation=B,
-        comult=parent.comult,
-        counit_zero=parent.counit_zero,
-        dimension=n,
-        aux_names=("d",),
-        expected={"rank": 0, "weyl_order": 1, "affine_dim": free_positions},
-    )
+    def block_entries(blocks):
+        return [(g, int(i == j)) for g, (i, j) in _entry_pairs(n).items()
+                if blocks[i - 1] == blocks[j - 1]] + [(n * n, 1)]
+
+    return _flag_model("unipotent", n, flag, block_entries, lambda blocks: {
+        "rank": 0, "weyl_order": 1,
+        "affine_dim": sum(a < b for a in blocks for b in blocks)})
 
 
 def levi(n: int, flag: Sequence[int]) -> GroupModel:
     """The block-diagonal Levi subgroup of a standard parabolic of gl(n)."""
-    parent = standard_parabolic(n, flag)
-    P = parent.presentation
-    blocks = _block_of(flag)
-    dead = [_eidx(n, i, j)
-            for i in range(1, n + 1) for j in range(1, n + 1)
-            if blocks[i - 1] != blocks[j - 1]]
-    rels = list(P.relations)
-    rels.extend(relation([P.gen(g)], []) for g in dead)
-    B = make_presentation(P.generator_names, (), 1, rels)
-    weyl_order = 1
-    for s in flag:
-        weyl_order *= math.factorial(s)
-    return GroupModel(
-        name=f"levi:{n}:{','.join(map(str, flag))}",
-        presentation=B,
-        comult=parent.comult,
-        counit_zero=parent.counit_zero,
-        dimension=n,
-        aux_names=("d",),
-        expected={"rank": n, "weyl_order": weyl_order},
-    )
+    def off_block_kills(blocks):
+        return [(g, 0) for g, (i, j) in _entry_pairs(n).items()
+                if blocks[i - 1] != blocks[j - 1]]
+
+    return _flag_model("levi", n, flag, off_block_kills, lambda blocks: {
+        "rank": n, "weyl_order": math.prod(map(math.factorial, flag))})
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +707,26 @@ def _pp(n: int, zero_positions: Sequence[tuple[int, int]]) -> PrimePoint:
     return PrimePoint(_eidx(n, i, j) for i, j in zero_positions)
 
 
-def _lattice_field(epsilon: int, names: Sequence[str]) -> NormalFormBlueField:
-    return NormalFormBlueField(epsilon, tuple(names), (), ())
+def _point_model(name: str, n: int, points, identity: PrimePoint,
+                 other: PrimePoint) -> GroupModel:
+    """A rank-one adjoint model on the n x n entries given by its points.
+
+    The comultiplication is the matrix one on the ambient coordinates; the
+    rank points are ``identity``, the counit pattern, with unit field of
+    epsilon 1, and ``other``, with epsilon 2.
+    """
+    rank_points = sorted([(identity, 1), (other, 2)])
+    return GroupModel(
+        name=name,
+        presentation=make_presentation(_entry_names(n), (), 1, []),
+        comult=_matrix_comult(n, n * n),
+        counit_zero=identity.vars,
+        dimension=n,
+        expected={"rank": 1, "weyl_order": 2, "points": len(points)},
+        spectrum_override=tuple(sorted(points)),
+        rank_override=tuple(RankSpacePoint(p, NormalFormBlueField(epsilon, ("L",), (), ()), 1)
+                            for p, epsilon in rank_points),
+    )
 
 
 def _conjugation_pattern(a: int, b: int, c: int, d: int) -> PrimePoint:
@@ -807,7 +746,6 @@ def psl2_conj() -> GroupModel:
     The seven points reproduce the shape of the sl(2) spectrum; the two
     monomial patterns (diagonal, anti-diagonal) are the rank points.
     """
-    n = 4
     # symbolic vanishing analysis with generic non-zero parameter values
     patterns = {
         "generic": _conjugation_pattern(2, 3, 5, 8),  # ad-bc needs not be 1 here
@@ -818,22 +756,8 @@ def psl2_conj() -> GroupModel:
         "a=d=0": _conjugation_pattern(0, 3, 5, 0),
         "b=c=0": _conjugation_pattern(2, 0, 0, 7),
     }
-    points = tuple(sorted(set(patterns.values())))
-    diag = patterns["b=c=0"]
-    antidiag = patterns["a=d=0"]
-    rank_points = sorted([(diag, 1), (antidiag, 2)])
-    B = make_presentation(_entry_names(4), (), 1, [])
-    return GroupModel(
-        name="psl2-conj",
-        presentation=B,
-        comult=_matrix_comult(4, 16),
-        counit_zero=diag.vars,
-        dimension=4,
-        expected={"rank": 1, "weyl_order": 2, "points": 7},
-        spectrum_override=points,
-        rank_override=tuple(RankSpacePoint(p, _lattice_field(epsilon, ("L",)), 1)
-                            for p, epsilon in rank_points),
-    )
+    return _point_model("psl2-conj", 4, set(patterns.values()),
+                        patterns["b=c=0"], patterns["a=d=0"])
 
 
 ADJOINT_POINT_TABLE = {
@@ -861,20 +785,7 @@ def psl2_adjoint() -> GroupModel:
     cells of the image matrices; primed points require characteristic 2.
     """
     points = {name: _pp(3, pos) for name, (pos, _) in ADJOINT_POINT_TABLE.items()}
-    ordered = tuple(sorted(points.values()))
-    rank_points = sorted([(points["p^e"], 1), (points["p^s"], 2)])
-    B = make_presentation(_entry_names(3), (), 1, [])
-    return GroupModel(
-        name="psl2-adj",
-        presentation=B,
-        comult=_matrix_comult(3, 9),
-        counit_zero=points["p^e"].vars,
-        dimension=3,
-        expected={"rank": 1, "weyl_order": 2, "points": 13},
-        spectrum_override=ordered,
-        rank_override=tuple(RankSpacePoint(p, _lattice_field(epsilon, ("L",)), 1)
-                            for p, epsilon in rank_points),
-    )
+    return _point_model("psl2-adj", 3, points.values(), points["p^e"], points["p^s"])
 
 
 # ---------------------------------------------------------------------------
@@ -884,23 +795,14 @@ def psl2_adjoint() -> GroupModel:
 
 def model_product(G: GroupModel, H: GroupModel) -> GroupModel:
     """The product model: tensor presentation and componentwise comult."""
-    from .blueprint import tensor as tensor_presentations
-
-    B = tensor_presentations(G.presentation, H.presentation)
-    wg, wh = G.presentation.width, H.presentation.width
-    width = wg + wh
-
-    def left(m: Monomial) -> Monomial:
-        return Monomial(m.sign, m.exps + (0,) * wh)
-
-    def right(m: Monomial) -> Monomial:
-        return Monomial(m.sign, (0,) * wg + m.exps)
-
+    B = tensor(G.presentation, H.presentation)
+    wg = G.presentation.width
+    width = B.width
     images: list[list[tuple[Monomial, Monomial]]] = []
-    for terms in G.comult.images:
-        images.append([(left(a), left(b)) for a, b in terms])
-    for terms in H.comult.images:
-        images.append([(right(a), right(b)) for a, b in terms])
+    for offset, model in ((0, G), (wg, H)):
+        for terms in model.comult.images:
+            images.append([(_embed(a, offset, width), _embed(b, offset, width))
+                           for a, b in terms])
     counit = frozenset(G.counit_zero) | frozenset(g + wg for g in H.counit_zero)
     return GroupModel(
         name=f"({G.name})x({H.name})",
@@ -918,6 +820,12 @@ def model_product(G: GroupModel, H: GroupModel) -> GroupModel:
 # ---------------------------------------------------------------------------
 
 
+_SIZED_MODELS = {"sl": sl, "gl": gl, "sp": sp, "so": so, "o": o, "torus": torus}
+_FIXED_MODELS = {"nstorus": nonstandard_torus, "psl2-conj": psl2_conj,
+                 "psl2-adj": psl2_adjoint}
+_FLAG_MODELS = {"parabolic": standard_parabolic, "unipotent": unipotent_radical, "levi": levi}
+
+
 def from_selector(selector: str) -> GroupModel:
     """Resolve a model selector such as sl:3, torus:2, or psl2-adj."""
     parts = selector.split(":")
@@ -930,33 +838,12 @@ def from_selector(selector: str) -> GroupModel:
             raise CatalogError(f"model selector {selector!r}: {text!r} is not an integer") \
                 from None
 
-    def flag() -> list[int]:
-        return [number(s) for s in parts[2].split(",")]
-
-    if head == "sl" and len(parts) == 2:
-        return sl(number(parts[1]))
-    if head == "gl" and len(parts) == 2:
-        return gl(number(parts[1]))
-    if head == "sp" and len(parts) == 2:
-        return sp(number(parts[1]))
-    if head == "so" and len(parts) == 2:
-        return so(number(parts[1]))
-    if head == "o" and len(parts) == 2:
-        return o(number(parts[1]))
-    if head == "torus" and len(parts) == 2:
-        return torus(number(parts[1]))
-    if head == "nstorus" and len(parts) == 1:
-        return nonstandard_torus()
-    if head == "psl2-conj" and len(parts) == 1:
-        return psl2_conj()
-    if head == "psl2-adj" and len(parts) == 1:
-        return psl2_adjoint()
-    if head == "parabolic" and len(parts) == 3:
-        return standard_parabolic(number(parts[1]), flag())
-    if head == "unipotent" and len(parts) == 3:
-        return unipotent_radical(number(parts[1]), flag())
-    if head == "levi" and len(parts) == 3:
-        return levi(number(parts[1]), flag())
+    if len(parts) == 1 and head in _FIXED_MODELS:
+        return _FIXED_MODELS[head]()
+    if len(parts) == 2 and head in _SIZED_MODELS:
+        return _SIZED_MODELS[head](number(parts[1]))
+    if len(parts) == 3 and head in _FLAG_MODELS:
+        return _FLAG_MODELS[head](number(parts[1]), [number(s) for s in parts[2].split(",")])
     if head == "const" and len(parts) == 2:
         return constant_group(_table_from_json(_load_table_file(parts[1])))
     if head == "semidirect" and len(parts) == 2:

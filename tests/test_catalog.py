@@ -185,6 +185,118 @@ def test_sp_model_is_pinned(dim):
     assert hashlib.sha256(text.encode()).hexdigest() == SP_MODEL_DIGESTS[dim]
 
 
+def _compositions(n):
+    """Every composition of n, shorter ones first."""
+    return [c for k in range(1, n + 1) for c in itertools.product(range(1, n + 1), repeat=k)
+            if sum(c) == n]
+
+
+PINNED_SELECTORS = (
+    [f"sl:{n}" for n in range(2, 7)] + [f"gl:{n}" for n in range(1, 7)]
+    + [f"{head}:{n}" for head in ("sp", "o") for n in (2, 4, 6)]
+    + [f"so:{n}" for n in range(2, 7)] + ["torus:0", "torus:1", "torus:2"]
+    + ["nstorus", "psl2-conj", "psl2-adj"]
+    + [f"{kind}:{n}:{','.join(map(str, flag))}" for n in (2, 3, 4) for flag in _compositions(n)
+       for kind in ("parabolic", "levi", "unipotent")])
+
+# SHA-256 of each model's structure: presentation (relations and symmetries
+# in order, which fix the search order), comultiplication, counit, dimension,
+# auxiliary names and expected metadata; "const:k" is the cyclic group of
+# order k
+MODEL_STRUCTURE_DIGESTS = {
+    "sl:2": "e1ddd64d559e7d5ade9972a211e4739dad78628d460ce5153bccafd0fe7d1d93",
+    "sl:3": "5fe9df75b987a26c40967b309ec9635e3b4143a7d5755ef7bab215f58fd5e6a9",
+    "sl:4": "80cb37257c1187ce3388dbd4a7a9cc2fb9af1691355b4048aafebd6203acab16",
+    "sl:5": "68f752c6d21b8ff6bb7bd8b51821d359727595c9a16b0e0507c59cf83f569521",
+    "sl:6": "9c9e0dbd64455a4277cc3794760a64b39299925377a411fc5b8a76d10bab1ffd",
+    "gl:1": "48cb247a64f553b3f027d35d6685470f3a6a63af1512e1f3c781a184796db891",
+    "gl:2": "c46dee52c9c10762c91361d6a5433fe7cd4b9e592b15a248efbd7a469d48259f",
+    "gl:3": "05647794da0a20cd2a7b46c0c4c632f401155479039f25d99ccf56ea950726a9",
+    "gl:4": "6772225fc4d2db1b1601d0d76ea3be201b19f4a1ae728f9efbf791f85bba8dbd",
+    "gl:5": "333e8b48e1b5b39fcc9e9604110e215d7c89fb458d78edaa001f2f1466590f8d",
+    "gl:6": "03b424811539ebee7e55882bcd21f4b98d2b62ec58859b9a19b8008c947009fc",
+    "sp:2": "1e48042f0a6220f26a2c38a0610074450f549d0ecc75c86dd5071f0291393bed",
+    "sp:4": "f31ea2788b8cdf89fb89ff9b2a96a7f54a3c83cd3d6b4fba6569a2b51ad41e60",
+    "sp:6": "396285668fbd218bc41e1f5f6c963ae5266cc28c6d083f1b9e33329d62829bc3",
+    "o:2": "9659319b7dd60f0eb85b96a2947c0cb017b6b317c7e05bff1c20dff3f8db3f76",
+    "o:4": "1470433bf3f39024cee3e542692cf97c0cafa780fbfdcd00ea0078376e4e01ac",
+    "o:6": "fb6c1256916357bb3043c39fe1d600077701778850b2261c82c2c36c57947c91",
+    "so:2": "f66268061e238edba07022eb17b9a8ef62a8be474a8ef03193fd3368b08d38f1",
+    "so:3": "4197e42b5104caefdbf25832a0313a62139ea9a26f4e3331710f83848700ba14",
+    "so:4": "c19f005a9f04de2b2d7316dfa3c8993286a6b1e247ca2cb99c1e41d521f27c78",
+    "so:5": "a010b39fbaf5c0329828ed706b7a615eba0af1992a328defb801d5010b26aac2",
+    "so:6": "ee6aa1490ec546ea98c7e5c4eedd009743bfd3259f6de35e061d4b5713f0a68b",
+    "torus:0": "5ac9ae676281ae2ff013b2de90f76bce1445a7c859f81736e19b2d5daf306fee",
+    "torus:1": "b135a471106ced9a4f8ec8a16c2ac919c60f1d0d9863fb4784185301e2308c2c",
+    "torus:2": "09a71a696cb4e1300df4da472683dc07a3f727dc38ada34b90936b48c9c0e26e",
+    "nstorus": "2355339574df0db3a91b02194e555e4e73cdf399226cb4906ec8d753cf970efe",
+    "psl2-conj": "c0753bb820860db743d971eb223307c1965ad23ee29e0fb0b50d3b288e93a7d6",
+    "psl2-adj": "bdb9897224b9a8918044cc089a250ea66beac92d93b77732629108bfb480c685",
+    "parabolic:2:2": "a2f08c32988daa0c538dcc47c77ac8a5ed9c51c8f0f09bad3486916f1e21c513",
+    "levi:2:2": "4db5864127b43a1a5c00ec46ed97ab2fdd947259dd4e631178e2ad16a04b5b18",
+    "unipotent:2:2": "55d3a60b92394bd8a31364c7038222980511b609e710f6baf27d439d626c52e7",
+    "parabolic:2:1,1": "9afc4ff053fbbc39bc7003b7179573638a750994f7c63b73892fd85dce53eb17",
+    "levi:2:1,1": "2ef708cbf86b54e34ee13faa95e46b3aca511b3d5d78d0cba437a8493c3ebae9",
+    "unipotent:2:1,1": "a5c69c3d1fe816a34da2519e4ab495b9defe0eb5b132bed9a87463db669e46c6",
+    "parabolic:3:3": "6ea94cffea67be562acff8005bbbba76a90bd0765fe7474e7edc8192fe4ed79d",
+    "levi:3:3": "b67f817b87222f1efc584791e70f39ed9947436eb23d604d91cc9c5959744714",
+    "unipotent:3:3": "92b5305a12440109e310eb84a67d9438f15ee21f20ed0869fa4b918216d494cf",
+    "parabolic:3:1,2": "138d7c30745275a54e7d943684575c2ad11f66f9ac8196ee78f3e4ee427433d9",
+    "levi:3:1,2": "92748b4c67dbee45419592b628df8b731c9dce49d306b812732934731248ee66",
+    "unipotent:3:1,2": "a89639c0dae1d71dd506f2744c4d7ed6b4048021929a789ceac30be8788ee646",
+    "parabolic:3:2,1": "d8833a7ae0470eace728792c3e5e7e71333bea24d77b8e904aece12afb2785fb",
+    "levi:3:2,1": "26142c71f4489851bff5627ff070ba6a6402d5dd1259f2fbe0c8b0279e1faea7",
+    "unipotent:3:2,1": "9fa5324bad7a7dd28c216bdaa96525b9a0b6921aa098610b6a5d5abb6f1a445c",
+    "parabolic:3:1,1,1": "a179d8e161508359245932382f7246f143e4d3e754237affffd329c3bb79580a",
+    "levi:3:1,1,1": "679660792f9714714260e2a50b4fdb3edef7f244a360c0c974bca638859da8cb",
+    "unipotent:3:1,1,1": "8cf96dd5cfc72db00d023e674ab1f2e839e6025a43566a8ecea45ac0222d31e7",
+    "parabolic:4:4": "cfd6a249c6e50550a9b63aa56b05c544f09e615781469b424bf3c0489d749371",
+    "levi:4:4": "1c9b60e258aaa77293d91d948324074812e2b103409f1a88a6b466498c48a9ad",
+    "unipotent:4:4": "ebd128c65624e7752fe2ee5b38111b5f204d96a3c367705de10449918880b532",
+    "parabolic:4:1,3": "d616a617c232b15813c57ec1ed914812f848b7e14c2dadae583f49f7d06254f4",
+    "levi:4:1,3": "cd6c7fc368b2d81c6ea66a7f27c9f883681569baa700ae625f6e0fb552466866",
+    "unipotent:4:1,3": "ac6315a479d44dd71e8026bd6e283a37a5b9561171adf7f39eac155581d7e699",
+    "parabolic:4:2,2": "6af26a5239ddd36813278f8a15fcf1a6789c833301539929f0ea2e50ce8664d1",
+    "levi:4:2,2": "7b4e577989868ee56083b7c5a47124afd82081a3c2ddbf439eea97e5c7e4d636",
+    "unipotent:4:2,2": "94332201efc60a0f86ddb25b911e5a1414e4be71f323762fb95779681a9c2f75",
+    "parabolic:4:3,1": "83bc73e501bd54a06381aec8b3203727a31cf44c2a87c2ed48c4c134dd776137",
+    "levi:4:3,1": "aa924144055f6b62bc434c2e6c1c128a9ec1c89f021068de0e66ba757ccb2fb1",
+    "unipotent:4:3,1": "90097ea258f308b8e7ff1ffc7d7496fee4be839892aa0526bc3a5e5a05041ee6",
+    "parabolic:4:1,1,2": "97c7ca785023f5f71ebd34ca02f91f66963cacc6fff4569dcc704a90a31f7828",
+    "levi:4:1,1,2": "8667487c6ce560da619eee9222472585ec8434a8e526116a137fd63da14d8687",
+    "unipotent:4:1,1,2": "41d8cc27fcdad79af56b78c303628fe0e794b21083c4cc9ebfcc86a844d9c2b4",
+    "parabolic:4:1,2,1": "28c0adc70a6218cb1a4db07055ea20257081b788cc4eebf164ea746ff12c5e4f",
+    "levi:4:1,2,1": "c94c0270ac929ee6c36e382e5f9b67d0a195b2067aad4b168dd80ae9f2bb634e",
+    "unipotent:4:1,2,1": "bbd65cf335ea7fe0043fbb061480ba7a22faa405ea6248d7b848cc55c613f086",
+    "parabolic:4:2,1,1": "251c3d4f1922cbaa142beb249fbab7d25be570adc738318a7b849b42d910688f",
+    "levi:4:2,1,1": "8f06133f508d66d70578ea2bab1300aeb15eccf572021ac8e09fe40db47414ae",
+    "unipotent:4:2,1,1": "2994001933de4b85c757aa34b7e8dc4bd9794547158b1dbd6aeeffd6a3a03922",
+    "parabolic:4:1,1,1,1": "01f8540bb3ab4a4a1775d0262c71c6c1f93f912bb22f258a5cfb5f91e2c5926b",
+    "levi:4:1,1,1,1": "0009125ceaefc17d4d2ed6f4c90b2b2ce18cd48f57001901004b6b59ba4ab2de",
+    "unipotent:4:1,1,1,1": "4d44582d6fcd27b3ad0264f96e7a28f9ede8d77b1409fa3206187f13ce03c5df",
+    "const:1": "5925c58872796b17e390704b130892f8dcf0203d91910c24f78917d5f6fa2a64",
+    "const:2": "e84f4aa9278b57a920614f62ec293231f8e14c5afe5da76bee420da632c07d1b",
+    "const:3": "ae575f2c9cd395d820817d8163253846facfef99e56db8b2381b83d27f731f35",
+    "const:5": "8c7c523a4098fa46092fc17b0b96b505a136116cb0d8f2018a7782589e4a5a36",
+}
+
+
+def _structure_digest(model):
+    B = model.presentation
+    text = repr((model.name, B.generator_names, sorted(B.inverted), B.coeff_order,
+                 B.relations, B.symmetries, model.comult.images, sorted(model.counit_zero),
+                 model.dimension, model.aux_names, sorted(model.expected.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_model_structure_is_pinned():
+    models = {selector: from_selector(selector) for selector in PINNED_SELECTORS}
+    for k in (1, 2, 3, 5):
+        models[f"const:{k}"] = catalog.constant_group(GroupTable.cyclic(k))
+    digests = {key: _structure_digest(model) for key, model in models.items()}
+    assert digests == MODEL_STRUCTURE_DIGESTS
+
+
 def test_so3_counts():
     m = catalog.so(3)
     assert len(m.rank_points()) == 2
@@ -329,6 +441,10 @@ def test_parabolic_intermediate_flag():
 def test_parabolic_rejects_bad_flag():
     with pytest.raises(CatalogError):
         catalog.standard_parabolic(3, [2, 2])
+    # the flag is checked before its Weyl order, a product of factorials, is taken
+    for selector in ("parabolic:3:4,-1", "levi:3:-1,4", "unipotent:3:0,3"):
+        with pytest.raises(CatalogError, match="is not a composition of 3"):
+            from_selector(selector)
 
 
 def test_unipotent_radical_of_borel_gl3():

@@ -252,6 +252,10 @@ def _cyclic_table(n, rank=None):
     ("const", _cyclic_table(150)),
     ("semidirect", _cyclic_table(150, rank=1)),
     ("semidirect", _cyclic_table(25, rank=2)),  # rank plus elements over the cap
+    # the flag subgroups of gl(7), whose determinant relation has 7! terms
+    ("levi:7:7", None),
+    ("parabolic:7:3,4", None),
+    ("unipotent:7:7", None),
 ])
 def test_oversized_model_is_refused_before_it_is_built(tmp_path, verb, content):
     selector = verb
