@@ -579,15 +579,18 @@ def _canonical_relations(B: BlueprintPresentation) -> tuple[frozenset[int], list
     return dead, rels
 
 
-def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relation, ...]:
+SATURATION_ROUNDS = 2
+
+
+def saturate_relations(B: BlueprintPresentation) -> tuple[Relation, ...]:
     """A cheap, sound closure of the generating relations.
 
     Terms over annihilated generators are dropped, the annihilations are
     kept as explicit relations g == 0, and pairwise transitivity
-    consequences (relations sharing a side) are added for a bounded number
-    of rounds.  The result still generates the same pre-addition; it just
-    exposes a few derived relations to syntactic checks such as the prime
-    criterion.
+    consequences (relations sharing a side) are added for
+    ``SATURATION_ROUNDS`` rounds.  The result still generates the same
+    pre-addition; it just exposes a few derived relations to syntactic
+    checks such as the prime criterion.
 
     A candidate ``a == b`` from ``s == a`` and ``s == b`` pairs two sides
     of the list, which are canonical sums, so it is tested for triviality
@@ -595,9 +598,10 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
     anything again, and a ``Relation`` is built only for a candidate kept.
 
     Guarantee: the kill relations come first, then the canonical relations,
-    then the transitivity consequences, which are only appended.  So
-    ``saturate_relations(B, rounds=0)``, the generating relations in
-    canonical form, is a prefix of the result for every ``rounds``.
+    then the transitivity consequences, which are only appended.  So the
+    generating relations in canonical form, after the kill relations, are
+    a prefix of the result: with ``rels = _relations(B)`` it is
+    ``rels.saturated[:len(rels.dead) + len(rels.relations)]``.
 
     A pair is skipped when every term of both outer sides meets a killed
     generator, as ``T_i == T_j`` for killed i, j does (from two kill
@@ -612,16 +616,16 @@ def saturate_relations(B: BlueprintPresentation, rounds: int = 2) -> tuple[Relat
     with.  Only derived relations are skipped, so the prefix guarantee
     holds.
     """
-    return _saturate(B, *_canonical_relations(B), rounds)
+    return _saturate(B, *_canonical_relations(B))
 
 
-def _saturate(B: BlueprintPresentation, dead: frozenset[int], canonical: list[Relation],
-              rounds: int = 2) -> tuple[Relation, ...]:
+def _saturate(B: BlueprintPresentation, dead: frozenset[int],
+              canonical: list[Relation]) -> tuple[Relation, ...]:
     """:func:`saturate_relations` from the output of :func:`_canonical_relations`."""
     rels = [relation([B.gen(g)], []) for g in sorted(dead)] + canonical
     dmask = _mask(dead)
     seen = {(r.lhs.sort_key, r.rhs.sort_key) for r in rels}
-    for _ in range(rounds):
+    for _ in range(SATURATION_ROUNDS):
         new = []
         # the sums each side is equated to
         by_side: dict[tuple, list[FormalSum]] = {}
@@ -718,7 +722,7 @@ def _candidate_multipliers(s: FormalSum, target: FormalSum, pattern: FormalSum,
     cands: set[Monomial] = {B.one()}
     if B.coeff_order == 2:
         cands.add(B.one(1))
-    anchors = pattern.terms[:1] if pattern.terms else pattern.terms
+    anchors = pattern.terms[:1]
     for pool in (s.terms, target.terms):
         for t in pool:
             for a in (anchors or (B.one(),)):

@@ -4,7 +4,7 @@ Each constructor returns a :class:`GroupModel` bundling a blueprint
 presentation (matrix coordinates named T1, T2, ... row-major, plus an
 auxiliary generator ``d`` for the inverse determinant where needed), the
 matrix comultiplication, the counit pattern picking the identity, and the
-expected combinatorial metadata used by the verification suites.
+expected combinatorial metadata, which only the tests and CI read.
 
 Two projective models of the rank-one adjoint group ship as certified point
 data instead of eliminated ideals: their spectra come from sampling matrix
@@ -33,7 +33,7 @@ from .blueprint import (
     relation,
     tensor,
 )
-from .spectrum import DEFAULT_GENERATOR_CAP, PrimePoint, enumerate_primes, is_prime
+from .spectrum import GENERATOR_CAP, PrimePoint, enumerate_primes, is_prime
 from .weyl import (
     Comultiplication,
     RankSpacePoint,
@@ -452,8 +452,8 @@ def so(n: int) -> GroupModel:
 
 def torus(r: int) -> GroupModel:
     """The split torus of rank r: r inverted generators, diagonal comult."""
-    if not 0 <= r <= DEFAULT_GENERATOR_CAP:
-        raise CatalogError(f"torus({r}): supported range is 0..{DEFAULT_GENERATOR_CAP}")
+    if not 0 <= r <= GENERATOR_CAP:
+        raise CatalogError(f"torus({r}): supported range is 0..{GENERATOR_CAP}")
     B = mk_free(r, inverted=range(r))
     images = [[(B.gen(i), B.gen(i))] for i in range(r)]
     return GroupModel(
@@ -478,9 +478,9 @@ class GroupTable:
         n = len(self.elements)
         # a model of a larger group has too many generators to enumerate by
         # default; checked first, since the associativity check is cubic in n
-        if not 1 <= n <= DEFAULT_GENERATOR_CAP:
+        if not 1 <= n <= GENERATOR_CAP:
             raise CatalogError(f"group table of {n} elements: supported range "
-                               f"is 1..{DEFAULT_GENERATOR_CAP}")
+                               f"is 1..{GENERATOR_CAP}")
         if not all(isinstance(name, str) for name in self.elements):
             raise CatalogError("element names must be strings")
         if len(set(self.elements)) != n:
@@ -545,9 +545,9 @@ def semidirect(r: int, table: GroupTable,
     k = len(table.elements)
     if not _is_integer(r):
         raise CatalogError(f"semidirect rank {r!r} is not an integer")
-    if not 0 <= r <= DEFAULT_GENERATOR_CAP - k:
+    if not 0 <= r <= GENERATOR_CAP - k:
         raise CatalogError(f"semidirect rank {r} with {k} elements: supported "
-                           f"range is 0..{DEFAULT_GENERATOR_CAP - k}")
+                           f"range is 0..{GENERATOR_CAP - k}")
     if not isinstance(exps, dict):
         raise CatalogError("exponent matrices are not a mapping of element names")
     mats = {}
@@ -853,14 +853,23 @@ def from_selector(selector: str) -> GroupModel:
     raise CatalogError(f"unknown model selector: {selector}")
 
 
+# a 26-element table or exponent file is tens of kB
+MODEL_FILE_BYTES = 1 << 20
+
+
 def _load_table_file(path: str) -> dict:
+    import io
     import json
 
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read(MODEL_FILE_BYTES + 1)
     except OSError as err:
         raise CatalogError(f"cannot read model file {path}: {err.strerror}") from None
+    if len(raw) > MODEL_FILE_BYTES:
+        raise CatalogError(f"model file {path} is larger than {MODEL_FILE_BYTES} bytes")
+    try:  # decoded as a text-mode read decodes it, newlines included
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except (ValueError, RecursionError) as err:  # not UTF-8, or not JSON
         raise CatalogError(f"model file {path} is not UTF-8 JSON: {err}") from None
     if not isinstance(data, dict):

@@ -218,23 +218,11 @@ class SampleField:
         return self.div(self.from_int(1), self.power(a, -n))
 
 
-def fields_for_characteristics(characteristics: Sequence[int]) -> list[SampleField]:
-    """Sampling fields for the requested characteristics.
-
-    Characteristic 0 is the rationals; characteristic 2 contributes both F2
-    and F4 (some patterns need a char-2 field larger than the prime field);
-    other primes contribute their prime field.
-    """
-    out = []
-    for char in characteristics:
-        if char == 0:
-            out.append(SampleField(0))
-        elif char == 2:
-            out.append(SampleField(2, 2))
-            out.append(SampleField(2, 4))
-        else:
-            out.append(SampleField(char, char))
-    return out
+# the fields every family is sampled over, in report order: the rationals,
+# F2 and F4 for characteristic 2 (some patterns need a char-2 field larger
+# than the prime field), F3 and F5
+SAMPLE_FIELDS = (SampleField(0), SampleField(2, 2), SampleField(2, 4),
+                 SampleField(3, 3), SampleField(5, 5))
 
 
 def evaluate(expr, values: dict, F: SampleField):
@@ -660,10 +648,7 @@ def zero_pattern(family: ParamFamily, values: dict, F: SampleField) -> frozenset
                      for j, entry in enumerate(row, 1) if not evaluate(entry, values, F))
 
 
-def realizable_patterns(family: ParamFamily,
-                        characteristics: Sequence[int] = (0, 2, 3, 5),
-                        samples: int = 2000,
-                        seed: int = 20259) -> PatternReport:
+def realizable_patterns(family: ParamFamily, samples: int, seed: int) -> PatternReport:
     """Sample the family and report the distinct zero patterns with witnesses.
 
     The result is a certified lower bound: each witness re-evaluates to its
@@ -690,7 +675,7 @@ def realizable_patterns(family: ParamFamily,
                  for j in range(1, len(row) + 1)]
     patterns: dict = {}
     warnings = []
-    for F in fields_for_characteristics(characteristics):
+    for F in SAMPLE_FIELDS:
         code = compile_family(family, F)
         for locus_name in sorted(all_loci):
             rng = _cell_rng(seed, family.name, F.tag, locus_name)

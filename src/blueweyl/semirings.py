@@ -40,9 +40,6 @@ class Semiring:
     contains: Callable[[object], bool]
     elements: Optional[tuple] = None
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def sum(self, values) -> object:
         total = self.zero
         for v in values:
@@ -98,23 +95,23 @@ def check_semiring_axioms(S: Semiring, samples: Sequence) -> list[str]:
     """Property-check the axioms on a sample set; returns violations."""
     bad = []
     for a in samples:
-        if not S.eq(S.add(a, S.zero), a):
+        if S.add(a, S.zero) != a:
             bad.append(f"{a} + 0 != {a}")
-        if not S.eq(S.mul(a, S.one), a):
+        if S.mul(a, S.one) != a:
             bad.append(f"{a} * 1 != {a}")
-        if not S.eq(S.mul(a, S.zero), S.zero):
+        if S.mul(a, S.zero) != S.zero:
             bad.append(f"{a} * 0 != 0")
         for b in samples:
-            if not S.eq(S.add(a, b), S.add(b, a)):
+            if S.add(a, b) != S.add(b, a):
                 bad.append(f"{a} + {b} not commutative")
-            if not S.eq(S.mul(a, b), S.mul(b, a)):
+            if S.mul(a, b) != S.mul(b, a):
                 bad.append(f"{a} * {b} not commutative")
             for c in samples:
-                if not S.eq(S.add(S.add(a, b), c), S.add(a, S.add(b, c))):
+                if S.add(S.add(a, b), c) != S.add(a, S.add(b, c)):
                     bad.append("addition not associative")
-                if not S.eq(S.mul(S.mul(a, b), c), S.mul(a, S.mul(b, c))):
+                if S.mul(S.mul(a, b), c) != S.mul(a, S.mul(b, c)):
                     bad.append("multiplication not associative")
-                if not S.eq(S.mul(a, S.add(b, c)), S.add(S.mul(a, b), S.mul(a, c))):
+                if S.mul(a, S.add(b, c)) != S.add(S.mul(a, b), S.mul(a, c)):
                     bad.append("distributivity fails")
     return bad
 
@@ -192,7 +189,7 @@ def is_point(model: GroupModel, M: PointMatrix, S: Semiring,
     """Evaluate every relation of the model; True when all hold in S."""
     values = _assignment(model, M, S, aux)
     B = model.presentation
-    return all(S.eq(_eval_sum(rel.lhs, values, S), _eval_sum(rel.rhs, values, S))
+    return all(_eval_sum(rel.lhs, values, S) == _eval_sum(rel.rhs, values, S)
                for rel in B.relations)
 
 
@@ -208,19 +205,24 @@ def multiply(M: PointMatrix, N: PointMatrix, S: Semiring) -> PointMatrix:
     return PointMatrix(n, tuple(entries))
 
 
-def hom_count(model: GroupModel, S: Semiring, bound: int = 200_000) -> int:
+HOM_COUNT_BOUND = 200_000
+
+
+def hom_count(model: GroupModel, S: Semiring) -> int:
     """Exhaustive count of the S-valued points of a small model.
 
     Requires a finite carrier; the auxiliary generators range over the
-    carrier as well.  ``bound`` caps the number of evaluated assignments.
+    carrier as well.  ``HOM_COUNT_BOUND`` caps the number of evaluated
+    assignments.
     """
     if S.elements is None:
         raise ValueError(f"{S.name} has no finite carrier to enumerate")
     n = model.dimension
     slots = n * n + len(model.aux_names)
     total = len(S.elements) ** slots
-    if total > bound:
-        raise ValueError(f"enumeration of {total} assignments exceeds the bound {bound}")
+    if total > HOM_COUNT_BOUND:
+        raise ValueError(f"enumeration of {total} assignments exceeds the bound "
+                         f"{HOM_COUNT_BOUND}")
     count = 0
     for combo in itertools.product(S.elements, repeat=slots):
         M = PointMatrix(n, combo[:n * n])

@@ -50,9 +50,10 @@ symmetries the group is trivial and the search is the plain one.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .blueprint import (
     BlueprintPresentation,
@@ -70,7 +71,7 @@ from .blueprint import (
     localize,
 )
 
-DEFAULT_GENERATOR_CAP = 26
+GENERATOR_CAP = 26
 
 
 class GeneratorCapExceeded(Exception):
@@ -263,7 +264,7 @@ def _forced_joins_refute(layout: _TermBits, newly: Sequence[int], hits: Sequence
 
 
 def _enumerate_masks(layout: _TermBits, inv_mask: int,
-                     symmetries: Sequence[Sequence[int]] = ()) -> list[int]:
+                     symmetries: Sequence[Sequence[int]]) -> list[int]:
     """The subsets passing the criterion on the relations of the term-bit
     ``layout`` that are lex-leaders under the group ``symmetries``
     generate, by depth-first branch and bound.
@@ -427,9 +428,9 @@ def _prime_leaders(B: BlueprintPresentation) -> list[int]:
     and F3 by :func:`blueprint._point_certifies` otherwise.  Only when no
     leaf certifies does the rewrite search of the zero test run.
     """
-    if B.width > DEFAULT_GENERATOR_CAP:
+    if B.width > GENERATOR_CAP:
         raise GeneratorCapExceeded(f"presentation has {B.width} generators, above "
-                                   f"the enumeration cap {DEFAULT_GENERATOR_CAP}")
+                                   f"the enumeration cap {GENERATOR_CAP}")
     rels = _relations(B)
     if _kills_a_unit(B, rels):
         return []
@@ -472,23 +473,17 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
 
     Every subset is tested directly against the criterion (no branch and
     bound): each relation must have 0 or at least 2 terms outside the
-    candidate ideal.
+    candidate ideal.  The subsets are scanned by size, each size in
+    lexicographic order, which is the spectrum order.
     """
     rels = _relations(B)
     if _is_zero(B, rels):
         return []
     layout = _term_bits(rels.saturated, B.width)
     free = [g for g in range(B.width) if g not in B.inverted]
-    points = []
-    for bits in range(1 << len(free)):
-        cand = 0
-        for i in range(len(free)):
-            if (bits >> i) & 1:
-                cand |= 1 << free[i]
-        if _criterion_holds(layout, cand):
-            points.append(PrimePoint(g for g in free if (cand >> g) & 1))
-    points.sort()
-    return points
+    return [PrimePoint(gens) for k in range(len(free) + 1)
+            for gens in itertools.combinations(free, k)
+            if _criterion_holds(layout, sum(1 << g for g in gens))]
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +540,6 @@ class SpectrumPoset:
                 x = parent[x]
             return x
 
-        # a global minimum makes the space connected without a pairwise scan
-        if any(not p.size for p in self.points):
-            return [frozenset(range(n))]
         masks = [_mask(p.gens) for p in self.points]
         for i in range(n):
             for j in range(i + 1, n):
@@ -565,14 +557,11 @@ def poset(points: Iterable[PrimePoint]) -> SpectrumPoset:
     return SpectrumPoset(tuple(sorted(set(points))))
 
 
-def export_dot(P: SpectrumPoset, B: Optional[BlueprintPresentation] = None,
-               name: str = "Spec") -> str:
+def export_dot(P: SpectrumPoset, B: BlueprintPresentation, name: str) -> str:
     """Deterministic DOT digraph of the Hasse diagram, edges lower to higher."""
     lines = [f"digraph \"{name}\" {{", "  rankdir=BT;"]
     for i, p in enumerate(P.points):
-        label = p.label(B) if B is not None else \
-            ("(0)" if not p.gens else "(" + ",".join(map(str, p.gens)) + ")")
-        lines.append(f"  p{i} [label=\"{label}\"];")
+        lines.append(f"  p{i} [label=\"{p.label(B)}\"];")
     for i, j in P.hasse_edges():
         lines.append(f"  p{i} -> p{j};")
     lines.append("}")

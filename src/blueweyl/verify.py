@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import catalog, patterns
 from .blueprint import (
@@ -382,8 +382,8 @@ def _same_poset_shape(P, Q) -> bool:
         for i in range(n):
             ups = sum(1 for j in range(n) if i != j and R.leq(i, j))
             downs = sum(1 for j in range(n) if i != j and R.leq(j, i))
-            sig.append((R.points[i].size and 1, ups, downs))
-        return sorted((u, d) for _, u, d in sig)
+            sig.append((ups, downs))
+        return sorted(sig)
 
     return signature(P) == signature(Q)
 
@@ -425,14 +425,10 @@ def _blue_field_catalog() -> list[tuple[str, BlueprintPresentation]]:
             ("F3", f3), ("B1", b1), ("kappa_even", k_even), ("kappa_odd", k_odd)]
 
 
-def properties_checks(seed: int = 20259, samples: int = 200,
-                      models: Optional[list[GroupModel]] = None) -> list[dict]:
-    if models is not None and not models:
-        return []  # an empty catalog subset passes vacuously
-    base_models = _small_models() if models is None else list(models)
+def properties_checks(seed: int, samples: int) -> list[dict]:
+    base_models = _small_models()
     big_models = [catalog.sl(4), catalog.sp(4), catalog.so(5),
-                  catalog.psl2_conj(), catalog.psl2_adjoint()] \
-        if models is None else []
+                  catalog.psl2_conj(), catalog.psl2_adjoint()]
     rng = random.Random(seed)
     checks = []
 
@@ -564,12 +560,11 @@ def _comparison(model_name: str, model: GroupModel, sampled) -> dict:
     }
 
 
-def oracle_comparison(model_name: str, seed: int = 20259,
-                      samples: int = 2000) -> dict:
+def oracle_comparison(model_name: str, seed: int, samples: int) -> dict:
     return _comparison(model_name, *_sampled_model(model_name, seed, samples))
 
 
-def oracle_checks(seed: int = 20259, samples: int = 2000) -> list[dict]:
+def oracle_checks(seed: int, samples: int) -> list[dict]:
     # each family is sampled once and feeds every check below
     runs = {name: _sampled_model(name, seed, samples) for name in ("psl2-conj", "psl2-adj")}
     checks = []
@@ -599,7 +594,7 @@ def oracle_checks(seed: int = 20259, samples: int = 2000) -> list[dict]:
     return checks
 
 
-def run_suite(name: str, seed: int = 20259, samples: int = 2000) -> list[dict]:
+def run_suite(name: str, seed: int, samples: int) -> list[dict]:
     if name == "paper-counts":
         return paper_counts_checks()
     if name == "properties":

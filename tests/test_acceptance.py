@@ -163,8 +163,8 @@ def test_criterion_8_projective_rank_one_models():
     for model in (conj, adj):
         pts = model.rank_points()
         ok = ok and len(pts) == 2 and all(p.rank == 1 for p in pts)
-    conj_oracle = verify.oracle_comparison("psl2-conj", samples=300)
-    adj_oracle = verify.oracle_comparison("psl2-adj", samples=300)
+    conj_oracle = verify.oracle_comparison("psl2-conj", seed=20259, samples=300)
+    adj_oracle = verify.oracle_comparison("psl2-adj", seed=20259, samples=300)
     ok = ok and conj_oracle["ok"] and adj_oracle["ok"]
     _report(8, ok, "7- and 13-point spectra, oracle agreement, "
             "two rank-one points each")

@@ -10,12 +10,12 @@ import pytest
 from blueweyl import catalog
 from blueweyl.blueprint import (
     _mask,
+    _relations,
     _term_bits,
     mk_free,
-    saturate_relations,
     simplify_presentation,
 )
-from blueweyl.spectrum import DEFAULT_GENERATOR_CAP, _enumerate_masks, _symmetry_group
+from blueweyl.spectrum import GENERATOR_CAP, _enumerate_masks, _symmetry_group
 from blueweyl.catalog import CatalogError, GroupTable, from_selector, perm_of_pattern
 
 
@@ -121,8 +121,9 @@ def test_coordinate_symmetries_generate_every_coordinate_automorphism(selector, 
 def test_symmetric_search_keeps_one_leaf_per_orbit(selector, leaves):
     # here the generating relations and the full saturated list have the same primes
     B = from_selector(selector).presentation
-    for rounds in (0, 2):
-        layout = _term_bits(saturate_relations(B, rounds=rounds), B.width)
+    rels = _relations(B)
+    for relations in (rels.saturated[:len(rels.dead) + len(rels.relations)], rels.saturated):
+        layout = _term_bits(relations, B.width)
         assert len(_enumerate_masks(layout, _mask(B.inverted), B.symmetries)) == leaves
 
 
@@ -398,15 +399,15 @@ def test_group_table_validation():
 def test_model_sizes_are_bounded_by_the_generator_cap():
     # torus rank, table size, and rank plus table size for semidirect
     # products are checked before anything is built
-    assert catalog.torus(DEFAULT_GENERATOR_CAP).presentation.width == DEFAULT_GENERATOR_CAP
-    assert len(GroupTable.cyclic(DEFAULT_GENERATOR_CAP).elements) == DEFAULT_GENERATOR_CAP
-    table = GroupTable.cyclic(DEFAULT_GENERATOR_CAP - 1)
+    assert catalog.torus(GENERATOR_CAP).presentation.width == GENERATOR_CAP
+    assert len(GroupTable.cyclic(GENERATOR_CAP).elements) == GENERATOR_CAP
+    table = GroupTable.cyclic(GENERATOR_CAP - 1)
     exps = {name: [[1]] for name in table.elements}
-    assert catalog.semidirect(1, table, exps).presentation.width == DEFAULT_GENERATOR_CAP
+    assert catalog.semidirect(1, table, exps).presentation.width == GENERATOR_CAP
     with pytest.raises(CatalogError, match="supported range"):
-        catalog.torus(DEFAULT_GENERATOR_CAP + 1)
+        catalog.torus(GENERATOR_CAP + 1)
     with pytest.raises(CatalogError, match="supported range"):
-        GroupTable.cyclic(DEFAULT_GENERATOR_CAP + 1)
+        GroupTable.cyclic(GENERATOR_CAP + 1)
     with pytest.raises(CatalogError, match="supported range"):
         catalog.semidirect(2, table, {name: [[1, 0], [0, 1]] for name in table.elements})
 

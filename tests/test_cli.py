@@ -3,12 +3,14 @@
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+from blueweyl.catalog import MODEL_FILE_BYTES
 from blueweyl.cli import (
     EXIT_COMPUTATION,
     EXIT_OK,
@@ -227,6 +229,23 @@ def test_unreadable_model_file_is_a_catalog_error(tmp_path, raw):
     assert code == EXIT_COMPUTATION
     assert data["error"] == "CatalogError"
     assert str(path) in data["message"]
+
+
+def test_model_file_over_the_size_bound_is_a_catalog_error(tmp_path):
+    """A file past MODEL_FILE_BYTES, or /dev/zero, which never ends, is
+    refused after at most MODEL_FILE_BYTES + 1 bytes; a file at the bound
+    is parsed."""
+    path = tmp_path / "model.json"
+    path.write_bytes(b" " * (MODEL_FILE_BYTES + 1))
+    for source in [path] + [p for p in ["/dev/zero"] if os.path.exists(p)]:
+        code, data = invoke_json(["spec", f"const:{source}"])
+        assert code == EXIT_COMPUTATION
+        assert data["error"] == "CatalogError"
+        assert f"larger than {MODEL_FILE_BYTES} bytes" in data["message"]
+    path.write_bytes(b"{}".ljust(MODEL_FILE_BYTES))
+    code, data = invoke_json(["spec", f"const:{path}"])
+    assert code == EXIT_COMPUTATION
+    assert data["message"] == "model file has no 'elements' entry"
 
 
 @pytest.mark.parametrize("selector", ["sl:", "torus:1.5", "parabolic:3:1,x", "levi:x:1"])

@@ -12,6 +12,7 @@ from blueweyl.patterns import (
     Constraint,
     EvaluationError,
     FamilySyntaxError,
+    SAMPLE_FIELDS,
     ParamFamily,
     SampleField,
     adjoint_families,
@@ -19,7 +20,6 @@ from blueweyl.patterns import (
     compile_family,
     conjugation_family,
     evaluate,
-    fields_for_characteristics,
     merge_reports,
     parse_constraint,
     parse_expression,
@@ -130,7 +130,7 @@ _REFERENCE_FIELDS = {
 @pytest.mark.parametrize("tag", sorted(_REFERENCE_FIELDS))
 def test_finite_field_arithmetic_matches_reference_tables(tag):
     size, plus, minus, times = _REFERENCE_FIELDS[tag]
-    F = next(F for F in fields_for_characteristics((2, 3, 5)) if F.tag == tag)
+    F = next(F for F in SAMPLE_FIELDS if F.tag == tag)
     elements = range(size)
     inverse = {x: next(y for y in elements if times(x, y) == 1) for x in elements if x}
     for x in elements:
@@ -156,9 +156,8 @@ def test_finite_field_arithmetic_matches_reference_tables(tag):
         assert F.from_int(n) == n % (2 if size == 4 else size)
 
 
-def test_fields_for_characteristics():
-    tags = [F.tag for F in fields_for_characteristics((0, 2, 3, 5))]
-    assert tags == ["Q", "F2", "F4", "F3", "F5"]
+def test_sample_fields_are_pinned_in_report_order():
+    assert [F.tag for F in SAMPLE_FIELDS] == ["Q", "F2", "F4", "F3", "F5"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,7 @@ def test_fields_for_characteristics():
 
 
 def test_conjugation_patterns_match_spectrum():
-    report = realizable_patterns(conjugation_family(), samples=300)
+    report = realizable_patterns(conjugation_family(), samples=300, seed=20259)
     comparison = compare_with_spectrum(catalog.psl2_conj(), report)
     assert comparison.ok
     assert comparison.matched == 7
@@ -175,8 +174,8 @@ def test_conjugation_patterns_match_spectrum():
 
 def test_adjoint_patterns_match_spectrum():
     cell_b, cell_bwb = adjoint_families()
-    report = merge_reports(realizable_patterns(cell_b, samples=300),
-                           realizable_patterns(cell_bwb, samples=300))
+    report = merge_reports(realizable_patterns(cell_b, samples=300, seed=20259),
+                           realizable_patterns(cell_bwb, samples=300, seed=20259))
     comparison = compare_with_spectrum(catalog.psl2_adjoint(), report)
     assert comparison.ok
     assert comparison.matched == 13
@@ -184,8 +183,8 @@ def test_adjoint_patterns_match_spectrum():
 
 def test_char2_only_patterns_are_the_primed_points():
     cell_b, cell_bwb = adjoint_families()
-    report = merge_reports(realizable_patterns(cell_b, samples=300),
-                           realizable_patterns(cell_bwb, samples=300))
+    report = merge_reports(realizable_patterns(cell_b, samples=300, seed=20259),
+                           realizable_patterns(cell_bwb, samples=300, seed=20259))
     primed = {frozenset((g[0], g[1]) for g in pos)
               for name, (pos, char2) in catalog.ADJOINT_POINT_TABLE.items()
               if char2}
@@ -195,13 +194,13 @@ def test_char2_only_patterns_are_the_primed_points():
 def test_no_char2_witness_for_midpoint_locus():
     # 2*s*t = lambda^2 has no solution with lambda != 0 in characteristic 2
     _, cell_bwb = adjoint_families()
-    report = realizable_patterns(cell_bwb, characteristics=(2,), samples=60)
-    assert any("2st=l2" in w for w in report.warnings)
+    report = realizable_patterns(cell_bwb, samples=60, seed=20259)
+    assert any(w.startswith("F2/2st=l2:") for w in report.warnings)
 
 
 def test_witnesses_reevaluate():
     fam = conjugation_family()
-    report = realizable_patterns(fam, samples=200)
+    report = realizable_patterns(fam, samples=200, seed=20259)
     assert report.patterns
     for pattern, info in report.patterns.items():
         for witness in info["witnesses"]:
@@ -228,7 +227,7 @@ def test_patterns_monotone_in_loci():
 
 def test_report_json_shape():
     fam = conjugation_family()
-    report = realizable_patterns(fam, samples=60)
+    report = realizable_patterns(fam, samples=60, seed=20259)
     data = report.to_json()
     assert data["family"] == "psl2-conj"
     assert data["seed"] == report.seed
@@ -322,7 +321,7 @@ def test_compiled_code_matches_the_reference_evaluator():
         family = ParamFamily(_PARAMS, (Constraint(trees[0], True, "t0"),),
                              ((trees[1], trees[2]), (trees[0], ("num", 0))))
         entries = [e for row in family.matrix for e in row]
-        for F in fields_for_characteristics((0, 2, 3, 5)):
+        for F in SAMPLE_FIELDS:
             code = compile_family(family, F)
             for _ in range(4):
                 if F.characteristic:
@@ -349,7 +348,7 @@ def test_compiled_code_matches_the_reference_evaluator():
 
 def test_compiled_power_is_one_operation():
     family = parse_family("params: a\nconstraints: a^-100000 = 1\nmatrix: [a^100000]")
-    for F in fields_for_characteristics((0, 2, 3, 5)):
+    for F in SAMPLE_FIELDS:
         code = compile_family(family, F)
         assert len(code.source) < 400, F.tag
         if not F.characteristic:
@@ -364,5 +363,5 @@ def test_compiled_power_is_one_operation():
 def test_compiled_source_holds_no_family_text():
     family = parse_family("params: evil_name\nconstraints: evil_name != 0\n"
                           "matrix: [evil_name^2]\nloci: evil_locus { evil_name = 1 }")
-    for F in fields_for_characteristics((0, 2, 3, 5)):
+    for F in SAMPLE_FIELDS:
         assert "evil" not in compile_family(family, F).source

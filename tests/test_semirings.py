@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from blueweyl import catalog
+from blueweyl import catalog, semirings
 from blueweyl.semirings import (
     BOOLEAN,
+    HOM_COUNT_BOUND,
     NATURALS,
     TROPICAL,
     MissingAuxiliaryValue,
@@ -146,9 +147,15 @@ def test_hom_count_gl1_over_f2():
     assert hom_count(catalog.gl(1), integers_mod(2)) == 1
 
 
-def test_hom_count_refuses_large_enumeration():
-    with pytest.raises(ValueError):
-        hom_count(catalog.sl(2), integers_mod(2), bound=5)
+def test_hom_count_refuses_large_enumeration(monkeypatch):
+    # sl:4 over mod3 has 3^16 assignments, over the bound, so none is evaluated
+    def evaluated(*args):
+        raise AssertionError("an assignment was evaluated")
+
+    monkeypatch.setattr(semirings, "is_point", evaluated)
+    assert 3 ** 16 > HOM_COUNT_BOUND
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        hom_count(catalog.sl(4), integers_mod(3))
     with pytest.raises(ValueError):
         hom_count(catalog.sl(2), TROPICAL)
 

@@ -35,6 +35,7 @@ from blueweyl.spectrum import (
     residue_presentation,
 )
 from blueweyl.blueprint import (
+    _canonical_relations,
     _mask,
     _outside_counts,
     _relations,
@@ -101,6 +102,14 @@ def test_enumerate_primes_sl_matches_permutation_structure(n):
     assert pts == allowed
 
 
+def _generating_layout(B):
+    """The term-bit layout of the kill relations and the canonical
+    generating relations: the prefix of the saturated list that
+    transitivity does not add to."""
+    rels = _relations(B)
+    return _term_bits(rels.saturated[:len(rels.dead) + len(rels.relations)], B.width)
+
+
 def test_enumerate_matches_brute_force_on_catalog():
     for model in (catalog.sl(2), catalog.gl(2), catalog.sp(2), catalog.so(3),
                   catalog.nonstandard_torus(), catalog.so(4), catalog.o(4),
@@ -143,8 +152,8 @@ def test_enumerate_matches_brute_force_on_random_presentations():
         fast = [p.vars for p in enumerate_primes(B)]
         assert fast == [p.vars for p in brute_force_primes(B)], B
         if fast:
-            base = _term_bits(saturate_relations(B, rounds=0), B.width)
-            removed += len(_enumerate_masks(base, _mask(B.inverted))) - len(fast)
+            base = _generating_layout(B)
+            removed += len(_enumerate_masks(base, _mask(B.inverted), ())) - len(fast)
     assert removed >= 1
 
 
@@ -267,8 +276,7 @@ def _with_planted_cycle(B, rng):
 
 
 def _leaves(B, symmetries):
-    base = _term_bits(saturate_relations(B, rounds=0), B.width)
-    return _enumerate_masks(base, _mask(B.inverted), symmetries)
+    return _enumerate_masks(_generating_layout(B), _mask(B.inverted), symmetries)
 
 
 def _planted_symmetry_cases():
@@ -388,7 +396,7 @@ def test_a_forced_join_refutes_a_node_two_levels_early():
     The look-ahead drops the node at position 2, though the node test finds
     it alive and h is decided only at position 4."""
     B = _forced_join_presentation()
-    layout = _term_bits(saturate_relations(B, rounds=0), B.width)
+    layout = _generating_layout(B)
     order, unsettled, newly, single, hits = _search_tables(layout, 0)
     assert order == [0, 1, 2, 3, 4]
     pos, rest = 2, layout.terms & ~layout.hit[0]
@@ -497,7 +505,8 @@ def test_generating_relations_are_a_prefix_of_the_saturated_list():
               for sel in ("sl:2", "sl:3", "gl:2", "sp:2", "sp:4", "so:3", "so:4",
                           "o:4", "so:5", "nstorus", "psl2-adj")]
     for B in models + [_gap_presentation()]:
-        base = saturate_relations(B, rounds=0)
+        dead, canonical = _canonical_relations(B)
+        base = tuple(relation([B.gen(g)], []) for g in sorted(dead)) + tuple(canonical)
         assert saturate_relations(B)[:len(base)] == base
 
 
@@ -643,20 +652,20 @@ def test_components_of_constant_group():
 def test_export_dot_sl2():
     B = sl2()
     P = poset(enumerate_primes(B))
-    dot = export_dot(P, B)
-    assert dot.count("->") == 8
+    dot = export_dot(P, B, "sl:2")
+    assert dot.startswith('digraph "sl:2" {') and dot.count("->") == 8
     assert '"(T2,T3)"' in dot and '"(0)"' in dot
-    assert dot == export_dot(P, B)  # deterministic
+    assert dot == export_dot(P, B, "sl:2")  # deterministic
 
 
 def test_export_dot_empty():
-    dot = export_dot(poset([]))
+    dot = export_dot(poset([]), mk_free(0), "empty")
     assert "digraph" in dot and "->" not in dot
 
 
 def test_export_dot_affine_plane_diamond():
-    P = poset(enumerate_primes(mk_free(2)))
-    dot = export_dot(P)
+    B = mk_free(2)
+    dot = export_dot(poset(enumerate_primes(B)), B, "A2")
     assert dot.count("->") == 4
 
 

@@ -5,14 +5,10 @@ import pytest
 from blueweyl import catalog, verify
 
 
-def test_vacuous_pass_on_empty_catalog_subset():
-    assert verify.properties_checks(models=[]) == []
-
-
-def test_properties_on_a_tiny_subset():
-    checks = verify.properties_checks(samples=20,
-                                      models=[catalog.sl(2), catalog.torus(1)])
-    assert checks and all(c["pass"] for c in checks)
+def test_properties_suite_passes():
+    checks = verify.properties_checks(seed=20259, samples=20)
+    failed = [c for c in checks if not c["pass"]]
+    assert len(checks) == 128 and not failed, failed
 
 
 def test_compose_and_inverse_helpers():
@@ -37,10 +33,10 @@ def test_count_homs_matches_lattice_counts_on_nonstandard_torus():
 
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
-        verify.run_suite("nope")
+        verify.run_suite("nope", seed=20259, samples=2000)
 
 
 def test_oracle_suite_passes():
-    checks = verify.oracle_checks(samples=250)
+    checks = verify.oracle_checks(seed=20259, samples=250)
     failed = [c for c in checks if not c["pass"]]
     assert not failed, failed
