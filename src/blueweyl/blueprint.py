@@ -382,9 +382,6 @@ class BlueprintPresentation:
     def name_of(self, index: int) -> str:
         return self.generator_names[index]
 
-    def index_of(self, name: str) -> int:
-        return self.generator_names.index(name)
-
     def killed(self) -> frozenset[int]:
         """Generators g carrying a relation g == 0."""
         dead = set()

@@ -110,7 +110,7 @@ def _dispatch(args, out) -> int:
         P = poset(model.spectrum())
         if len(P.points) <= 2000:
             payload = spectrum_to_json(P)
-        else:  # the Hasse scan is quadratic; emit the raw point list instead
+        else:  # above 2,000 points the pinned output is the bare point list
             payload = {"points": [list(p.gens) for p in P.points]}
         payload["model"] = model.name
         payload["count"] = len(P.points)

@@ -513,26 +513,36 @@ class SpectrumPoset:
     def hasse_edges(self) -> list[tuple[int, int]]:
         """The covers (i, j), points[i] < points[j] with nothing between.
 
-        One pass per point: the larger points containing it, by size, are
-        kept unless they contain a cover already kept.  A larger point with
-        something between lies above a minimal such point, which is a cover
-        and comes first.
+        Transitive reduction (Aho, Garey and Ullman, 1972) on bit-parallel
+        rows: bit k of ``rows[g]`` is set when the k-th point in spectrum
+        order contains generator g, so the points above a point are the AND
+        of its generators' rows, above its own bit.  Smaller points come
+        first, so the lowest bit left is a cover; the points above that
+        cover, the AND of the rows of its further generators, are then
+        cleared.
         """
-        masks = [_mask(p.gens) for p in self.points]
-        by_size = sorted(range(len(masks)), key=lambda i: self.points[i].size)
+        order = sorted(range(len(self.points)), key=self.points.__getitem__)
+        pts = [self.points[i] for i in order]
+        rows = {g: int("".join("1" if g in p.gens else "0" for p in reversed(pts)), 2)
+                for g in {g for p in pts for g in p.gens}}
         edges = []
-        for a, i in enumerate(by_size):
-            m = masks[i]
-            covers: list[int] = []
-            for j in by_size[a + 1:]:
-                if masks[j] & m == m and not any(c & ~masks[j] == 0 for c in covers):
-                    covers.append(masks[j])
-                    edges.append((i, j))
+        for a, p in enumerate(pts):
+            up = (1 << len(pts)) - (2 << a)
+            for g in p.gens:
+                up &= rows[g]
+            while up:
+                c = (up & -up).bit_length() - 1
+                edges.append((order[a], order[c]))
+                above = up
+                for g in set(pts[c].gens).difference(p.gens):
+                    above &= rows[g]
+                up ^= above
         return sorted(edges)
 
     def components(self) -> list[frozenset[int]]:
-        n = len(self.points)
-        parent = list(range(n))
+        """The connected components of the inclusion order, read off the
+        covers: comparable points are joined by a chain of covers."""
+        parent = list(range(len(self.points)))
 
         def find(x):
             while parent[x] != x:
@@ -540,15 +550,10 @@ class SpectrumPoset:
                 x = parent[x]
             return x
 
-        masks = [_mask(p.gens) for p in self.points]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if masks[i] & masks[j] in (masks[i], masks[j]):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
+        for i, j in self.hasse_edges():
+            parent[find(i)] = find(j)
         comps: dict[int, set[int]] = {}
-        for i in range(n):
+        for i in range(len(parent)):
             comps.setdefault(find(i), set()).add(i)
         return sorted((frozenset(v) for v in comps.values()), key=sorted)
 
@@ -558,10 +563,14 @@ def poset(points: Iterable[PrimePoint]) -> SpectrumPoset:
 
 
 def export_dot(P: SpectrumPoset, B: BlueprintPresentation, name: str) -> str:
-    """Deterministic DOT digraph of the Hasse diagram, edges lower to higher."""
-    lines = [f"digraph \"{name}\" {{", "  rankdir=BT;"]
+    """Deterministic DOT digraph of the Hasse diagram, edges lower to higher.
+    The name and the labels are DOT strings, with ``\\`` and ``"`` escaped."""
+    def quoted(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = [f"digraph {quoted(name)} {{", "  rankdir=BT;"]
     for i, p in enumerate(P.points):
-        lines.append(f"  p{i} [label=\"{p.label(B)}\"];")
+        lines.append(f"  p{i} [label={quoted(p.label(B))}];")
     for i, j in P.hasse_edges():
         lines.append(f"  p{i} -> p{j};")
     lines.append("}")

@@ -152,7 +152,7 @@ def test_gl2_counts():
 def test_gl_rank_points_fix_last_coordinate():
     # rank patterns of the invertible model leave d alive
     m = catalog.gl(2)
-    d = m.presentation.index_of("d")
+    d = m.presentation.generator_names.index("d")
     assert all(d not in r.point.vars for r in m.rank_points())
 
 
@@ -327,7 +327,7 @@ def test_subgroup_rank_points_are_ambient_rank_points():
     # against the invertible patterns restricted to those coordinates
     n = 3
     gl3 = catalog.gl(n)
-    d = gl3.presentation.index_of("d")
+    d = gl3.presentation.generator_names.index("d")
     gl3_patterns = {frozenset(g for g in r.point.vars if g != d)
                     for r in gl3.rank_points()}
     for r in catalog.so(3).rank_points():

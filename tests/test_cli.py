@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -140,6 +141,20 @@ def test_dot_verb():
     assert code == EXIT_OK
     assert text.startswith("digraph")
     assert text.count("->") == 8
+
+
+def test_dot_quotes_names_holding_quotes_and_backslashes(tmp_path):
+    """Every DOT string of the graph name and the labels reads back, once
+    unescaped, as the name and labels that spec reports."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"elements": ["e", 'a"b\\c'], "table": [[0, 1], [1, 0]]}))
+    code, text = invoke(["dot", f"const:{path}"])
+    assert code == EXIT_OK
+    strings = [re.sub(r"\\(.)", r"\1", s) for s in re.findall(r'"((?:[^"\\]|\\.)*)"', text)]
+    _, spec = invoke_json(["spec", f"const:{path}"])
+    assert spec["model"] == 'const:e+a"b\\c'
+    assert strings == [spec["model"]] + spec["labels"]
+    assert text.splitlines()[0] == 'digraph "const:e+a\\"b\\\\c" {'
 
 
 def test_usage_error_exit_code():

@@ -1,7 +1,9 @@
 """Prime enumeration, poset topology, residue presentations, DOT export."""
 
+import collections
 import dataclasses
 import hashlib
+import itertools
 import random
 import sys
 
@@ -614,6 +616,70 @@ def test_hasse_edges_match_the_triple_loop_on_shuffled_families():
         assert P.hasse_edges() == _hasse_by_triple_loop(points)
 
 
+def _hasse_by_pairs(points):
+    """The covers by a pairwise scan: for each point, the larger points
+    containing it, by size, are kept unless they contain a cover already
+    kept.  Quadratic, but fast enough for sp:4, where the triple loop is not."""
+    masks = [_mask(p.gens) for p in points]
+    by_size = sorted(range(len(points)), key=lambda i: points[i].size)
+    edges = []
+    for a, i in enumerate(by_size):
+        covers = []
+        for j in by_size[a + 1:]:
+            if masks[j] & masks[i] == masks[i] and not any(c & ~masks[j] == 0 for c in covers):
+                covers.append(masks[j])
+                edges.append((i, j))
+    return sorted(edges)
+
+
+def _components_by_pairs(points):
+    """The components by union-find over all comparable pairs of points."""
+    masks = [_mask(p.gens) for p in points]
+    parent = list(range(len(points)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(range(len(points)), 2):
+        if masks[i] & masks[j] in (masks[i], masks[j]):
+            parent[find(i)] = find(j)
+    comps = collections.defaultdict(set)
+    for i in range(len(points)):
+        comps[find(i)].add(i)
+    return sorted((frozenset(c) for c in comps.values()), key=sorted)
+
+
+def test_components_match_the_pairwise_union_on_shuffled_families():
+    rng = random.Random(94)
+    counts = set()
+    for _ in range(200):
+        width = rng.randint(1, 9)
+        family = {frozenset(g for g in range(width) if rng.random() < rng.random())
+                  for _ in range(rng.randint(1, 80))}
+        points = [PrimePoint(s) for s in family]
+        rng.shuffle(points)
+        comps = SpectrumPoset(tuple(points)).components()
+        assert comps == _components_by_pairs(points)
+        counts.add(len(comps))
+    assert 1 in counts and max(counts) > 2  # both connected and split families
+
+
+def test_covers_and_components_match_the_pairwise_scans_on_sp4():
+    P = poset(enumerate_primes(catalog.from_selector("sp:4").presentation))
+    edges = P.hasse_edges()
+    assert len(P.points) == 3259 and len(edges) == 18320
+    assert edges == _hasse_by_pairs(P.points)
+    assert P.components() == _components_by_pairs(P.points)
+
+
+def test_sl3_spectrum_is_one_component():
+    P = poset(enumerate_primes(catalog.from_selector("sl:3").presentation))
+    assert P.components() == [frozenset(range(247))]
+
+
 def _projective_space_points(n):
     """The 2^(n+1) - 1 points of P^n over F1, each a nonzero 0/1 coordinate
     pattern given by its vanishing set, so specialization is inclusion."""
@@ -639,9 +705,10 @@ def test_projective_plane_count():
 
 
 def test_components_of_constant_group():
-    model = catalog.constant_group(catalog.GroupTable.cyclic(3))
-    P = poset(model.spectrum())
-    assert len(P.components()) == 3
+    for k in range(2, 7):
+        P = poset(catalog.constant_group(catalog.GroupTable.cyclic(k)).spectrum())
+        assert P.components() == _components_by_pairs(P.points)
+        assert len(P.components()) == k
 
 
 # ---------------------------------------------------------------------------

@@ -440,7 +440,8 @@ def _rank_space_over_every_point(B):
     pseudo-Hopf reports of every point of the spectrum, split into the
     components of the spectrum poset.  (0) lies below every point, so a
     spectrum holding it is one component; SpectrumPoset.components, which
-    scans all pairs, is left to the others."""
+    reads the components off the Hasse covers, is left to the others, as
+    the covers of psl2-conj alone take seconds."""
     spec = SpectrumPoset(tuple(enumerate_primes(B)))
     reports = pseudo_hopf_points(B, spec.points)
     comps = [range(len(spec.points))] if spec.points and not spec.points[0].size \
@@ -482,10 +483,10 @@ for n in (2, 3):
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_rank_space_matches_every_point_on_the_ladder(name, monkeypatch):
-    """rank_space gives the every-point answer, and runs the pairwise scan
-    of SpectrumPoset.components only where the spectrum has no least
-    point: on the constant groups, not on levi, parabolic or unipotent,
-    whose least point is not (0)."""
+    """rank_space gives the every-point answer, and calls
+    SpectrumPoset.components only where the spectrum has no least point:
+    on the constant groups, not on levi, parabolic or unipotent, whose
+    least point is not (0)."""
     B = LADDER[name]().presentation
     expected = _rank_space_over_every_point(B)
     calls = []
