@@ -1162,18 +1162,6 @@ class CharacteristicClass:
                                    included=frozenset(p for p in fin.included
                                                       if p not in ab.excluded))
 
-    def is_refinement_of(self, other: "CharacteristicClass") -> bool:
-        """True when every characteristic allowed here is allowed by other."""
-        if other.kind == "unknown":
-            return True
-        if self.kind == "unknown":
-            return False
-        if self.kind == "finite":
-            return all(other.may_include(p) for p in self.included)
-        if other.kind == "finite":
-            return False
-        return other.excluded <= self.excluded
-
 
 INDEFINITE = CharacteristicClass("all-but")
 ALL_BUT_1 = CharacteristicClass("all-but", frozenset({1}))

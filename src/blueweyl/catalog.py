@@ -33,7 +33,7 @@ from .blueprint import (
     relation,
     tensor,
 )
-from .spectrum import GENERATOR_CAP, PrimePoint, enumerate_primes, is_prime
+from .spectrum import GENERATOR_CAP, PrimePoint, enumerate_primes
 from .weyl import (
     Comultiplication,
     RankSpacePoint,
@@ -106,14 +106,6 @@ class GroupModel:
     def tits_points(self, m: int):
         return tits_points(self.presentation, m, self.rank_points(),
                            delta=self.comult, counit_zero=self.counit_zero)
-
-    def validate_counit(self) -> None:
-        if self.spectrum_override is not None:
-            if not any(p.vars == self.counit_zero for p in self.spectrum_override):
-                raise CatalogError(f"{self.name}: counit pattern is not a point")
-            return
-        if not is_prime(self.presentation, self.counit_zero):
-            raise CatalogError(f"{self.name}: counit pattern is not a prime point")
 
 
 # ---------------------------------------------------------------------------

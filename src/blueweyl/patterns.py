@@ -9,6 +9,7 @@ realizes: every reported pattern carries an exact witness.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -574,30 +575,65 @@ def _affine_root(F: SampleField, e0, e1, e2=None):
 
     Values are compiled ones (pairs over Q).  None when the three values are
     not collinear or the slope is zero.  Over F4 the third point is w, the
-    int 2 as well.
+    int 2 as well.  Over Q the root is the pair in lowest terms with a
+    positive denominator, the numerator and denominator of its ``Fraction``.
     """
     if not F.characteristic:
         (n0, d0), (n1, d1), (n2, d2) = e0, e1, e2
         slope_n, slope_d = n1 * d0 - n0 * d1, d1 * d0
         if not slope_n or n2 * slope_d * d0 != (2 * slope_n * d0 + n0 * slope_d) * d2:
             return None
-        root = Fraction(-n0 * slope_d, d0 * slope_n)
-        return root.numerator, root.denominator
+        num, den = -n0 * slope_d, d0 * slope_n
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        return num // g, den // g
     slope = F.sub(e1, e0)
     if not slope or (e2 is not None and F.sub(e2, F.add(F.mul(slope, 2), e0))):
         return None
     return F.div(F.sub(0, e0), slope)
 
 
+def _randbelow(rng: random.Random):
+    """``randbelow(n)``, a uniform draw from [0, n) for n > 0 off
+    ``rng.getrandbits``, as ``Random._randbelow_with_getrandbits`` draws it.
+
+    So ``randbelow(n)`` is ``rng.randrange(n)``, ``a + randbelow(b - a + 1)``
+    is ``rng.randint(a, b)`` and :func:`_shuffled` is ``rng.shuffle``, draw
+    for draw, without the wrappers' argument checks.
+    """
+    getrandbits = rng.getrandbits
+
+    def randbelow(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return randbelow
+
+
+def _shuffled(n: int, randbelow) -> list[int]:
+    """``range(n)`` in the order ``rng.shuffle`` leaves it: the same
+    Fisher-Yates loop over the :func:`_randbelow` draws of ``rng``."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = randbelow(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def _try_repair(values: list, checks: Sequence[tuple], F: SampleField,
-                rng: random.Random) -> bool:
+                randbelow) -> bool:
     """Fix violated equalities by solving for one parameter when linear in it.
 
     ``checks`` holds (compiled constraint, equality, positions of its
-    parameters).  Linearity in the chosen parameter is probed at three
-    distinct field elements (two over F2, where every function of one
-    variable is affine); a final exact re-check of every constraint guards
-    the result, so a bad repair only costs the sample.
+    parameters).  The parameters are tried in the order :func:`_shuffled`
+    draws with ``randbelow``.  Linearity in the chosen parameter is probed
+    at three distinct field elements (two over F2, where every function of
+    one variable is affine); a final exact re-check of every constraint
+    guards the result, so a bad repair only costs the sample.
     """
     probes = [(0, 1), (1, 1), (2, 1)] if not F.characteristic else [0, 1, 2][:F.size]
     for constraint, equality, involved in checks:
@@ -608,9 +644,7 @@ def _try_repair(values: list, checks: Sequence[tuple], F: SampleField,
                 continue
         except EvaluationError:
             return False
-        order = list(range(len(values)))
-        rng.shuffle(order)
-        for k in order:
+        for k in _shuffled(len(values), randbelow):
             if k not in involved:
                 continue
             probe = list(values)
@@ -661,7 +695,7 @@ def realizable_patterns(family: ParamFamily, samples: int, seed: int) -> Pattern
     Samples run through ``compile_family``: the family compiled, once per
     call and field, to straight-line code with one slot per distinct
     subterm.  Over Q a value there is an unnormalised pair of ints, and a
-    ``Fraction`` is built only for a repaired value and for a witness.
+    ``Fraction`` is built only for a witness.
     ``evaluate`` and ``zero_pattern`` stay the reference evaluator, which
     ``reevaluate_witness`` runs on every witness.
     """
@@ -678,7 +712,7 @@ def realizable_patterns(family: ParamFamily, samples: int, seed: int) -> Pattern
     for F in SAMPLE_FIELDS:
         code = compile_family(family, F)
         for locus_name in sorted(all_loci):
-            rng = _cell_rng(seed, family.name, F.tag, locus_name)
+            randbelow = _randbelow(_cell_rng(seed, family.name, F.tag, locus_name))
             checks = [(code.constraints[c], c.equality, involved[c])
                       for c in family.constraints + all_loci[locus_name]]
             hits = 0
@@ -687,11 +721,11 @@ def realizable_patterns(family: ParamFamily, samples: int, seed: int) -> Pattern
                 if hits >= _SATURATION_STREAK and stale >= _SATURATION_STREAK:
                     break
                 if F.characteristic:
-                    values = [rng.randrange(F.size) for _ in family.params]
+                    values = [randbelow(F.size) for _ in family.params]
                 else:  # a draw of Fraction(randint(-9, 9), randint(1, 5)), unnormalised
-                    values = [(rng.randint(-9, 9), rng.randint(1, 5))
+                    values = [(randbelow(19) - 9, randbelow(5) + 1)
                               for _ in family.params]
-                if not _try_repair(values, checks, F, rng):
+                if not _try_repair(values, checks, F, randbelow):
                     continue
                 try:
                     if any(_is_zero(F, constraint(values)) != equality

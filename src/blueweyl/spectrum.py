@@ -17,6 +17,8 @@ A point is a :class:`PrimePoint`, the tuple ``(size, gens)`` of its number
 of generators and their increasing tuple.  Its own order, by size and then
 lexicographically by index, is the spectrum order: every list of points
 this module returns is sorted by it, and nothing sorts points by a key.
+Orbit expansion sorts one integer key per point and builds the points in
+that order, and a list in spectrum order is taken by :func:`poset` as it is.
 
 The search and every other test of the criterion read the term-bit layout
 of :func:`blueprint._term_bits`: one integer holds, per relation, a bit for
@@ -51,6 +53,7 @@ symmetries the group is trivial and the search is the plain one.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -81,7 +84,12 @@ class GeneratorCapExceeded(Exception):
 class PrimePoint(namedtuple("PrimePoint", "size gens")):
     """A prime ideal p_I as the increasing tuple ``gens`` of its generators.
     Points compare, hash and sort as ``(size, gens)``: by size, then
-    lexicographically by index, which is the spectrum order."""
+    lexicographically by index, which is the spectrum order.
+
+    ``PrimePoint(iterable)`` sorts and deduplicates its argument.  Orbit
+    expansion and the brute-force scan hold distinct increasing tuples
+    already and build their points from ``(size, gens)`` as they are, as
+    ``PrimePoint._make`` does."""
 
     __slots__ = ()
 
@@ -99,7 +107,7 @@ class PrimePoint(namedtuple("PrimePoint", "size gens")):
     def label(self, B: BlueprintPresentation) -> str:
         if not self.gens:
             return "(0)"
-        return "(" + ",".join(B.name_of(i) for i in self.gens) + ")"
+        return "(" + ",".join(map(B.generator_names.__getitem__, self.gens)) + ")"
 
 
 def _criterion_holds(layout: _TermBits, cand: int) -> bool:
@@ -164,12 +172,11 @@ def _byte_tables(sigma: Sequence[int]) -> list[list[int]]:
     over bytes j of ``tables[j][byte j of the mask]``."""
     tables = []
     for lo in range(0, len(sigma), 8):
-        table = [0] * 256
-        for b in range(1, 256):
-            low = (b & -b).bit_length() - 1
-            image = 1 << sigma[lo + low] if lo + low < len(sigma) else 0
-            table[b] = table[b & (b - 1)] | image
-        tables.append(table)
+        table = [0]
+        for g in sigma[lo:lo + 8]:
+            image = 1 << g
+            table += [t | image for t in table]
+        tables.append(table * (256 // len(table)))
     return tables
 
 
@@ -445,17 +452,68 @@ def _prime_leaders(B: BlueprintPresentation) -> list[int]:
     return [] if not certified and _is_zero(B, rels) else leaders
 
 
+def _index_tables(width: int) -> list[list[tuple[int, ...]]]:
+    """Per-byte tables that read points off the keys of :func:`_orbit_points`.
+
+    Bit i of a key's low ``width`` bits is set when generator width - 1 - i
+    is absent, and ``tables[j][b]`` is the increasing tuple of the
+    generators that byte j of the key, when it is b, leaves present.  Bits
+    of b above ``width`` are ignored, so the size above the low bits does not
+    disturb the top byte.  A table is built bit by bit: bit i's generator is
+    below those of the bits under it, so it goes first where bit i is clear.
+    """
+    tables = []
+    for lo in range(0, width, 8):
+        table: list[tuple[int, ...]] = [()]
+        for g in range(width - 1 - lo, max(width - 9 - lo, -1), -1):
+            table = [(g,) + gens for gens in table] + table
+        tables.append(table * (256 // len(table)))
+    return tables
+
+
+_NO_INDICES = [()] * 256
+
+
 def _orbit_points(B: BlueprintPresentation, leaders: Iterable[int]) -> list[PrimePoint]:
     """The points of the ``B.symmetries`` orbits of the disjoint orbit
     ``leaders``, sorted; each orbit is expanded by breadth-first search over
-    the generators, so the list needs no deduplication."""
+    the generators, so no point is sorted or deduplicated again.
+
+    The orbits are expanded on bit-reversed masks r, with generator g at bit
+    width - 1 - g, under the symmetries conjugated by the reversal.  One
+    integer key per point, its size above the low ``width`` bits and the
+    complement of r in them, sorts in spectrum order: by size, and within a
+    size the point holding the least generator in which two points differ
+    has the larger r.  The keys are sorted once, and each point's ``gens``
+    is read off its key by the :func:`_index_tables` of four bytes at a
+    time, concatenated from the high bytes, which hold the low generators,
+    down.
+    """
+    leaders = list(leaders)
+    if not leaders:
+        return []
+    width = B.width
+    reverse = f"0{width}b"
+    masks = [int(format(m, reverse)[::-1], 2) for m in leaders]
     if B.symmetries:
-        tables = [_byte_tables(sigma) for sigma in B.symmetries]
-        leaders = [m for leader in leaders for m in _orbit(leader, tables)]
-    points = [PrimePoint(g for g in range(B.width) if (m >> g) & 1) for m in leaders]
-    del leaders  # the expanded masks go before the sort
-    points.sort()
-    return points
+        tables = [_byte_tables([width - 1 - sigma[width - 1 - g] for g in range(width)])
+                  for sigma in B.symmetries]
+        masks = [m for leader in masks for m in _orbit(leader, tables)]
+    full = (1 << width) - 1
+    keys = [(m.bit_count() << width) | (m ^ full) for m in masks]
+    del masks  # the expanded masks go before the sort
+    keys.sort()
+    index = _index_tables(width)
+    gens = None
+    for lo in reversed(range(0, max(len(index), 1), 4)):
+        t0, t1, t2, t3 = (index[lo:lo + 4] + [_NO_INDICES] * 4)[:4]
+        s0, s1, s2, s3 = 8 * lo, 8 * lo + 8, 8 * lo + 16, 8 * lo + 24
+        part = [t3[(k >> s3) & 255] + t2[(k >> s2) & 255] + t1[(k >> s1) & 255]
+                + t0[(k >> s0) & 255] for k in keys]
+        gens = part if gens is None else list(map(tuple.__add__, gens, part))
+    del keys
+    new = tuple.__new__  # PrimePoint._make without its length check
+    return [new(PrimePoint, (len(g), g)) for g in gens]
 
 
 def enumerate_primes(B: BlueprintPresentation) -> list[PrimePoint]:
@@ -474,14 +532,16 @@ def brute_force_primes(B: BlueprintPresentation) -> list[PrimePoint]:
     Every subset is tested directly against the criterion (no branch and
     bound): each relation must have 0 or at least 2 terms outside the
     candidate ideal.  The subsets are scanned by size, each size in
-    lexicographic order, which is the spectrum order.
+    lexicographic order, which is the spectrum order; each is an increasing
+    tuple already, so its point is built as it is.
     """
     rels = _relations(B)
     if _is_zero(B, rels):
         return []
     layout = _term_bits(rels.saturated, B.width)
     free = [g for g in range(B.width) if g not in B.inverted]
-    return [PrimePoint(gens) for k in range(len(free) + 1)
+    make = PrimePoint._make
+    return [make((k, gens)) for k in range(len(free) + 1)
             for gens in itertools.combinations(free, k)
             if _criterion_holds(layout, sum(1 << g for g in gens))]
 
@@ -503,7 +563,8 @@ class SpectrumPoset:
     points: tuple[PrimePoint, ...]
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+        if not _strictly_increasing(self.points) and \
+                len(set(self.points)) != len(self.points):
             raise ValueError("points must be distinct")
 
     def leq(self, i: int, j: int) -> bool:
@@ -558,8 +619,20 @@ class SpectrumPoset:
         return sorted((frozenset(v) for v in comps.values()), key=sorted)
 
 
+def _strictly_increasing(points: Sequence[PrimePoint]) -> bool:
+    """Whether the points are in strictly increasing spectrum order, which
+    proves them distinct."""
+    return all(map(operator.lt, points, itertools.islice(points, 1, None)))
+
+
 def poset(points: Iterable[PrimePoint]) -> SpectrumPoset:
-    return SpectrumPoset(tuple(sorted(set(points))))
+    """The poset of the points, sorted and deduplicated.  A spectrum in
+    spectrum order, as every list of points this module returns is, is taken
+    as it is."""
+    points = tuple(points)
+    if not _strictly_increasing(points):
+        points = tuple(sorted(set(points)))
+    return SpectrumPoset(points)
 
 
 def export_dot(P: SpectrumPoset, B: BlueprintPresentation, name: str) -> str:

@@ -716,6 +716,19 @@ def test_characteristics_excludes_divisors_of_unit_sums():
     assert c.kind == "all-but" and c.excluded == {2}
 
 
+def _refines(c, other):
+    """Every characteristic the class c allows, the class other allows too."""
+    if other.kind == "unknown":
+        return True
+    if c.kind == "unknown":
+        return False
+    if c.kind == "finite":
+        return all(other.may_include(p) for p in c.included)
+    if other.kind == "finite":
+        return False
+    return other.excluded <= c.excluded
+
+
 def test_characteristics_of_tensor_refines_intersection():
     cases = [mk_free(0), mk_free(0, coeff_order=2), mk_free(1, inverted=[0])]
     B2 = mk_free(0).with_relations([relation([one_monomial(0)] * 2, [])])
@@ -725,7 +738,7 @@ def test_characteristics_of_tensor_refines_intersection():
             ct = potential_characteristics(tensor(A, B))
             ci = potential_characteristics(A).intersect(potential_characteristics(B))
             if ct.kind != "unknown":
-                assert ct.is_refinement_of(ci)
+                assert _refines(ct, ci)
 
 
 # ---------------------------------------------------------------------------

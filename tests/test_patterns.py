@@ -28,6 +28,7 @@ from blueweyl.patterns import (
     reevaluate_witness,
     render_expression,
 )
+from blueweyl.patterns import _affine_root, _randbelow, _shuffled
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,47 @@ PINNED_REPORTS = {
     ("psl2-adj-B", 7, 2000): "3e9da41d95193571343736d96b93335263d676e557b1f99d55cfc84cef476b56",
     ("psl2-adj-BwB", 7, 2000): "f4c1c49ed50d924edb55ccfb8c60e31fa036389cb7041819f72b4ba384ad7292",
 }
+
+
+def test_sampler_draws_match_random_draw_for_draw():
+    """Each draw the sampler makes through ``_randbelow`` and ``_shuffled``
+    equals the ``random.Random`` call it stands for, interleaved on one
+    seeded stream, so the reports pinned below do not move."""
+    sizes = [F.size for F in SAMPLE_FIELDS if F.characteristic]
+    assert sorted(sizes) == [2, 3, 4, 5]
+    for seed in (0, 1, 7, 20259, 2**32 - 1, 2**40 + 3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        randbelow = _randbelow(ours)
+        for _ in range(200):
+            for size in sizes:
+                assert randbelow(size) == theirs.randrange(size)
+            assert randbelow(19) - 9 == theirs.randint(-9, 9)
+            assert randbelow(5) + 1 == theirs.randint(1, 5)
+            for n in range(7):
+                order = list(range(n))
+                theirs.shuffle(order)
+                assert _shuffled(n, randbelow) == order
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_affine_root_over_q_is_the_fraction_in_lowest_terms():
+    """The repaired value over Q is the pair ``Fraction`` normalises to:
+    lowest terms, positive denominator, (0, 1) for zero."""
+    Q = next(F for F in SAMPLE_FIELDS if not F.characteristic)
+    rng = random.Random(12)
+    roots = 0
+    for _ in range(2000):
+        e0, e1 = [(rng.randint(-6, 6), rng.choice((-4, -3, -2, -1, 1, 2, 3, 6))) for _ in range(2)]
+        f0, slope = Fraction(*e0), Fraction(*e1) - Fraction(*e0)
+        e2 = f0 + 2 * slope + (rng.random() < 0.2)
+        root = _affine_root(Q, e0, e1, (e2.numerator, e2.denominator))
+        if not slope or e2 != f0 + 2 * slope:
+            assert root is None
+        else:
+            expected = -f0 / slope
+            assert root == (expected.numerator, expected.denominator)
+            roots += 1
+    assert roots > 500
 
 
 @pytest.mark.parametrize("seed, samples", [(20259, 300), (1, 300), (1, 2000), (7, 2000)],

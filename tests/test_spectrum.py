@@ -28,8 +28,11 @@ from blueweyl.spectrum import (
     GeneratorCapExceeded,
     PrimePoint,
     SpectrumPoset,
+    _byte_tables,
     _enumerate_masks,
     _forced_joins_refute,
+    _orbit,
+    _orbit_points,
     _prime_leaders,
     _search_tables,
     _symmetry_group,
@@ -45,7 +48,7 @@ from blueweyl.blueprint import (
     is_zero_blueprint,
     saturate_relations,
 )
-from blueweyl import catalog
+from blueweyl import catalog, verify
 
 
 def sl2():
@@ -595,6 +598,88 @@ def test_point_identity_follows_the_generator_set():
 def test_enumerate_primes_is_strictly_increasing(selector):
     points = enumerate_primes(catalog.from_selector(selector).presentation)
     assert points and all(a < b for a, b in zip(points, points[1:]))
+
+
+def _orbit_points_one_by_one(B, leaders):
+    """The reference for ``_orbit_points``: each orbit expanded on the masks
+    as given, each point built by ``PrimePoint(iterable)``, which sorts and
+    deduplicates, and the points sorted."""
+    masks = list(leaders)
+    if B.symmetries:
+        tables = [_byte_tables(sigma) for sigma in B.symmetries]
+        masks = [m for leader in masks for m in _orbit(leader, tables)]
+    return sorted(PrimePoint(g for g in range(B.width) if m >> g & 1) for m in masks)
+
+
+@pytest.mark.parametrize("selector", ["sl:2", "sl:3", "sl:4", "gl:3", "sp:4", "so:4", "o:4",
+                                      "so:5", "levi:3:2,1", "nstorus"])
+def test_orbit_points_match_points_built_one_by_one(selector):
+    B = catalog.from_selector(selector).presentation
+    leaders = _prime_leaders(B)
+    points = _orbit_points(B, leaders)
+    assert points == _orbit_points_one_by_one(B, leaders)
+    assert all(type(p) is PrimePoint and p.size == len(p.gens) for p in points)
+    if selector == "so:5":
+        assert len(points) == 105631
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 25, 26, 33, 40])
+def test_orbit_points_match_points_built_one_by_one_on_random_masks(width):
+    """Byte edges and widths past the generator cap, with no symmetry and
+    with a random permutation of the generators as the symmetry, its orbit
+    leaders one member of each orbit."""
+    rng = random.Random(width)
+    B = mk_free(width)
+    sigma = rng.sample(range(width), width)
+    permuted = dataclasses.replace(B, symmetries=(tuple(sigma),))
+    tables = [_byte_tables(sigma)]
+    for _ in range(4):
+        masks = {rng.getrandbits(width) for _ in range(rng.randint(0, 60))}
+        assert _orbit_points(B, masks) == _orbit_points_one_by_one(B, masks)
+        leaders, seen = [], set()
+        for m in masks:
+            if m not in seen:
+                leaders.append(m)
+                seen.update(_orbit(m, tables))
+        expected = _orbit_points_one_by_one(permuted, leaders)
+        assert _orbit_points(permuted, leaders) == expected
+        assert len(expected) == len(seen)
+
+
+def test_brute_force_primes_are_pinned():
+    """The oracle's points on the planted-symmetry presentations and on the
+    small models that ``verify properties`` compares with the search, as
+    ``PrimePoint(gens)`` built them before the scan took its increasing
+    tuples as they are."""
+    models = [m for m in verify._small_models()
+              if m.presentation.width <= 16 and m.spectrum_override is None]
+    rows = [brute_force_primes(B) for B in _planted_symmetry_cases()]
+    rows += [brute_force_primes(m.presentation) for m in models]
+    assert len(models) == 16 and len(rows) == 55
+    assert all(type(p) is PrimePoint for row in rows for p in row)
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == "ad955af964a623540c5dbadc0a13a81471bb9c730e8436ad1b7b40ccb58ebcaf"
+
+
+def test_poset_sorts_and_deduplicates_shuffled_points():
+    rng = random.Random(95)
+    for _ in range(100):
+        width = rng.randint(0, 9)
+        points = [PrimePoint(g for g in range(width) if rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 40))]
+        points += rng.sample(points, rng.randint(0, len(points)))
+        rng.shuffle(points)
+        assert poset(points).points == tuple(sorted(set(points)))
+        assert poset(iter(points)).points == tuple(sorted(set(points)))
+
+
+def test_spectrum_poset_rejects_duplicates_in_any_order():
+    a, b, c = PrimePoint(), PrimePoint([1]), PrimePoint([0, 2])
+    assert SpectrumPoset((a, b, c)).points == (a, b, c)
+    assert SpectrumPoset((c, a, b)).points == (c, a, b)
+    for given in ((a, b, b), (b, a, b), (c, a, b, a)):
+        with pytest.raises(ValueError, match="distinct"):
+            SpectrumPoset(given)
 
 
 def _hasse_by_triple_loop(points):
