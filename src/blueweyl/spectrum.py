@@ -503,10 +503,11 @@ def _orbit_points(B: BlueprintPresentation, leaders: Iterable[int]) -> list[Prim
     keys = [(m.bit_count() << width) | (m ^ full) for m in masks]
     del masks  # the expanded masks go before the sort
     keys.sort()
-    index = _index_tables(width)
+    index = _index_tables(width) or [_NO_INDICES]
+    index += [_NO_INDICES] * (-len(index) % 4)
     gens = None
-    for lo in reversed(range(0, max(len(index), 1), 4)):
-        t0, t1, t2, t3 = (index[lo:lo + 4] + [_NO_INDICES] * 4)[:4]
+    for lo in reversed(range(0, len(index), 4)):
+        t0, t1, t2, t3 = index[lo:lo + 4]
         s0, s1, s2, s3 = 8 * lo, 8 * lo + 8, 8 * lo + 16, 8 * lo + 24
         part = [t3[(k >> s3) & 255] + t2[(k >> s2) & 255] + t1[(k >> s1) & 255]
                 + t0[(k >> s0) & 255] for k in keys]
