@@ -49,10 +49,6 @@ class Monomial:
         # graded lexicographic on exponent vectors, sign exponent last
         object.__setattr__(self, "sort_key", (sum(self.exps), self.exps, self.sign))
 
-    @property
-    def degree(self) -> int:
-        return self.sort_key[0]
-
     def key(self):
         return self.sort_key
 
@@ -1141,13 +1137,6 @@ class CharacteristicClass:
         if self.kind == "finite":
             return False
         return None
-
-    def may_include(self, p: int) -> bool:
-        if self.kind == "all-but":
-            return p not in self.excluded
-        if self.kind == "finite":
-            return p in self.included
-        return True
 
     def intersect(self, other: "CharacteristicClass") -> "CharacteristicClass":
         if "unknown" in (self.kind, other.kind):

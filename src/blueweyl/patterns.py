@@ -5,6 +5,9 @@ polynomial equality and inequation constraints.  Sampling parameter values
 over the rationals and a few prime fields (with targeted sampling on named
 loci) yields a certified lower bound on the set of zero patterns the family
 realizes: every reported pattern carries an exact witness.
+
+The built-in families, the conjugation and adjoint images of PSL2, are
+Python expressions whose operators build the expression trees (:class:`_Expr`).
 """
 
 from __future__ import annotations
@@ -12,17 +15,11 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .catalog import GroupModel
-
-
-class FamilySyntaxError(Exception):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
 
 
 # ---------------------------------------------------------------------------
@@ -33,93 +30,33 @@ class FamilySyntaxError(Exception):
 # | ("neg", x) | ("pow", base, int)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def take_name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if start == self.pos:
-            raise FamilySyntaxError("expected a name", self.pos)
-        return self.text[start:self.pos]
-
-    def take_int(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.text[start:self.pos] in ("", "-"):
-            raise FamilySyntaxError("expected an integer", self.pos)
-        return int(self.text[start:self.pos])
+def _tree(x):
+    return x.tree if isinstance(x, _Expr) else ("num", x)
 
 
-def parse_expression(text: str):
-    tok = _Tokenizer(text)
-    expr = _parse_sum(tok)
-    if tok.peek():
-        raise FamilySyntaxError(f"unexpected trailing input {tok.peek()!r}", tok.pos)
-    return expr
+def _binary(kind: str):
+    return (lambda x, y: _Expr((kind, x.tree, _tree(y))),
+            lambda x, y: _Expr((kind, _tree(y), x.tree)))
 
 
-def _parse_sum(tok: _Tokenizer):
-    node = _parse_product(tok)
-    while tok.peek() in ("+", "-"):
-        op = tok.take()
-        rhs = _parse_product(tok)
-        node = ("add" if op == "+" else "sub", node, rhs)
-    return node
+class _Expr:
+    """An expression tree built by Python's operators, with ints as numbers:
+    ``-(x) + 2 * x ** -1`` is ``("add", ("neg", x), ("mul", ("num", 2),
+    ("pow", x, -1)))``, each operation one node as written."""
 
+    def __init__(self, tree: tuple):
+        self.tree = tree
 
-def _parse_product(tok: _Tokenizer):
-    node = _parse_factor(tok)
-    while tok.peek() in ("*", "/"):
-        op = tok.take()
-        rhs = _parse_factor(tok)
-        node = ("mul" if op == "*" else "div", node, rhs)
-    return node
+    __add__, __radd__ = _binary("add")
+    __sub__, __rsub__ = _binary("sub")
+    __mul__, __rmul__ = _binary("mul")
+    __truediv__, __rtruediv__ = _binary("div")
 
+    def __pow__(self, n: int) -> "_Expr":
+        return _Expr(("pow", self.tree, n))
 
-def _parse_factor(tok: _Tokenizer):
-    c = tok.peek()
-    if c == "-":
-        tok.take()
-        return ("neg", _parse_factor(tok))
-    node = _parse_atom(tok)
-    while tok.peek() == "^":
-        tok.take()
-        node = ("pow", node, tok.take_int())
-    return node
-
-
-def _parse_atom(tok: _Tokenizer):
-    c = tok.peek()
-    if c == "(":
-        tok.take()
-        node = _parse_sum(tok)
-        if tok.peek() != ")":
-            raise FamilySyntaxError("expected )", tok.pos)
-        tok.take()
-        return node
-    if c.isdigit():
-        return ("num", tok.take_int())
-    if c.isalpha() or c == "_":
-        return ("var", tok.take_name())
-    raise FamilySyntaxError(f"unexpected character {c!r}", tok.pos)
+    def __neg__(self) -> "_Expr":
+        return _Expr(("neg", self.tree))
 
 
 def expression_vars(expr) -> set[str]:
@@ -133,20 +70,6 @@ def expression_vars(expr) -> set[str]:
     if kind == "pow":
         return expression_vars(expr[1])
     return expression_vars(expr[1]) | expression_vars(expr[2])
-
-
-def render_expression(expr) -> str:
-    kind = expr[0]
-    if kind == "num":
-        return str(expr[1])
-    if kind == "var":
-        return expr[1]
-    if kind == "neg":
-        return f"-({render_expression(expr[1])})"
-    if kind == "pow":
-        return f"({render_expression(expr[1])})^{expr[2]}"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
-    return f"({render_expression(expr[1])} {sym} {render_expression(expr[2])})"
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +174,6 @@ def evaluate(expr, values: dict, F: SampleField):
 class Constraint:
     expr: tuple  # lhs - rhs as an expression tree
     equality: bool
-    source: str
-
-    def satisfied(self, values: dict, F: SampleField) -> bool:
-        return (not evaluate(self.expr, values, F)) == self.equality
 
 
 @dataclass(frozen=True)
@@ -268,104 +187,24 @@ class ParamFamily:
     params: tuple[str, ...]
     constraints: tuple[Constraint, ...]
     matrix: tuple[tuple[object, ...], ...]
-    loci: dict = field(default_factory=dict)
-    name: str = "family"
+    loci: dict
+    name: str
 
     def __post_init__(self):
         # the compiled code reads every name as a position in params
         if len(set(self.params)) != len(self.params):
             twice = {p for p in self.params if self.params.count(p) > 1}
-            raise FamilySyntaxError(f"duplicate parameters {sorted(twice)}", 0)
+            raise ValueError(f"duplicate parameters {sorted(twice)}")
         exprs = [entry for row in self.matrix for entry in row]
         exprs += [c.expr for cs in (self.constraints, *self.loci.values()) for c in cs]
         for expr in exprs:
             bad = expression_vars(expr) - set(self.params)
             if bad:
-                raise FamilySyntaxError(f"undeclared parameters {sorted(bad)}", 0)
+                raise ValueError(f"undeclared parameters {sorted(bad)}")
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
-
-
-def parse_constraint(text: str) -> Constraint:
-    if "!=" in text:
-        lhs, rhs = text.split("!=", 1)
-        equality = False
-    elif "=" in text:
-        lhs, rhs = text.split("=", 1)
-        equality = True
-    else:
-        raise FamilySyntaxError(f"constraint without = or != : {text!r}", 0)
-    expr = ("sub", parse_expression(lhs.strip()), parse_expression(rhs.strip()))
-    return Constraint(expr, equality, text.strip())
-
-
-def _split_entries(row: str) -> list[str]:
-    entries, depth, current = [], 0, []
-    for c in row:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        if c == "," and depth == 0:
-            entries.append("".join(current))
-            current = []
-        else:
-            current.append(c)
-    if current:
-        entries.append("".join(current))
-    return entries
-
-
-def parse_family(text: str, name: str = "family") -> ParamFamily:
-    """Parse the family file format.
-
-    Sections: ``params:`` a comma list, ``constraints:`` a semicolon list,
-    ``matrix:`` rows as [expr, expr, ...] one bracket group per row, and any
-    number of ``loci: name { constraint; constraint }`` blocks.
-    """
-    params: list[str] = []
-    constraints: list[Constraint] = []
-    matrix_rows: list[tuple] = []
-    loci: dict[str, tuple[Constraint, ...]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("params:"):
-            params.extend(p.strip() for p in line[len("params:"):].split(",")
-                          if p.strip())
-        elif line.startswith("constraints:"):
-            body = line[len("constraints:"):]
-            constraints.extend(parse_constraint(c) for c in body.split(";")
-                               if c.strip())
-        elif line.startswith("matrix:"):
-            body = line[len("matrix:"):].strip()
-            for chunk in body.split("],"):
-                chunk = chunk.strip().lstrip("[").rstrip("]").strip()
-                if not chunk:
-                    continue
-                row = tuple(parse_expression(e.strip())
-                            for e in _split_entries(chunk) if e.strip())
-                matrix_rows.append(row)
-        elif line.startswith("loci:"):
-            body = line[len("loci:"):].strip()
-            if "{" not in body or not body.endswith("}"):
-                raise FamilySyntaxError(f"malformed locus line: {line!r}", 0)
-            locus_name, block = body.split("{", 1)
-            block = block[:-1]
-            cs = tuple(parse_constraint(c) for c in block.split(";") if c.strip())
-            loci[locus_name.strip()] = cs
-        else:
-            raise FamilySyntaxError(f"unrecognized line: {line!r}", 0)
-    if not params:
-        raise FamilySyntaxError("family declares no parameters", 0)
-    widths = {len(r) for r in matrix_rows}
-    if len(widths) != 1:
-        raise FamilySyntaxError("matrix rows have inconsistent widths", 0)
-    return ParamFamily(tuple(params), tuple(constraints), tuple(matrix_rows),
-                       loci, name)
 
 
 # ---------------------------------------------------------------------------
@@ -825,47 +664,57 @@ def compare_with_spectrum(model: GroupModel, report: PatternReport) -> SpectrumC
 # ---------------------------------------------------------------------------
 
 
-CONJUGATION_FAMILY_TEXT = """
-# image of a determinant-one 2x2 matrix acting by conjugation on 2x2 matrices
-params: a, b, c, d
-constraints: a*d - b*c = 1
-matrix: [a*d, -(a*c), b*d, -(b*c)], [-(a*b), a^2, -(b^2), a*b], [c*d, -(c^2), d^2, -(c*d)], [-(b*c), a*c, -(b*d), a*d]
-loci: a=0 { a = 0 }
-loci: b=0 { b = 0 }
-loci: c=0 { c = 0 }
-loci: d=0 { d = 0 }
-loci: a=d=0 { a = 0; d = 0 }
-loci: b=c=0 { b = 0; c = 0 }
-"""
+def _vars(names: str) -> list[_Expr]:
+    return [_Expr(("var", name)) for name in names.split()]
 
 
-ADJOINT_CELL_B_TEXT = """
-# upper-triangular cell of the rank-one adjoint family
-params: lambda, t
-constraints: lambda != 0
-matrix: [lambda^-2, lambda^-2*t, -(lambda^-2*t^2)], [0, 1, -(2*t)], [0, 0, lambda^2]
-loci: t=0 { t = 0 }
-loci: t!=0 { t != 0 }
-"""
+def _eq(lhs, rhs) -> Constraint:
+    return Constraint(("sub", _tree(lhs), _tree(rhs)), True)
 
 
-ADJOINT_CELL_BWB_TEXT = """
-# big-cell matrices of the rank-one adjoint family
-params: lambda, s, t
-constraints: lambda != 0
-matrix: [lambda^-2*s^2, -(s) + lambda^-2*t*s^2, -(lambda^2) + 2*s*t - lambda^-2*s^2*t^2], [2*lambda^-2*s, -(1) + 2*lambda^-2*s*t, 2*t - 2*lambda^-2*s*t^2], [-(lambda^-2), -(lambda^-2*t), lambda^-2*t^2]
-loci: s=t=0 { s = 0; t = 0 }
-loci: s=0 { s = 0; t != 0 }
-loci: t=0 { t = 0; s != 0 }
-loci: st=l2 { s*t = lambda^2; s != 0 }
-loci: 2st=l2 { 2*s*t = lambda^2; s != 0; t != 0 }
-"""
+def _ne(lhs, rhs) -> Constraint:
+    return Constraint(("sub", _tree(lhs), _tree(rhs)), False)
+
+
+def _family(name: str, params: list[_Expr], constraints: list[Constraint],
+            rows: list[list], loci: dict[str, list[Constraint]]) -> ParamFamily:
+    return ParamFamily(tuple(p.tree[1] for p in params), tuple(constraints),
+                       tuple(tuple(map(_tree, row)) for row in rows),
+                       {locus: tuple(cs) for locus, cs in loci.items()}, name)
 
 
 def conjugation_family() -> ParamFamily:
-    return parse_family(CONJUGATION_FAMILY_TEXT, name="psl2-conj")
+    """The image of a determinant-one 2x2 matrix acting by conjugation on
+    2x2 matrices."""
+    a, b, c, d = params = _vars("a b c d")
+    return _family("psl2-conj", params, [_eq(a * d - b * c, 1)], [
+        [a * d, -(a * c), b * d, -(b * c)],
+        [-(a * b), a ** 2, -(b ** 2), a * b],
+        [c * d, -(c ** 2), d ** 2, -(c * d)],
+        [-(b * c), a * c, -(b * d), a * d],
+    ], {"a=0": [_eq(a, 0)], "b=0": [_eq(b, 0)], "c=0": [_eq(c, 0)], "d=0": [_eq(d, 0)],
+        "a=d=0": [_eq(a, 0), _eq(d, 0)], "b=c=0": [_eq(b, 0), _eq(c, 0)]})
 
 
 def adjoint_families() -> tuple[ParamFamily, ParamFamily]:
-    return (parse_family(ADJOINT_CELL_B_TEXT, name="psl2-adj-B"),
-            parse_family(ADJOINT_CELL_BWB_TEXT, name="psl2-adj-BwB"))
+    """The rank-one adjoint family on its two cells: upper-triangular
+    matrices (B) and the big cell (BwB)."""
+    lam, t = params = _vars("lambda t")
+    cell_b = _family("psl2-adj-B", params, [_ne(lam, 0)], [
+        [lam ** -2, lam ** -2 * t, -(lam ** -2 * t ** 2)],
+        [0, 1, -(2 * t)],
+        [0, 0, lam ** 2],
+    ], {"t=0": [_eq(t, 0)], "t!=0": [_ne(t, 0)]})
+    lam, s, t = params = _vars("lambda s t")
+    one = _Expr(("num", 1))
+    cell_bwb = _family("psl2-adj-BwB", params, [_ne(lam, 0)], [
+        [lam ** -2 * s ** 2, -s + lam ** -2 * t * s ** 2,
+         -(lam ** 2) + 2 * s * t - lam ** -2 * s ** 2 * t ** 2],
+        [2 * lam ** -2 * s, -one + 2 * lam ** -2 * s * t, 2 * t - 2 * lam ** -2 * s * t ** 2],
+        [-(lam ** -2), -(lam ** -2 * t), lam ** -2 * t ** 2],
+    ], {"s=t=0": [_eq(s, 0), _eq(t, 0)],
+        "s=0": [_eq(s, 0), _ne(t, 0)],
+        "t=0": [_eq(t, 0), _ne(s, 0)],
+        "st=l2": [_eq(s * t, lam ** 2), _ne(s, 0)],
+        "2st=l2": [_eq(2 * s * t, lam ** 2), _ne(s, 0), _ne(t, 0)]})
+    return cell_b, cell_bwb

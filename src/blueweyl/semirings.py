@@ -91,31 +91,6 @@ BUILTIN_SEMIRINGS = {
 }
 
 
-def check_semiring_axioms(S: Semiring, samples: Sequence) -> list[str]:
-    """Property-check the axioms on a sample set; returns violations."""
-    bad = []
-    for a in samples:
-        if S.add(a, S.zero) != a:
-            bad.append(f"{a} + 0 != {a}")
-        if S.mul(a, S.one) != a:
-            bad.append(f"{a} * 1 != {a}")
-        if S.mul(a, S.zero) != S.zero:
-            bad.append(f"{a} * 0 != 0")
-        for b in samples:
-            if S.add(a, b) != S.add(b, a):
-                bad.append(f"{a} + {b} not commutative")
-            if S.mul(a, b) != S.mul(b, a):
-                bad.append(f"{a} * {b} not commutative")
-            for c in samples:
-                if S.add(S.add(a, b), c) != S.add(a, S.add(b, c)):
-                    bad.append("addition not associative")
-                if S.mul(S.mul(a, b), c) != S.mul(a, S.mul(b, c)):
-                    bad.append("multiplication not associative")
-                if S.mul(a, S.add(b, c)) != S.add(S.mul(a, b), S.mul(a, c)):
-                    bad.append("distributivity fails")
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # Point matrices
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Expression parsing and the zero-pattern sampling oracle."""
+"""Expression trees, the built-in families and the zero-pattern sampling oracle."""
 
 import hashlib
 import json
@@ -11,7 +11,6 @@ from blueweyl import catalog
 from blueweyl.patterns import (
     Constraint,
     EvaluationError,
-    FamilySyntaxError,
     SAMPLE_FIELDS,
     ParamFamily,
     SampleField,
@@ -21,61 +20,47 @@ from blueweyl.patterns import (
     conjugation_family,
     evaluate,
     merge_reports,
-    parse_constraint,
-    parse_expression,
-    parse_family,
     realizable_patterns,
     reevaluate_witness,
-    render_expression,
 )
-from blueweyl.patterns import _affine_root, _randbelow, _shuffled
+from blueweyl.patterns import _affine_root, _eq, _family, _ne, _randbelow, _shuffled, _vars
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# expression trees and families
 # ---------------------------------------------------------------------------
-
-
-def test_parse_simple_constraint():
-    c = parse_constraint("a*d - b*c = 1")
-    assert c.equality
-    values = {"a": Fraction(2), "b": Fraction(1), "c": Fraction(1),
-              "d": Fraction(1)}
-    assert c.satisfied(values, SampleField(0))
-
-
-def test_parse_inequation():
-    c = parse_constraint("lambda != 0")
-    assert not c.equality
-    assert c.satisfied({"lambda": Fraction(3)}, SampleField(0))
-    assert not c.satisfied({"lambda": Fraction(0)}, SampleField(0))
 
 
 def test_parse_negative_power_entry():
-    e = parse_expression("-(lambda^-2*t^2)")
-    value = evaluate(e, {"lambda": Fraction(2), "t": Fraction(3)}, SampleField(0))
+    lam, t = _vars("lambda t")
+    e = -(lam ** -2 * t ** 2)
+    value = evaluate(e.tree, {"lambda": Fraction(2), "t": Fraction(3)}, SampleField(0))
     assert value == Fraction(-9, 4)
-
-
-def test_parse_errors_carry_position():
-    with pytest.raises(FamilySyntaxError):
-        parse_expression("a + + b")
-    with pytest.raises(FamilySyntaxError):
-        parse_expression("(a")
-    with pytest.raises(FamilySyntaxError):
-        parse_family("params: a\nmystery: 3")
+    # each operator is one node, numbers on either side included
+    x = ("var", "lambda")
+    assert (1 - lam / 2 * 3 + -lam ** 2).tree == (
+        "add", ("sub", ("num", 1), ("mul", ("div", x, ("num", 2)), ("num", 3))),
+        ("neg", ("pow", x, 2)))
+    assert (2 / lam + 1).tree == ("add", ("div", ("num", 2), x), ("num", 1))
+    assert _ne(lam * t, 1) == Constraint(("sub", ("mul", x, ("var", "t")), ("num", 1)), False)
 
 
 def test_family_rejects_undeclared_parameters():
-    for text in ["params: a\nmatrix: [a, b]",
-                 "params: a\nconstraints: b = 1\nmatrix: [a]",
-                 "params: a\nconstraints: a != 0\nmatrix: [a]\nloci: b=0 { a = 1; b = 0 }",
-                 "params: a, a\nmatrix: [a]",
-                 "params: a, b\nparams: a\nmatrix: [a, b]"]:
-        with pytest.raises(FamilySyntaxError):
-            parse_family(text)
-    with pytest.raises(FamilySyntaxError):
-        ParamFamily(("a",), (parse_constraint("b = 1"),), ((("var", "a"),),))
+    a, b = _vars("a b")
+    for params, constraints, rows, loci in [
+            ([a], [], [[a, b]], {}),
+            ([a], [_eq(b, 1)], [[a]], {}),
+            ([a], [_ne(a, 0)], [[a]], {"b=0": [_eq(a, 1), _eq(b, 0)]}),
+            ([a, a], [], [[a]], {}),
+            ([a, b, a], [], [[a, b]], {})]:
+        with pytest.raises(ValueError):
+            _family("bad", params, constraints, rows, loci)
+
+
+# SHA-256 of the repr of each built-in family's name, parameters, (tree,
+# equality) per constraint, matrix and loci in order, as the family-text
+# parser built them
+FAMILIES_DIGEST = "dce91e940e9eff8f8de5b260212f2123f14f9549df25bba6c2aa8f32f9be2eed"
 
 
 def test_families_round_trip_through_parser():
@@ -83,12 +68,21 @@ def test_families_round_trip_through_parser():
     assert fam.params == ("a", "b", "c", "d")
     assert fam.shape == (4, 4)
     assert len(fam.loci) == 6
-    for row in fam.matrix:
-        for entry in row:
-            assert render_expression(entry)
     cell_b, cell_bwb = adjoint_families()
     assert cell_b.shape == (3, 3) and cell_bwb.shape == (3, 3)
     assert cell_bwb.params == ("lambda", "s", "t")
+    (det,), (unit,) = fam.constraints, cell_b.constraints
+    Q = SampleField(0)
+    assert det.equality and not evaluate(det.expr, dict(zip("abcd", map(Fraction, (2, 1, 1, 1)))), Q)
+    assert not unit.equality and evaluate(unit.expr, {"lambda": Fraction(3), "t": Fraction(0)}, Q)
+
+    def constraints(cs):
+        return [(c.expr, c.equality) for c in cs]
+
+    fields = [(f.name, f.params, constraints(f.constraints), f.matrix,
+               [(locus, constraints(cs)) for locus, cs in f.loci.items()])
+              for f in (fam, cell_b, cell_bwb)]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == FAMILIES_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +354,8 @@ def test_compiled_code_matches_the_reference_evaluator():
         pool = []
         trees = [_random_tree(rng, 4, pool) for _ in range(3)]
         kinds.update(t[0] for t in pool)
-        family = ParamFamily(_PARAMS, (Constraint(trees[0], True, "t0"),),
-                             ((trees[1], trees[2]), (trees[0], ("num", 0))))
+        family = ParamFamily(_PARAMS, (Constraint(trees[0], True),),
+                             ((trees[1], trees[2]), (trees[0], ("num", 0))), {}, "random")
         entries = [e for row in family.matrix for e in row]
         for F in SAMPLE_FIELDS:
             code = compile_family(family, F)
@@ -389,7 +383,8 @@ def test_compiled_code_matches_the_reference_evaluator():
 
 
 def test_compiled_power_is_one_operation():
-    family = parse_family("params: a\nconstraints: a^-100000 = 1\nmatrix: [a^100000]")
+    (x,) = params = _vars("a")
+    family = _family("power", params, [_eq(x ** -100000, 1)], [[x ** 100000]], {})
     for F in SAMPLE_FIELDS:
         code = compile_family(family, F)
         assert len(code.source) < 400, F.tag
@@ -403,7 +398,8 @@ def test_compiled_power_is_one_operation():
 
 
 def test_compiled_source_holds_no_family_text():
-    family = parse_family("params: evil_name\nconstraints: evil_name != 0\n"
-                          "matrix: [evil_name^2]\nloci: evil_locus { evil_name = 1 }")
+    (e,) = params = _vars("evil_name")
+    family = _family("evil_family", params, [_ne(e, 0)], [[e ** 2]],
+                     {"evil_locus": [_eq(e, 1)]})
     for F in SAMPLE_FIELDS:
         assert "evil" not in compile_family(family, F).source

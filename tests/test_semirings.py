@@ -13,7 +13,6 @@ from blueweyl.semirings import (
     TROPICAL,
     MissingAuxiliaryValue,
     PointMatrix,
-    check_semiring_axioms,
     hom_count,
     identity_matrix,
     integers_mod,
@@ -25,11 +24,36 @@ from blueweyl.semirings import (
 INF = TROPICAL.zero
 
 
+def _axiom_violations(S, samples) -> list[str]:
+    """The semiring axioms that fail on a sample set."""
+    bad = []
+    for a in samples:
+        if S.add(a, S.zero) != a:
+            bad.append(f"{a} + 0 != {a}")
+        if S.mul(a, S.one) != a:
+            bad.append(f"{a} * 1 != {a}")
+        if S.mul(a, S.zero) != S.zero:
+            bad.append(f"{a} * 0 != 0")
+        for b in samples:
+            if S.add(a, b) != S.add(b, a):
+                bad.append(f"{a} + {b} not commutative")
+            if S.mul(a, b) != S.mul(b, a):
+                bad.append(f"{a} * {b} not commutative")
+            for c in samples:
+                if S.add(S.add(a, b), c) != S.add(a, S.add(b, c)):
+                    bad.append("addition not associative")
+                if S.mul(S.mul(a, b), c) != S.mul(a, S.mul(b, c)):
+                    bad.append("multiplication not associative")
+                if S.mul(a, S.add(b, c)) != S.add(S.mul(a, b), S.mul(a, c)):
+                    bad.append("distributivity fails")
+    return bad
+
+
 def test_axioms_of_builtins_on_samples():
-    assert check_semiring_axioms(NATURALS, range(4)) == []
-    assert check_semiring_axioms(BOOLEAN, (0, 1)) == []
-    assert check_semiring_axioms(TROPICAL, (INF, 0, 1, 3)) == []
-    assert check_semiring_axioms(integers_mod(4), range(4)) == []
+    assert _axiom_violations(NATURALS, range(4)) == []
+    assert _axiom_violations(BOOLEAN, (0, 1)) == []
+    assert _axiom_violations(TROPICAL, (INF, 0, 1, 3)) == []
+    assert _axiom_violations(integers_mod(4), range(4)) == []
 
 
 @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
