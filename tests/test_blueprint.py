@@ -1,6 +1,7 @@
 """Core blueprint operations: presentations, tensor products, entailment,
 units, inverse closure, Smith normal form, characteristics."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -24,8 +25,11 @@ from blueweyl.blueprint import (
     FormalSum,
     Monomial,
     _canonical_relations,
+    _entailed,
     _holds_in_b1,
     _kill_terms,
+    _kills_a_unit,
+    _mask,
     _outside_terms,
     _point_certifies,
     _relations,
@@ -503,6 +507,229 @@ def test_entailment_uses_squared_sign_rule():
     B = B.with_relations([relation([B.monomial([1, 1]), B.one()], [])])
     target = relation([B.monomial([2, 2])], [B.one()])
     assert relation_entailed(B, target, budget=500) == "yes"
+
+
+def test_presentation_rejects_a_relation_of_another_width():
+    B2, B3 = mk_free(2), mk_free(3)
+    with pytest.raises(ValueError):
+        mk_free(1).with_relations([relation([B2.monomial([1, 1])], [B2.one()])])
+    with pytest.raises(ValueError):
+        B2.with_relations([relation([B3.gen(2)], [B3.one()])])
+
+
+def test_entailment_rejects_a_relation_of_another_width():
+    # T1*T2 == 1 does not give T1 == 1, so a T1 == 1 built on one generator
+    # must not be read as a relation of B with its second exponent cut off
+    B = mk_free(2)
+    B = B.with_relations([relation([B.monomial([1, 1])], [B.one()])])
+    assert relation_entailed(B, relation([B.gen(0)], [B.one()]), budget=300) == "unknown"
+    B1 = mk_free(1)
+    with pytest.raises(ValueError):
+        relation_entailed(B, relation([B1.gen(0)], [B1.one()]), budget=300)
+
+
+# The Monomial-based rewrite search, kept as the reference for the search
+# on sort keys: the same rules, multipliers and exploration order, with a
+# Monomial and a FormalSum built for every candidate.
+
+
+def _mul(a, b, coeff_order):
+    if a.zero or b.zero:
+        return zero_monomial(len(a.exps))
+    sign = (a.sign + b.sign) % coeff_order
+    return Monomial(sign, tuple(x + y for x, y in zip(a.exps, b.exps)))
+
+
+def _divide(a, b, inverted, coeff_order):
+    """a / b, or None when the quotient leaves the monoid."""
+    if a.zero or b.zero:
+        return None
+    exps = tuple(x - y for x, y in zip(a.exps, b.exps))
+    if any(e < 0 and i not in inverted for i, e in enumerate(exps)):
+        return None
+    return Monomial((a.sign - b.sign) % coeff_order, exps)
+
+
+def _is_constant(t):
+    return t.zero or not any(t.exps)
+
+
+def _rewrite_rules(B, rels):
+    rules = []
+    for r in rels:
+        rules.append((r.lhs, r.rhs))
+        rules.append((r.rhs, r.lhs))
+    if B.coeff_order == 2:
+        pair = formal_sum([B.one(0), B.one(1)])
+        empty = formal_sum([])
+        rules.append((pair, empty))
+        rules.append((empty, pair))
+    return rules
+
+
+def _sum_minus(s, part):
+    remaining = list(s.terms)
+    for p in part:
+        try:
+            remaining.remove(p)
+        except ValueError:
+            return None
+    return formal_sum(remaining)
+
+
+def _candidate_multipliers(s, target, pattern, B):
+    cands = {B.one()}
+    if B.coeff_order == 2:
+        cands.add(B.one(1))
+    anchors = pattern.terms[:1]
+    for pool in (s.terms, target.terms):
+        for t in pool:
+            for a in (anchors or (B.one(),)):
+                q = _divide(t, a, B.inverted, B.coeff_order)
+                if q is not None:
+                    cands.add(q)
+                    if B.coeff_order == 2:
+                        cands.add(Monomial((q.sign + 1) % 2, q.exps))
+    return cands
+
+
+def _reference_entailed(B, rels, rel, budget, constant_states_only=False):
+    dead = _mask(rels.dead)
+    rules = _rewrite_rules(B, rels.relations)
+    start = _kill_terms(rel.lhs, dead)
+    target = _kill_terms(rel.rhs, dead)
+    if start.key() == target.key():
+        return "yes"
+    widest = max((max(len(a), len(b)) for a, b in rules), default=0)
+    max_terms = max(len(start), len(target)) + widest + 4
+    frontier = [start]
+    visited = {start.key()}
+    steps = 0
+    while frontier and steps < budget:
+        nxt = []
+        for s in frontier:
+            for lhs_pat, rhs_pat in rules:
+                for c in _candidate_multipliers(s, target, lhs_pat, B):
+                    part = [_mul(c, t, B.coeff_order) for t in lhs_pat.terms]
+                    if any(p.mask & dead for p in part):
+                        continue
+                    rest = _sum_minus(s, part)
+                    if rest is None:
+                        continue
+                    add = [_mul(c, t, B.coeff_order) for t in rhs_pat.terms]
+                    if any(p.mask & dead for p in add):
+                        continue
+                    if constant_states_only and any(not _is_constant(p) for p in add):
+                        continue
+                    out = formal_sum(rest.terms + tuple(add))
+                    if len(out) > max_terms:
+                        continue
+                    k = out.key()
+                    if k in visited:
+                        continue
+                    steps += 1
+                    if k == target.key():
+                        return "yes"
+                    visited.add(k)
+                    nxt.append(out)
+                    if steps >= budget:
+                        return "unknown"
+        frontier = nxt
+    return "unknown"
+
+
+def _least_yes_budget(search, B, rels, rel, constant_states_only, cap):
+    """The least budget at which ``search`` answers "yes", or None when it
+    does not at ``cap``; the verdict is monotone in the budget, and the
+    least such budget is the step that reaches the target."""
+    if search(B, rels, rel, cap, constant_states_only) != "yes":
+        return None
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if search(B, rels, rel, mid, constant_states_only) == "yes":
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _random_search_case(rng):
+    """A presentation of width 1-3 over F1 or F1^2 with up to two inverted
+    generators (their inverses among the terms), sometimes a killed
+    generator or 1 + 1 == 1 or 1 + 1 == 0, and targets: 1 == 0,
+    1 + 1 == 0, 1 + 1 == 1, 1 + 1 + 1 == 1, a relation multiplied by a
+    monomial, and a random relation."""
+    width = rng.randint(1, 3)
+    order = rng.choice((1, 2))
+    inverted = rng.sample(range(width), rng.randint(0, min(2, width)))
+    B = mk_free(width, inverted=inverted, coeff_order=order)
+    pool = [B.one(s) for s in range(order)] + [B.gen(g) for g in range(width)]
+    pool += [B.monomial([-(i == g) for i in range(width)]) for g in inverted]
+    pool += [B.monomial([rng.randint(0, 1) for _ in range(width)], rng.randint(0, 1))
+             for _ in range(2)]
+
+    def side():
+        return [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+
+    rels = [relation(side(), side()) for _ in range(rng.randint(1, 3))]
+    one = B.one()
+    if rng.random() < 0.5:
+        rels.append(relation([B.gen(rng.randrange(width))], []))
+    if rng.random() < 0.3:
+        rels.append(relation([one, one], [one] * rng.randint(0, 1)))
+    B = B.with_relations(rels)
+    targets = [relation([one], []), relation([one, one], []), relation([one, one], [one]),
+               relation([one] * 3, [one])]
+    if B.relations:
+        r = rng.choice(B.relations)
+        c = rng.choice(pool)
+        targets.append(relation([_mul(c, t, order) for t in r.lhs.terms],
+                                [_mul(c, t, order) for t in r.rhs.terms]))
+    targets.append(relation(side(), side()))
+    return B, targets
+
+
+def test_search_on_sort_keys_explores_in_the_reference_order():
+    """On seeded random presentations, the search on sort keys and the
+    Monomial-based reference answer "yes" first at the same budget, for
+    constant and non-constant targets and with and without
+    ``constant_states_only``.  That budget is the step that reaches the
+    target, so the two explore their states in the same order.  The
+    multipliers are collected as ``(sign, exps, False)``, which hashes as
+    the ``Monomial`` it stands for."""
+    rng = random.Random(30)
+    seen = collections.Counter()
+    for _ in range(100):
+        B, targets = _random_search_case(rng)
+        rels = _relations(B)
+        if _kills_a_unit(B, rels):
+            continue
+        for rel in targets:
+            for constant_states_only in (False, True):
+                least = [_least_yes_budget(search, B, rels, rel, constant_states_only, 60)
+                         for search in (_entailed, _reference_entailed)]
+                assert least[0] == least[1], (B, rel, constant_states_only)
+                if least[0] is None or least[0] == 1:
+                    continue
+                seen["yes"] += 1
+                seen[f"coeff_order {B.coeff_order}"] += 1
+                seen[f"constant_states_only {constant_states_only}"] += 1
+                seen["non-constant target"] += any(t.mask for t in rel.all_terms())
+                seen["inverted"] += bool(B.inverted)
+                seen["killed"] += bool(rels.dead)
+                seen["least budget over 5"] += least[0] > 5
+    for t in (Monomial(1, (0, -2)), Monomial(0, (3, 1, 0))):
+        assert hash((t.sign, t.exps, False)) == hash(t)
+    # 110 cases turn "yes" after the first step: 38 over F1 and 72 over
+    # F1^2, 41 with constant_states_only and 69 without, 21 with a
+    # non-constant target, 43 with an inverted and 60 with a killed
+    # generator, 29 at a least budget over 5
+    assert seen["yes"] >= 100 and seen["least budget over 5"] >= 25
+    assert seen["coeff_order 1"] >= 30 and seen["coeff_order 2"] >= 60
+    assert seen["constant_states_only True"] >= 35 and seen["constant_states_only False"] >= 60
+    assert seen["non-constant target"] >= 15
+    assert seen["inverted"] >= 35 and seen["killed"] >= 50
 
 
 # ---------------------------------------------------------------------------

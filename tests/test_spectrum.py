@@ -40,6 +40,7 @@ from blueweyl.spectrum import (
     residue_presentation,
 )
 from blueweyl.blueprint import (
+    Monomial,
     _canonical_relations,
     _mask,
     _outside_counts,
@@ -162,6 +163,11 @@ def test_enumerate_matches_brute_force_on_random_presentations():
     assert removed >= 1
 
 
+def _is_constant(t):
+    """Whether the monomial t is the zero monomial or carries no generator."""
+    return t.zero or not any(t.exps)
+
+
 def _prime_by_term_count(B, cand):
     """The criterion counted from the saturated relations' own monomials."""
     if cand & B.inverted:
@@ -188,7 +194,7 @@ def test_criterion_matches_direct_term_count():
         B = _random_presentation(rng)
         for rel in saturate_relations(B):
             terms = rel.all_terms()
-            if any(t.is_constant() for t in terms):
+            if any(_is_constant(t) for t in terms):
                 shapes.add("constant term")
             if len(terms) == 1:
                 shapes.add("one term")
@@ -381,6 +387,11 @@ def test_prime_leaders_match_the_orbit_oracle():
     assert nonempty == 25
 
 
+def _mul(a, b):
+    """The product of two non-zero monomials over F1."""
+    return Monomial(0, tuple(x + y for x, y in zip(a.exps, b.exps)))
+
+
 def _forced_join_presentation():
     """Generators a, b, f1, f2, h in that search order, where a == h and
     h == b make h join whenever a does, and the rest only pad the order."""
@@ -389,9 +400,9 @@ def _forced_join_presentation():
     return B.with_relations([
         relation([a], [h]),
         relation([h], [b]),
-        relation([a.mul(f1, 1)], [a.mul(f2, 1)]),
-        relation([b.mul(f1, 1)], [b.mul(f2, 1)]),
-        relation([a.mul(f1, 1).mul(f2, 1)], [b.mul(f1, 1).mul(f2, 1)]),
+        relation([_mul(a, f1)], [_mul(a, f2)]),
+        relation([_mul(b, f1)], [_mul(b, f2)]),
+        relation([_mul(_mul(a, f1), f2)], [_mul(_mul(b, f1), f2)]),
     ])
 
 

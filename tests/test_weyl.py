@@ -212,10 +212,11 @@ def _zero_and_entailment_verdicts(count):
 
 def test_zero_and_entailment_verdicts_are_pinned():
     """Pinned from the code that canonicalised the relations again for
-    every zero test, entailment and torsion probe.  All 200 presentations
-    take minutes, so a CI step checks them; the first 30 give 204
+    every zero test, entailment and torsion probe.  The first 30 give 204
     presentations, 16 of them zero, 4 whose ``1 + 1 == 0`` verdict needs
-    the larger budget, and five kinds of characteristic class."""
+    the larger budget, and five kinds of characteristic class; they take
+    about 1 s on a 2-CPU host, and all 200 take 10-20 s, which a CI step
+    checks."""
     digest, tally = _zero_and_entailment_verdicts(30)
     assert tally["zero"] == 16 and tally["budget matters"] == 4
     assert {"indefinite", "all-but-1", "{1}", "{2}", "unknown"} <= set(tally)
